@@ -30,10 +30,7 @@ from .geometry import (
     window_sum_inequality,
 )
 from .matrices import (
-    DualSolution,
-    DualSolveError,
     ExactMatrix,
-    dual_solve,
     mat_charpoly,
     mat_det,
     mat_nullspace,
@@ -45,7 +42,6 @@ from .model import (
     eta_inverse,
     eta_pairing,
     euler_coeffs_tau,
-    f1_jet,
     t_tau_transition,
 )
 from .polynomials import UniPoly, poly_gcd, squarefree
@@ -62,8 +58,6 @@ __all__ = [
     "CorrelatorEngine",
     "DivisionGuardError",
     "DualNumber",
-    "DualSolution",
-    "DualSolveError",
     "ExactMatrix",
     "GaussianRational",
     "ModelParams",
@@ -76,13 +70,11 @@ __all__ = [
     "conic_plane_in_conjectural_quadric",
     "convergence_witness",
     "cutoff_matrix",
-    "dual_solve",
     "dual_uniqueness",
     "epsilon_gram",
     "eta_inverse",
     "eta_pairing",
     "euler_coeffs_tau",
-    "f1_jet",
     "get_engine",
     "index_triple",
     "intersection_dim",

@@ -62,14 +62,8 @@ def cmd_correlator(args):
         basis = "t"
         poly = eng.correlator_t(index)
     _maybe_save(eng, cache)
-    beta = eng.beta_of_t_index(index) if basis == "t" else None
-    if basis == "tau":
-        n = args.n
-        weighted = sum(k * v for k, v in enumerate(index[: n + 1])) + (n // 2) * sum(
-            index[n + 1 :]
-        )
-        q, r = divmod(weighted - (n - 3 + sum(index)), n - 1)
-        beta = q if not r else None
+    # the dimension axiom gives the same degree in either coordinate system
+    beta = eng.beta_of_t_index(index)
     if args.format == "json":
         _print_json(
             {
@@ -77,7 +71,7 @@ def cmd_correlator(args):
                 "basis": basis,
                 "index": list(index),
                 "value": {"poly": [[rational_str(c), "0"] for c in poly.coeffs]},
-                "beta": None if beta is None else beta,
+                "beta": beta,
             }
         )
     else:

@@ -12,6 +12,13 @@ rewriting moves, applied in a fixed order:
   4. WDVV coefficient extraction among primitive slots to shorten a purely
      primitive correlator.
 
+Moves 3 and 4, and the ``wdvv_extracted_residual`` diagnostic, are signed
+combinations of one kernel, ``_extract``: the binomially weighted sum over
+subindices J of the contraction, through the inverse pairing, of the
+correlators at J plus two fixed slots and at the complement plus two more.
+The inverse pairing, the Euler field and the t <-> tau change are read from
+``model.py`` and turned into sparse tables once per dimension.
+
 The one value the moves cannot determine, the length-(n+3) correlator with
 one insertion on every primitive slot, stays symbolic: results are
 polynomials in that unknown x.  All arithmetic is exact.
@@ -24,62 +31,74 @@ are safe under CPython and always agree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from fractions import Fraction
 from math import comb
 
-from .model import ModelParams, ambient_3pt_tau
-from .polynomials import UniPoly
+from .model import (
+    ModelParams,
+    ambient_3pt_tau,
+    eta_inverse,
+    euler_coeffs_tau,
+    t_tau_transition,
+)
+from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
 from .scalars import GaussianRational
 
-# ---------------------------------------------------------------------------
-# sparse polynomials in the unknown x, as plain coefficient tuples
-
-PZERO = ()
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
 
 
-def padd(p, q):
-    if not p:
-        return q
-    if not q:
-        return p
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for k, c in enumerate(q):
-        out[k] += c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _eta_inverse_rows(n):
+    """Nonzero entries of model.eta_inverse(n), as one ((f, entry), ...) per row."""
+    return tuple(
+        tuple((f, v) for f, v in enumerate(row) if v) for row in eta_inverse(n).data
+    )
 
 
-def pscale(c, p):
-    if not c or not p:
-        return PZERO
-    return tuple(c * a for a in p)
+@functools.lru_cache(maxsize=None)
+def _euler_field(n):
+    """model.euler_coeffs_tau(n) as (d_1 constant, diagonal weights, moves).
+
+    The moves are the off-diagonal linear terms (tau slot, d slot, coefficient).
+    """
+    field = euler_coeffs_tau(n)
+    size = ModelParams(n).basis_size
+    diag = tuple(field.linear_coefficient(s, s) for s in range(size))
+    moves = tuple(
+        (s, d, field.linear_coefficient(s, d))
+        for s in range(size)
+        for d in range(size)
+        if s != d and field.linear_coefficient(s, d)
+    )
+    return field.constant_part()[1], diag, moves
 
 
-def pmul(p, q):
-    if not p or not q:
-        return PZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _t_to_tau_moves(n):
+    """Slots whose cup-coordinate derivative is not a single tau derivative."""
+    table = t_tau_transition(n, "t_to_tau")
+    return tuple(
+        (j, tuple(moves))
+        for j, moves in sorted(table.items())
+        if moves != [(j, Fraction(1))]
+    )
 
 
-def peval(p, v):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * v + c
-    return acc
+def curve_degree(n, index):
+    """Curve degree the dimension axiom forces on a flat index, or None.
+
+    None means the degree is not an integer; a negative degree is returned as
+    is.  The two coordinate systems give the same degree.
+    """
+    weighted = sum(k * v for k, v in enumerate(index[: n + 1])) + (n // 2) * sum(
+        index[n + 1 :]
+    )
+    beta, rem = divmod(weighted - (n - 3 + sum(index)), n - 1)
+    return None if rem else beta
 
 
 class DivisionGuardError(ArithmeticError):
@@ -123,6 +142,9 @@ class CorrelatorEngine:
         self.params = ModelParams(n)
         self.n = n
         self.memo = {}
+        self._eta_rows = _eta_inverse_rows(n)
+        self._euler = _euler_field(n)
+        self._t_moves = _t_to_tau_moves(n)
         self._local = threading.local()
 
     # -- canonical memoized entry ------------------------------------------
@@ -148,19 +170,17 @@ class CorrelatorEngine:
 
     def _compute(self, amb, prim):
         n = self.n
-        length = sum(amb) + sum(prim)
         # dimension constraint: the degree axiom forces an integral,
         # nonnegative curve degree
-        weighted = sum(k * v for k, v in enumerate(amb)) + (n // 2) * sum(prim)
-        beta, rem = divmod(weighted - (n - 3 + length), n - 1)
-        if rem or beta < 0:
+        beta = curve_degree(n, amb + prim)
+        if beta is None or beta < 0:
             return PZERO
         # monodromy: all primitive exponents share one parity
         if any(prim):
             par = prim[0] & 1
             if any((v & 1) != par for v in prim):
                 return PZERO
-        if length == 3:
+        if sum(amb) + sum(prim) == 3:
             return self._three_point(amb, prim)
         if amb[0]:
             return PZERO  # fundamental class axiom
@@ -197,72 +217,72 @@ class CorrelatorEngine:
     def _euler_step(self, amb, prim):
         """Remove one slot-1 insertion via the Euler vector field.
 
-        For length-4 correlators the tau^{n-1} component of the field feeds a
-        pairing term through slot 0; it vanishes for longer correlators by
-        the fundamental class axiom but must be kept here.
+        Differentiates E F = (3-n) F at the index with that insertion removed:
+        the field's constant d_1 part gives the target, its diagonal part
+        rescales the shorter correlator, and its two off-diagonal terms move
+        one insertion.  The tau^{n-1} d_0 move only survives for length-4
+        correlators (slot 0 vanishes otherwise by the fundamental class
+        axiom) but must be kept there.
         """
-        n = self.n
+        const, diag, moves = self._euler
         iamb = _bump(amb, 1, -1)
-        c0 = (
-            sum((j - 1) * v for j, v in enumerate(iamb))
-            + (Fraction(n, 2) - 1) * sum(prim)
-            + 3
-            - n
-        )
+        flat = iamb + prim
+        c0 = 3 - self.n - sum(w * v for w, v in zip(diag, flat))
         val = pscale(c0, self._T(iamb, prim))
-        if iamb[n - 1]:
-            corr = self._T(_bump(_bump(iamb, n - 1, -1), 0), prim)
-            val = padd(val, pscale(Fraction(-(4 * n - 4) * iamb[n - 1]), corr))
-        val = pscale(Fraction(1, n - 1), val)
-        if iamb[n]:
-            tail = self._T(_bump(_bump(iamb, n, -1), 1), prim)
-            val = padd(val, pscale(Fraction(-12 * iamb[n]), tail))
-        return val
+        for s, d, c in moves:
+            if flat[s]:
+                moved = list(flat)
+                moved[s] -= 1
+                val = padd(val, pscale(-c * flat[s], self._at(moved, d)))
+        return pscale(1 / const, val)
 
     # -- WDVV machinery ------------------------------------------------------
 
-    def _contract(self, mkA, mkB):
-        """Sum A_e eta^{ef} B_f over the inverse-pairing structure."""
-        n = self.n
-        size = 2 * n + 4
-        avals = [mkA(e) for e in range(size)]
+    def _at(self, idx, slot):
+        """The correlator at the flat index list idx plus one slot insertion."""
+        na = self.n + 1
+        idx[slot] += 1
+        val = self._T(tuple(idx[:na]), tuple(idx[na:]))
+        idx[slot] -= 1
+        return val
+
+    def _contract(self, a, b):
+        """Sum A_e eta^{ef} B_f, with A_e, B_f the correlators at a + e, b + f."""
+        avals = [self._at(a, e) for e in range(len(a))]
         total = PZERO
-        if avals[0]:
-            b1 = mkB(1)
-            if b1:
-                total = padd(total, pscale(Fraction(-4), pmul(avals[0], b1)))
-        if avals[1]:
-            b0 = mkB(0)
-            if b0:
-                total = padd(total, pscale(Fraction(-4), pmul(avals[1], b0)))
-        quarter = Fraction(1, 4)
-        for e in range(n + 1):
-            if avals[e]:
-                bv = mkB(n - e)
-                if bv:
-                    total = padd(total, pscale(quarter, pmul(avals[e], bv)))
-        for e in range(n + 1, size):
-            if avals[e]:
-                bv = mkB(e)
-                if bv:
-                    total = padd(total, pmul(avals[e], bv))
+        for av, row in zip(avals, self._eta_rows):
+            if av:
+                for f, c in row:
+                    bv = self._at(b, f)
+                    if bv:
+                        total = padd(total, pscale(c, pmul(av, bv)))
         return total
 
-    def _with_slot(self, amb, prim, slot, k=1):
-        n = self.n
-        if slot <= n:
-            return _bump(amb, slot, k), prim
-        return amb, _bump(prim, slot - n - 1, k)
+    def _extract(self, vec, aslots, bslots, lo=0, hi=0):
+        """WDVV coefficient extraction at the flat index vec.
 
-    def _subindices(self, vec):
-        """All componentwise subindices J <= vec with their binomial weights."""
-        ranges = [range(v + 1) for v in vec]
-        for j in itertools.product(*ranges):
+        Sums C(vec, J) * contract(J + aslots, vec - J + bslots) over the
+        subindices J <= vec with lo <= |J| <= |vec| + hi; the slots are
+        global basis indices, and every WDVV move in the engine is a signed
+        combination of such sums.
+        """
+        top = sum(vec) + hi
+        total = PZERO
+        for j in itertools.product(*(range(v + 1) for v in vec)):
+            if not lo <= sum(j) <= top:
+                continue
             w = 1
             for v, jv in zip(vec, j):
                 if jv:
                     w *= comb(v, jv)
-            yield j, w
+            a = list(j)
+            for s in aslots:
+                a[s] += 1
+            b = [v - jv for v, jv in zip(vec, j)]
+            for s in bslots:
+                b[s] += 1
+            total = padd(total, pscale(w, self._contract(a, b)))
+        return total
 
     def _ambient_elim_mixed(self, amb, prim):
         n = self.n
@@ -291,49 +311,12 @@ class CorrelatorEngine:
         The leading term of the left side is the target correlator because
         multiplying by the degree-one quantum class raises the power index by
         one; all other terms are strictly smaller in the termination order.
+        The J = 0 term of the left side is that target, so it is left out.
         """
-        n = self.n
-        flat = amb + prim
-        na = n + 1
-        val = PZERO
-        for j, w in self._subindices(flat):
-            jamb, jprim = j[:na], j[na:]
-            kamb = tuple(x - y for x, y in zip(amb, jamb))
-            kprim = tuple(x - y for x, y in zip(prim, jprim))
-            sj = sum(j)
-            wf = Fraction(w)
-            # left side, J = 0 excluded (that term is the target)
-            if sj:
-                ja, jp = _bump(jamb, 1), jprim
-                ja = _bump(ja, i - 1)
-
-                def mk_a(e, _ja=ja, _jp=jp):
-                    aa, pp = self._with_slot(_ja, _jp, e)
-                    return self._T(aa, pp)
-
-                ka, kp = self._with_slot(kamb, kprim, a)
-                ka, kp = self._with_slot(ka, kp, b)
-
-                def mk_b(f, _ka=ka, _kp=kp):
-                    aa, pp = self._with_slot(_ka, _kp, f)
-                    return self._T(aa, pp)
-
-                val = padd(val, pscale(-wf, self._contract(mk_a, mk_b)))
-            # right side, all J
-            ja2, jp2 = self._with_slot(_bump(jamb, 1), jprim, a)
-
-            def mk_a2(e, _ja=ja2, _jp=jp2):
-                aa, pp = self._with_slot(_ja, _jp, e)
-                return self._T(aa, pp)
-
-            ka2, kp2 = self._with_slot(_bump(kamb, i - 1), kprim, b)
-
-            def mk_b2(f, _ka=ka2, _kp=kp2):
-                aa, pp = self._with_slot(_ka, _kp, f)
-                return self._T(aa, pp)
-
-            val = padd(val, pscale(wf, self._contract(mk_a2, mk_b2)))
-        return val
+        vec = amb + prim
+        right = self._extract(vec, (1, a), (i - 1, b))
+        left = self._extract(vec, (1, i - 1), (a, b), lo=1)
+        return padd(right, pscale(-1, left))
 
     def _single_slot_step(self, prim):
         """Purely primitive with one active slot: split two insertions off."""
@@ -365,39 +348,13 @@ class CorrelatorEngine:
         rhs = self._rhs_distinct(inner, a, b, c)
         return pscale(1 / coeff, rhs)
 
-    def _prim_pair_sums(self, inner, specs):
-        """Shared loop for the purely primitive WDVV extractions.
-
-        specs: list of (outer coefficient, |J| bounds, first-factor fixed
-        slots, second-factor fixed slots); slots are global basis indices.
-        """
-        n = self.n
-        amb0 = (0,) * (n + 1)
+    def _prim_sum(self, inner, specs):
+        """Sum of coeff * extract(...) over (coeff, aslots, bslots, lo, hi) specs."""
+        vec = (0,) * (self.n + 1) + inner
         total = PZERO
-        size = sum(inner)
-        for j, w in self._subindices(inner):
-            sj = sum(j)
-            k = tuple(x - y for x, y in zip(inner, j))
-            for coeff, lo, hi, aslots, bslots in specs:
-                if sj < lo or sj > size + hi:
-                    continue
-                ja, jp = amb0, j
-                for s in aslots:
-                    ja, jp = self._with_slot(ja, jp, s)
-
-                def mk_a(e, _ja=ja, _jp=jp):
-                    aa, pp = self._with_slot(_ja, _jp, e)
-                    return self._T(aa, pp)
-
-                ka, kp = amb0, k
-                for s in bslots:
-                    ka, kp = self._with_slot(ka, kp, s)
-
-                def mk_b(f, _ka=ka, _kp=kp):
-                    aa, pp = self._with_slot(_ka, _kp, f)
-                    return self._T(aa, pp)
-
-                total = padd(total, pscale(coeff * w, self._contract(mk_a, mk_b)))
+        for coeff, aslots, bslots, lo, hi in specs:
+            part = self._extract(vec, aslots, bslots, lo, hi)
+            total = padd(total, pscale(coeff, part))
         return total
 
     def _rhs_two_equal(self, inner, a, b):
@@ -405,32 +362,36 @@ class CorrelatorEngine:
         n = self.n
         ga, gb = n + 1 + a, n + 1 + b
         q = Fraction(1, 4)
-        specs = [
-            (q, 2, 0, (1, n - 1), (ga, ga)),
-            (q, 2, 0, (1, n - 1), (gb, gb)),
-            (-q, 1, -1, (1, ga), (n - 1, ga)),
-            (-q, 1, -1, (1, gb), (n - 1, gb)),
-            (Fraction(-1), 2, -2, (ga, ga), (gb, gb)),
-            (Fraction(1), 2, -2, (ga, gb), (ga, gb)),
-        ]
-        return self._prim_pair_sums(inner, specs)
+        return self._prim_sum(
+            inner,
+            [
+                (q, (1, n - 1), (ga, ga), 2, 0),
+                (q, (1, n - 1), (gb, gb), 2, 0),
+                (-q, (1, ga), (n - 1, ga), 1, -1),
+                (-q, (1, gb), (n - 1, gb), 1, -1),
+                (-1, (ga, ga), (gb, gb), 2, -2),
+                (1, (ga, gb), (ga, gb), 2, -2),
+            ],
+        )
 
     def _rhs_distinct(self, inner, a, b, c):
         """Right side of the distinct-slot extraction (slots a, b; c, c)."""
         n = self.n
         ga, gb, gc = n + 1 + a, n + 1 + b, n + 1 + c
         q = Fraction(1, 4)
-        specs = [
-            (q, 2, 0, (1, n - 1), (ga, gb)),
-            (-q, 1, -1, (1, ga), (n - 1, gb)),
-            (Fraction(-1), 2, -2, (ga, gb), (gc, gc)),
-            (Fraction(1), 2, -2, (ga, gc), (gb, gc)),
-        ]
-        return self._prim_pair_sums(inner, specs)
+        return self._prim_sum(
+            inner,
+            [
+                (q, (1, n - 1), (ga, gb), 2, 0),
+                (-q, (1, ga), (n - 1, gb), 1, -1),
+                (-1, (ga, gb), (gc, gc), 2, -2),
+                (1, (ga, gc), (gb, gc), 2, -2),
+            ],
+        )
 
     # -- public API -----------------------------------------------------------
 
-    def _split(self, index):
+    def _flat(self, index, min_length=3):
         n = self.n
         index = tuple(int(v) for v in index)
         if len(index) != 2 * n + 4:
@@ -439,9 +400,13 @@ class CorrelatorEngine:
             )
         if any(v < 0 for v in index):
             raise ValueError("exponents must be nonnegative")
-        if sum(index) < 3:
-            raise ValueError("correlator length must be at least 3")
-        return index[: n + 1], index[n + 1 :]
+        if sum(index) < min_length:
+            raise ValueError("correlator length must be at least %d" % min_length)
+        return index
+
+    def _split(self, index):
+        index = self._flat(index)
+        return index[: self.n + 1], index[self.n + 1 :]
 
     def correlator_tau(self, index) -> UniPoly:
         """Correlator in small-quantum coordinates, as a polynomial in x."""
@@ -450,34 +415,25 @@ class CorrelatorEngine:
 
     def correlator_t(self, index) -> UniPoly:
         """Correlator in cup-product coordinates, via the coordinate change."""
-        n = self.n
-        amb, prim = self._split(index)
-        r_max, s_max = amb[n - 1], amb[n]
+        na = self.n + 1
+        index = self._flat(index)
+        terms = {index: Fraction(1)}
+        for j, moves in self._t_moves:
+            for _ in range(index[j]):
+                nxt = {}
+                for idx, coef in terms.items():
+                    for k, c in moves:
+                        key = _bump(_bump(idx, j, -1), k)
+                        nxt[key] = nxt.get(key, 0) + coef * c
+                terms = nxt
         val = PZERO
-        for r in range(r_max + 1):
-            for s in range(s_max + 1):
-                coef = (
-                    Fraction(comb(r_max, r) * comb(s_max, s))
-                    * Fraction(-4) ** r
-                    * Fraction(-12) ** s
-                )
-                amb2 = list(amb)
-                amb2[n - 1] -= r
-                amb2[0] += r
-                amb2[n] -= s
-                amb2[1] += s
-                val = padd(val, pscale(coef, self._T(tuple(amb2), prim)))
+        for idx, coef in terms.items():
+            val = padd(val, pscale(coef, self._T(idx[:na], idx[na:])))
         return UniPoly(val)
 
     def beta_of_t_index(self, index):
-        """Curve degree forced by the dimension axiom, or None."""
-        n = self.n
-        index = tuple(int(v) for v in index)
-        weighted = sum(k * v for k, v in enumerate(index[: n + 1])) + (n // 2) * sum(
-            index[n + 1 :]
-        )
-        beta, rem = divmod(weighted - (n - 3 + sum(index)), n - 1)
-        return None if rem else beta
+        """Curve degree forced by the dimension axiom, or None; see curve_degree."""
+        return curve_degree(self.n, tuple(int(v) for v in index))
 
     def correlator_classes(self, classes, beta) -> UniPoly:
         """Multilinear correlator of cohomology classes at fixed degree.
@@ -573,40 +529,10 @@ class CorrelatorEngine:
 
         Returns left minus right; must be identically zero.
         """
-        n = self.n
-        amb, prim = self._split_relaxed(index)
-        flat = amb + prim
-        nslots = n + 1
-        total = PZERO
-        for j, w in self._subindices(flat):
-            jamb, jprim = j[:nslots], j[nslots:]
-            kamb = tuple(x - y for x, y in zip(amb, jamb))
-            kprim = tuple(x - y for x, y in zip(prim, jprim))
-            wf = Fraction(w)
-            for x, y, u, v, sgn in ((a, b, c, d, 1), (a, c, b, d, -1)):
-                ja, jp = self._with_slot(jamb, jprim, x)
-                ja, jp = self._with_slot(ja, jp, y)
-
-                def mk_a(e, _ja=ja, _jp=jp):
-                    aa, pp = self._with_slot(_ja, _jp, e)
-                    return self._T(aa, pp)
-
-                ka, kp = self._with_slot(kamb, kprim, u)
-                ka, kp = self._with_slot(ka, kp, v)
-
-                def mk_b(f, _ka=ka, _kp=kp):
-                    aa, pp = self._with_slot(_ka, _kp, f)
-                    return self._T(aa, pp)
-
-                total = padd(total, pscale(Fraction(sgn) * wf, self._contract(mk_a, mk_b)))
-        return UniPoly(total)
-
-    def _split_relaxed(self, index):
-        n = self.n
-        index = tuple(int(v) for v in index)
-        if len(index) != 2 * n + 4 or any(v < 0 for v in index):
-            raise ValueError("bad index")
-        return index[: n + 1], index[n + 1 :]
+        vec = self._flat(index, min_length=0)
+        left = self._extract(vec, (a, b), (c, d))
+        right = self._extract(vec, (a, c), (b, d))
+        return UniPoly(padd(left, pscale(-1, right)))
 
     def cached_items(self):
         return sorted(self.memo.items())

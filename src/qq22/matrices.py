@@ -3,8 +3,7 @@
 Rank and determinant use fraction-free (Bareiss) elimination to keep
 intermediate entries small; nullspace uses plain Gauss-Jordan over a field;
 the characteristic polynomial uses Faddeev-LeVerrier, which stays exact over
-any ring containing Q.  A separate unit-pivot solver handles systems over the
-dual numbers Q[eps]/(eps^2).
+any ring containing Q.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polynomials import UniPoly
-from .scalars import DualNumber
 
 
 class ExactMatrix:
@@ -182,18 +180,6 @@ def mat_nullspace(a: ExactMatrix):
     return basis
 
 
-def mat_solve(a: ExactMatrix, b):
-    """One solution of A x = b over a field, or None if inconsistent."""
-    m = [row[:] + [bv] for row, bv in zip(a.data, b)]
-    pivots = _rref(m, a.rows, a.cols + 1)
-    if a.cols in pivots:
-        return None
-    x = [0] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][a.cols]
-    return x
-
-
 def mat_charpoly(a: ExactMatrix) -> UniPoly:
     """Monic characteristic polynomial det(zI - A) via Faddeev-LeVerrier."""
     if a.rows != a.cols:
@@ -213,91 +199,3 @@ def mat_charpoly(a: ExactMatrix) -> UniPoly:
         c = Fraction(-1, k) * tr
         coeffs[n - k] = c
     return UniPoly(coeffs)
-
-
-class DualSolveError(Exception):
-    """Elimination over Q[eps]/(eps^2) stalled on a non-unit pivot column."""
-
-    def __init__(self, column, message):
-        super().__init__(message)
-        self.column = column
-
-
-class DualSolution:
-    """Solution set of a dual-number linear system.
-
-    ``status`` is "unique", "parametrized" or "inconsistent".  For the first
-    two, the set is particular + span over Q[eps]/(eps^2) of ``basis``.
-    """
-
-    def __init__(self, status, particular=None, basis=None):
-        self.status = status
-        self.particular = particular
-        self.basis = basis or []
-
-    def __repr__(self):
-        return "DualSolution(%r, free=%d)" % (self.status, len(self.basis))
-
-
-def _as_dual(v):
-    return v if isinstance(v, DualNumber) else DualNumber(v)
-
-
-def dual_solve(a: ExactMatrix, b) -> DualSolution:
-    """Solve A x = b over the dual numbers, pivoting only on units.
-
-    Rows that end up with all non-unit (pure-eps) coefficients are decided
-    directly: a unit residue means the system is inconsistent; a nonzero eps
-    residue (or eps coefficients that would constrain the free variables)
-    cannot be resolved by unit pivots and raises DualSolveError.
-    """
-    rows, cols = a.rows, a.cols
-    m = [[_as_dual(v) for v in row] + [_as_dual(bv)] for row, bv in zip(a.data, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c].is_unit():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        m[r] = [v / lead for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # residual rows: every coefficient is a non-unit
-    for i in range(r, rows):
-        rhs = m[i][cols]
-        coeff_nonzero = any(m[i][c] for c in range(cols))
-        if rhs.is_unit():
-            return DualSolution("inconsistent")
-        if coeff_nonzero:
-            raise DualSolveError(
-                None,
-                "non-unit pivot row with residue %s: not solvable by unit pivots" % rhs,
-            )
-        if rhs:
-            return DualSolution("inconsistent")
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    particular = [_as_dual(0)] * cols
-    for rr, pc in enumerate(pivots):
-        particular[pc] = m[rr][cols]
-    basis = []
-    for fc in free:
-        v = [_as_dual(0)] * cols
-        v[fc] = _as_dual(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -m[rr][fc]
-        basis.append(v)
-    status = "unique" if not free else "parametrized"
-    return DualSolution(status, particular, basis)

@@ -122,41 +122,6 @@ def ambient_3pt_tau(n: int, a: int, b: int, c: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class F1Jet:
-    """Order-2 jet of the two-primitive-insertion generating function.
-
-    Coordinates are the small-quantum ones.  Note the tau^{n-1} tau^n
-    monomial coefficient is -64: converting the known cup-coordinate 2-jet
-    (linear -4 t^{n-1}, quadratic -16 t^{n-1} t^n) through the coordinate
-    change forces it, and the Euler-field cutoff computations depend on it.
-    """
-
-    n: int
-
-    def linear_coefficient(self, i: int) -> Fraction:
-        return Fraction(1) if i == 0 else Fraction(0)
-
-    def monomial_coefficient(self, i: int, j: int) -> Fraction:
-        """Coefficient of tau^i tau^j (unordered pair) in the jet."""
-        n = self.n
-        i, j = min(i, j), max(i, j)
-        if (i, j) == (n - 1, n):
-            return Fraction(-64)
-        if 1 <= i and j <= n and i + j == n:
-            return Fraction(-2) if i == j else Fraction(-4)
-        return Fraction(0)
-
-    def second_partial(self, i: int, j: int) -> Fraction:
-        c = self.monomial_coefficient(i, j)
-        return 2 * c if i == j else c
-
-
-def f1_jet(n: int) -> F1Jet:
-    ModelParams(n)
-    return F1Jet(n)
-
-
-@dataclass(frozen=True)
 class EulerFieldTau:
     """Euler vector field in small-quantum coordinates.
 

@@ -4,11 +4,58 @@ Coefficients live in any ring whose elements support +, -, * with each other
 and with ints (Fraction, GaussianRational, DualNumber).  Trailing zeros are
 stripped, so ``degree`` is the index of the last nonzero coefficient and the
 zero polynomial has degree -1.
+
+The arithmetic itself is done by ``padd``, ``pscale``, ``pmul`` and ``peval``
+on plain coefficient tuples; the correlator engine uses them directly on its
+memo values, and ``UniPoly`` wraps them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+PZERO = ()
+
+
+def padd(p, q):
+    if not p:
+        return q
+    if not q:
+        return p
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for k, c in enumerate(q):
+        out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def pscale(c, p):
+    if not c or not p:
+        return PZERO
+    return tuple(c * a for a in p)
+
+
+def pmul(p, q):
+    if not p or not q:
+        return PZERO
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def peval(p, v):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * v + c
+    return acc
 
 
 class UniPoly:
@@ -57,13 +104,7 @@ class UniPoly:
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UniPoly(out)
+        return UniPoly(padd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -80,16 +121,8 @@ class UniPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
+            return self.scale(other)
+        return UniPoly(pmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -106,16 +139,13 @@ class UniPoly:
         return out
 
     def scale(self, c):
-        return UniPoly(tuple(c * a for a in self.coeffs))
+        return UniPoly(pscale(c, self.coeffs))
 
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
 
     def __call__(self, v):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        return peval(self.coeffs, v)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():

@@ -28,10 +28,6 @@ def rational_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 class GaussianRational:
     """An element a + b*i of Q(i), with exact Fraction parts."""
 
@@ -131,38 +127,6 @@ class GaussianRational:
         return "%s%s%s*i" % (rational_str(self.re), sign, rational_str(abs(self.im)))
 
 
-I = GaussianRational(0, 1)
-
-
-def gaussian_from_str(s: str) -> GaussianRational:
-    """Parse ``a+b*i`` (either part optional, signs allowed)."""
-    s = s.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty Gaussian rational")
-    # split into signed chunks at top level
-    chunks = []
-    start = 0
-    for k, ch in enumerate(s):
-        if ch in "+-" and k > start and s[k - 1] not in "+-/*^eE":
-            chunks.append(s[start:k])
-            start = k
-    chunks.append(s[start:])
-    re = Fraction(0)
-    im = Fraction(0)
-    for c in chunks:
-        if c in ("i", "+i"):
-            im += 1
-        elif c == "-i":
-            im -= 1
-        elif c.endswith("*i"):
-            im += Fraction(c[:-2])
-        elif c.endswith("i"):
-            im += Fraction(c[:-1])
-        else:
-            re += Fraction(c)
-    return GaussianRational(re, im)
-
-
 class DualNumber:
     """An element a + b*eps of Q[eps]/(eps^2).
 
@@ -254,6 +218,3 @@ class DualNumber:
             return "%s*eps" % b
         sign = "+" if self.b > 0 else "-"
         return "%s%s%s*eps" % (rational_str(self.a), sign, rational_str(abs(self.b)))
-
-
-EPS = DualNumber(0, 1)

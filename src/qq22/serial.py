@@ -6,11 +6,16 @@ one record per canonical key,
     n|ambient exponents|sorted primitive exponents|polynomial in x
 
 with rationals rendered as num/den.  Loading refuses a different format
-version or dimension.
+version or dimension.  Saving writes a temporary file next to the cache and
+renames it over the cache, so a reader sees either the old file or the new
+one, never a cut one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 from fractions import Fraction
 
 from .scalars import rational_str
@@ -102,8 +107,15 @@ def save_cache(path, n, memo):
                 poly_to_str(poly),
             )
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_cache(path, n):

@@ -140,6 +140,41 @@ def test_cache_round_trip(tmp_path):
     assert load_cache(path, 4) == loaded
 
 
+def test_cache_save_failing_partway_keeps_old_file(tmp_path, monkeypatch):
+    import builtins
+    import errno
+
+    from qq22 import serial
+
+    eng = CorrelatorEngine(4)
+    eng.correlator_t([0, 0, 3, 0, 0, 4, 0, 0, 0, 0, 0, 0])
+    path = tmp_path / "memo.cache"
+    save_cache(path, 4, {})
+    old = path.read_bytes()
+
+    class DiskFull:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = builtins.open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(serial, "open", DiskFull, raising=False)
+    with pytest.raises(OSError):
+        save_cache(path, 4, eng.memo)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
+
+
 def test_cache_version_and_n_mismatch(tmp_path):
     path = tmp_path / "memo.cache"
     save_cache(path, 4, {})

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -8,9 +9,9 @@ from qq22.engine import (
     CorrelatorEngine,
     convergence_witness,
     index_triple,
-    peval,
 )
-from qq22.polynomials import UniPoly
+from qq22.polynomials import UniPoly, peval
+from qq22.serial import save_cache
 
 X = UniPoly((Fraction(0), Fraction(1)))
 
@@ -150,14 +151,34 @@ def test_divisor_consistency_over_cache(eng4):
         assert eng4.correlator_t(bumped) == base * Fraction(beta)
 
 
-def test_wdvv_extracted_residuals(eng4):
-    rng = random.Random(321)
-    for _ in range(25):
-        comps = [rng.randrange(12) for _ in range(4)]
-        index = [0] * 12
-        for _ in range(rng.randint(0, 4)):
-            index[rng.randrange(12)] += 1
-        assert eng4.wdvv_extracted_residual(*comps, index).is_zero()
+def test_wdvv_extracted_residuals(eng4, eng6):
+    for eng in (eng4, eng6):
+        size = 2 * eng.n + 4
+        rng = random.Random(321)
+        for _ in range(25):
+            comps = [rng.randrange(size) for _ in range(4)]
+            index = [0] * size
+            for _ in range(rng.randint(0, 4)):
+                index[rng.randrange(size)] += 1
+            assert eng.wdvv_extracted_residual(*comps, index).is_zero()
+
+
+# sha256 of the cache file written after the quadratic-identity query; any
+# change to the recursion that alters a memo key or value changes these
+MEMO_CACHE_SHA256 = {
+    4: (14874, "770980d61ae3ffcd1b7b76c2d71b926ae24d8c0b8bad3178c09581a8a77c8caa"),
+    6: (76671, "bbcfaf4704175f27c1c144ed5a2d34ba6b7d69844125769611b84577c83f62ec"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MEMO_CACHE_SHA256))
+def test_memo_cache_bytes_pinned(n, tmp_path):
+    eng = CorrelatorEngine(n)
+    eng.conjecture_quadratic_lhs()
+    path = tmp_path / "memo.cache"
+    save_cache(path, n, eng.memo)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == MEMO_CACHE_SHA256[n]
 
 
 def test_index_triple_examples():

@@ -4,17 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qq22.matrices import (
-    DualSolveError,
     ExactMatrix,
-    dual_solve,
     mat_charpoly,
     mat_det,
     mat_nullspace,
     mat_rank,
-    mat_solve,
 )
 from qq22.polynomials import UniPoly
-from qq22.scalars import EPS, DualNumber
 
 
 def rand_matrix(rng, rows, cols, span=5):
@@ -79,69 +75,3 @@ def test_det_matches_charpoly_constant():
         m = rand_matrix(rng, size, size, span=4)
         p = mat_charpoly(m)
         assert mat_det(m) == (-1) ** size * p[0]
-
-
-def test_solve():
-    m = ExactMatrix([[1, 1], [1, -1]])
-    assert mat_solve(m, [3, 1]) == [2, 1]
-    assert mat_solve(ExactMatrix([[1, 1], [1, 1]]), [0, 1]) is None
-
-
-def test_dual_solve_unique():
-    sol = dual_solve(ExactMatrix([[DualNumber(1)]]), [EPS])
-    assert sol.status == "unique"
-    assert sol.particular == [EPS]
-
-
-def test_dual_solve_inconsistent():
-    sol = dual_solve(ExactMatrix([[EPS]]), [DualNumber(1)])
-    assert sol.status == "inconsistent"
-    sol = dual_solve(ExactMatrix([[DualNumber(0)]]), [EPS])
-    assert sol.status == "inconsistent"
-
-
-def test_dual_solve_obstruction():
-    with pytest.raises(DualSolveError):
-        dual_solve(ExactMatrix([[EPS]]), [EPS])
-
-
-def test_dual_solve_matches_rational_on_constants():
-    rng = random.Random(7)
-    for _ in range(20):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = rand_matrix(rng, rows, cols, span=3)
-        dm = ExactMatrix(
-            [
-                [DualNumber(v, Fraction(rng.randint(-2, 2))) for v in row]
-                for row in m.data
-            ]
-        )
-        b = [DualNumber(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2))) for _ in range(rows)]
-        try:
-            sol = dual_solve(dm, b)
-        except DualSolveError:
-            continue
-        rational = mat_solve(m, [v.a for v in b])
-        if sol.status == "inconsistent":
-            assert rational is None
-            continue
-        # residual must vanish exactly over the dual ring
-        for row, rhs in zip(dm.data, b):
-            acc = DualNumber(0)
-            for c, x in zip(row, sol.particular):
-                acc = acc + c * x
-            assert acc == rhs
-        # and the constant parts solve the reduced system
-        assert rational is not None
-
-
-def test_dual_solve_parametrized_counts_free_columns():
-    m = ExactMatrix([[DualNumber(1), DualNumber(2), DualNumber(0, 1)]])
-    sol = dual_solve(m, [DualNumber(5)])
-    assert sol.status == "parametrized"
-    assert len(sol.basis) == 2
-    for v in sol.basis:
-        acc = DualNumber(0)
-        for c, x in zip(m.data[0], v):
-            acc = acc + c * x
-        assert acc == 0

@@ -10,7 +10,6 @@ from qq22.model import (
     eta_inverse,
     eta_pairing,
     euler_coeffs_tau,
-    f1_jet,
     t_tau_transition,
 )
 
@@ -80,18 +79,6 @@ def test_ambient_3pt_values_and_symmetry():
             a, b, c = (rng.randint(0, n) for _ in range(3))
             v = ambient_3pt_tau(n, a, b, c)
             assert v == ambient_3pt_tau(n, b, c, a) == ambient_3pt_tau(n, c, b, a)
-
-
-def test_f1_jet():
-    for n in (4, 6):
-        jet = f1_jet(n)
-        assert jet.linear_coefficient(0) == 1
-        assert jet.linear_coefficient(1) == 0
-        assert jet.second_partial(1, n - 1) == -4
-        assert jet.second_partial(n // 2, n // 2) == -4
-        assert jet.second_partial(n - 1, n) == -64
-        assert jet.second_partial(2, 2) == (-4 if n == 4 else 0)
-        assert jet.second_partial(0, n) == 0
 
 
 def test_euler_coefficients():

@@ -3,15 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qq22.scalars import (
-    EPS,
-    DualNumber,
-    GaussianRational,
-    I,
-    gaussian_from_str,
-    rational_from_str,
-    rational_str,
-)
+from qq22.scalars import DualNumber, GaussianRational, rational_str
 
 
 def rand_fraction(rng):
@@ -25,12 +17,11 @@ def rand_gaussian(rng):
 def test_rational_serialization():
     assert rational_str(Fraction(3)) == "3"
     assert rational_str(Fraction(-11, 16)) == "-11/16"
-    assert rational_from_str("-11/16") == Fraction(-11, 16)
-    assert rational_from_str("7") == 7
 
 
 def test_gaussian_basics():
-    assert I * I == -1
+    i = GaussianRational(0, 1)
+    assert i * i == -1
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     assert z + z.conjugate() == 1
     assert (z * z.conjugate()).is_rational()
@@ -50,23 +41,15 @@ def test_gaussian_field_axioms_random():
             assert a * (1 / a) == 1
 
 
-def test_gaussian_str_roundtrip():
-    rng = random.Random(5)
-    for _ in range(30):
-        z = rand_gaussian(rng)
-        assert gaussian_from_str(str(z)) == z
-    assert gaussian_from_str("-i") == GaussianRational(0, -1)
-    assert gaussian_from_str("3/4") == GaussianRational(Fraction(3, 4))
-
-
 def test_dual_ring():
-    assert EPS * EPS == 0
+    eps = DualNumber(0, 1)
+    assert eps * eps == 0
     d = DualNumber(2, 5)
     assert d * (1 / d) == 1
     assert (DualNumber(1, 1) * DualNumber(1, -1)) == 1
-    assert not EPS.is_unit()
+    assert not eps.is_unit()
     with pytest.raises(ZeroDivisionError):
-        DualNumber(1, 0) / EPS
+        DualNumber(1, 0) / eps
 
 
 def test_dual_ring_axioms_random():
