@@ -5,7 +5,8 @@ correlator (small-quantum indices by default), ``special-expr`` prints the
 window correlator or the quadratic-identity residual, ``conjecture`` checks
 the quadratic identity, ``semisimple`` runs the characteristic-polynomial
 scan, ``conics`` replays the dimension-4 verification, ``lattice`` exposes
-the plane calculus, and ``cache-info`` inspects a memo file.
+the plane calculus, and ``cache-info`` validates a memo file and counts its
+entries.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 """
@@ -35,14 +36,18 @@ def _parse_fractions(text):
 
 
 def _engine_with_cache(n, cache_path):
+    """A fresh engine seeded from the cache file, and the number of entries
+    loaded (None when there was no file to load)."""
     eng = CorrelatorEngine(n)
     if cache_path and os.path.exists(cache_path):
         eng.memo.update(load_cache(cache_path, n))
-    return eng
+        return eng, len(eng.memo)
+    return eng, None
 
 
-def _maybe_save(eng, cache_path):
-    if cache_path:
+def _maybe_save(eng, cache_path, loaded):
+    # the memo only grows, so an unchanged size means the file is current
+    if cache_path and (loaded is None or len(eng.memo) > loaded):
         save_cache(cache_path, eng.n, eng.memo)
 
 
@@ -52,7 +57,7 @@ def _print_json(obj):
 
 def cmd_correlator(args):
     cache = args.cache or os.environ.get(CACHE_ENV)
-    eng = _engine_with_cache(args.n, cache)
+    eng, loaded = _engine_with_cache(args.n, cache)
     if args.tau_index is not None:
         index = _parse_ints(args.tau_index)
         basis = "tau"
@@ -61,7 +66,7 @@ def cmd_correlator(args):
         index = _parse_ints(args.t_index)
         basis = "t"
         poly = eng.correlator_t(index)
-    _maybe_save(eng, cache)
+    _maybe_save(eng, cache, loaded)
     # the dimension axiom gives the same degree in either coordinate system
     beta = eng.beta_of_t_index(index)
     if args.format == "json":
@@ -224,9 +229,18 @@ def cmd_cache_info(args):
         return 2
     with open(path) as fh:
         header = fh.readline().split()
-        entries = sum(1 for line in fh if line.strip())
     if len(header) != 3:
         print("not a cache file", file=sys.stderr)
+        return 1
+    try:
+        n = int(header[2].partition("=")[2])
+    except ValueError:
+        print("error: line 1: malformed header", file=sys.stderr)
+        return 1
+    try:
+        entries = len(load_cache(path, n))
+    except CacheError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "json":
         _print_json({"magic": header[0], "version": header[1], "n": header[2], "entries": entries})
@@ -291,7 +305,7 @@ def build_parser():
     pl.add_argument("--format", choices=("text", "json"), default="text")
     pl.set_defaults(func=cmd_lattice)
 
-    pi = sub.add_parser("cache-info", help="inspect a memo file")
+    pi = sub.add_parser("cache-info", help="validate a memo file and count its entries")
     pi.add_argument("--cache")
     pi.add_argument("--format", choices=("text", "json"), default="text")
     pi.set_defaults(func=cmd_cache_info)

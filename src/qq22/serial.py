@@ -5,10 +5,11 @@ one record per canonical key,
 
     n|ambient exponents|sorted primitive exponents|polynomial in x
 
-with rationals rendered as num/den.  Loading refuses a different format
-version or dimension.  Saving writes a temporary file next to the cache and
-renames it over the cache, so a reader sees either the old file or the new
-one, never a cut one.
+with rationals rendered as num/den, and a newline ending every line.
+Loading refuses a different format version or dimension, a cut last line,
+and non-canonical or repeated keys.  Saving writes a temporary file next to
+the cache and renames it over the cache, so a reader sees either the old
+file or the new one, never a cut one.
 """
 
 from __future__ import annotations
@@ -119,8 +120,17 @@ def save_cache(path, n, memo):
 
 
 def load_cache(path, n):
+    """Read a cache file written by ``save_cache`` for dimension n.
+
+    Raises ``CacheError`` naming the line for a malformed header or record, a
+    record cut short (the writer ends every file with a newline), primitive
+    exponents out of canonical (descending) order, or a repeated key.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
+    if text and not text.endswith("\n"):
+        raise CacheError("line %d: truncated record" % len(lines))
     if not lines or not lines[0].strip():
         return {}
     header = lines[0].split()
@@ -151,5 +161,11 @@ def load_cache(path, n):
             raise CacheError("line %d: %s" % (lineno, exc)) from None
         if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
             raise CacheError("line %d: record does not match n=%d" % (lineno, n))
+        if list(prim) != sorted(prim, reverse=True):
+            raise CacheError(
+                "line %d: primitive exponents not sorted descending" % lineno
+            )
+        if (amb, prim) in memo:
+            raise CacheError("line %d: duplicate key" % lineno)
         memo[(amb, prim)] = poly
     return memo

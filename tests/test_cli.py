@@ -196,6 +196,56 @@ def test_cache_corrupt_line_names_line_number(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_cut_cache_file_is_rejected(tmp_path, capsys):
+    eng = CorrelatorEngine(6)
+    eng.conjecture_quadratic_lhs()
+    path = tmp_path / "memo.cache"
+    save_cache(path, 6, eng.memo)
+    text = path.read_text()
+    # cut right after the 6 of the first record whose value is 64
+    end = text.index("|64\n") + 2
+    lineno = text.count("\n", 0, end) + 1
+    path.write_text(text[:end])
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 6)
+    assert str(exc.value) == "line %d: truncated record" % lineno
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert rc == 1 and out == ""
+    assert "line %d: truncated record" % lineno in err
+    # a cut at a line boundary leaves a shorter valid file
+    path.write_text(text[: text.rindex("\n", 0, end) + 1])
+    subset = load_cache(path, 6)
+    assert len(subset) == lineno - 2
+    assert all(eng.memo[key] == value for key, value in subset.items())
+
+
+def test_cache_rejects_non_canonical_and_duplicate_keys(tmp_path):
+    path = tmp_path / "memo.cache"
+    head = "qq22-cache 1 n=4\n4|0,0,0,0,0|2,2,0,0,0,0,0|1\n"
+    path.write_text(head + "4|0,0,0,0,0|0,2,2,0,0,0,0|1\n")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line 3: primitive exponents not sorted descending"
+    path.write_text(head + "4|0,0,1,0,0|0,0,0,0,0,0,0|1\n" + head.split("\n")[1] + "\n")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line 4: duplicate key"
+
+
+def test_warm_query_does_not_rewrite_cache(tmp_path, capsys, monkeypatch):
+    from qq22 import cli
+
+    index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
+    cache = tmp_path / "warm.cache"
+    assert run_capture(capsys, index + ["--cache", str(cache)])[0] == 0
+    before = cache.read_bytes()
+    saves = []
+    monkeypatch.setattr(cli, "save_cache", lambda *args: saves.append(args))
+    assert run_capture(capsys, index + ["--cache", str(cache)])[0] == 0
+    assert saves == []
+    assert cache.read_bytes() == before
+
+
 def test_warm_cache_byte_identical(tmp_path, capsys):
     index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
     cache = str(tmp_path / "warm.cache")

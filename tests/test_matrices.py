@@ -69,6 +69,39 @@ def test_cayley_hamilton_random():
         assert all(v == 0 for row in acc.data for v in row)
 
 
+def test_charpoly_matches_det_on_sparse_matrices():
+    # det(z0 I - A) by Bareiss is an independent route to p(z0); zeroed
+    # subdiagonals make the Hessenberg pivot search skip and swap rows
+    rng = random.Random(33)
+    for size in range(1, 13):
+        for _ in range(3):
+            m = [
+                [
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    if rng.random() < 0.3
+                    else Fraction(0)
+                    for _ in range(size)
+                ]
+                for _ in range(size)
+            ]
+            for i in range(size - 1):
+                if rng.random() < 0.6:
+                    m[i + 1][i] = Fraction(0)
+            p = mat_charpoly(ExactMatrix(m))
+            assert p.degree == size and p[size] == 1
+            for z0 in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 5)):
+                shifted = ExactMatrix(
+                    [[(z0 if i == j else 0) - m[i][j] for j in range(size)] for i in range(size)]
+                )
+                assert p(z0) == mat_det(shifted)
+
+
+def test_charpoly_of_int_matrix_has_fraction_coefficients():
+    p = mat_charpoly(ExactMatrix([[2, 1, 0], [3, 0, 5], [1, 4, 1]]))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == (38, -21, -3, 1)
+
+
 def test_det_matches_charpoly_constant():
     rng = random.Random(2)
     for size in range(1, 6):

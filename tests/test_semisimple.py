@@ -37,7 +37,7 @@ def test_cutoff_entries_n4():
 
 
 def test_closed_form_at_zero():
-    for n in (4, 6):
+    for n in (4, 6, 8):
         p = closed_form_charpoly(n, [0] * (n + 3))
         expected = [Fraction(0)] * (n + 5)
         expected.append(Fraction(-16 * (n - 1) ** (n - 1)))
@@ -53,7 +53,7 @@ def test_closed_form_at_zero():
 
 
 def test_agreement_at_random_points():
-    for n, count in ((4, 6), (6, 3)):
+    for n, count in ((4, 6), (6, 3), (8, 1)):
         rows = semisimple_scan(n, count, seed=42)
         accepted = [r for r in rows if not r.rejected]
         assert len(accepted) == count
