@@ -41,8 +41,8 @@ from .model import (
     ambient_3pt_tau,
     eta_inverse,
     eta_pairing,
-    euler_coeffs_tau,
-    t_tau_transition,
+    euler_field,
+    t_to_tau,
 )
 from .polynomials import UniPoly, poly_gcd, squarefree
 from .scalars import DualNumber, GaussianRational
@@ -74,7 +74,7 @@ __all__ = [
     "epsilon_gram",
     "eta_inverse",
     "eta_pairing",
-    "euler_coeffs_tau",
+    "euler_field",
     "get_engine",
     "index_triple",
     "intersection_dim",
@@ -91,7 +91,7 @@ __all__ = [
     "semisimple_scan",
     "sigma_interval_class",
     "squarefree",
-    "t_tau_transition",
+    "t_to_tau",
     "window_sum_inequality",
     "zn_minus_az_plus_1_squarefree",
 ]

@@ -16,8 +16,8 @@ Moves 3 and 4, and the ``wdvv_extracted_residual`` diagnostic, are signed
 combinations of one kernel, ``_extract``: the binomially weighted sum over
 subindices J of the contraction, through the inverse pairing, of the
 correlators at J plus two fixed slots and at the complement plus two more.
-The inverse pairing, the Euler field and the t <-> tau change are read from
-``model.py`` and turned into sparse tables once per dimension.
+The inverse pairing, the Euler field and the t -> tau change are read from
+``model.py`` as the sparse tables it builds once per dimension.
 
 The one value the moves cannot determine, the length-(n+3) correlator with
 one insertion on every primitive slot, stays symbolic: results are
@@ -31,61 +31,17 @@ are safe under CPython and always agree.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from fractions import Fraction
 from math import comb
 
-from .model import (
-    ModelParams,
-    ambient_3pt_tau,
-    eta_inverse,
-    euler_coeffs_tau,
-    t_tau_transition,
-)
+from .model import ModelParams, ambient_3pt_tau, eta_inverse, euler_field, t_to_tau
 from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
 from .scalars import GaussianRational
 
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
-
-
-@functools.lru_cache(maxsize=None)
-def _eta_inverse_rows(n):
-    """Nonzero entries of model.eta_inverse(n), as one ((f, entry), ...) per row."""
-    return tuple(
-        tuple((f, v) for f, v in enumerate(row) if v) for row in eta_inverse(n).data
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _euler_field(n):
-    """model.euler_coeffs_tau(n) as (d_1 constant, diagonal weights, moves).
-
-    The moves are the off-diagonal linear terms (tau slot, d slot, coefficient).
-    """
-    field = euler_coeffs_tau(n)
-    size = ModelParams(n).basis_size
-    diag = tuple(field.linear_coefficient(s, s) for s in range(size))
-    moves = tuple(
-        (s, d, field.linear_coefficient(s, d))
-        for s in range(size)
-        for d in range(size)
-        if s != d and field.linear_coefficient(s, d)
-    )
-    return field.constant_part()[1], diag, moves
-
-
-@functools.lru_cache(maxsize=None)
-def _t_to_tau_moves(n):
-    """Slots whose cup-coordinate derivative is not a single tau derivative."""
-    table = t_tau_transition(n, "t_to_tau")
-    return tuple(
-        (j, tuple(moves))
-        for j, moves in sorted(table.items())
-        if moves != [(j, Fraction(1))]
-    )
 
 
 def curve_degree(n, index):
@@ -142,9 +98,9 @@ class CorrelatorEngine:
         self.params = ModelParams(n)
         self.n = n
         self.memo = {}
-        self._eta_rows = _eta_inverse_rows(n)
-        self._euler = _euler_field(n)
-        self._t_moves = _t_to_tau_moves(n)
+        self._eta_rows = eta_inverse(n)
+        self._euler = euler_field(n)
+        self._t_moves = t_to_tau(n)
         self._local = threading.local()
 
     # -- canonical memoized entry ------------------------------------------

@@ -323,19 +323,16 @@ def plane_meeting_system(lams) -> ExactMatrix:
     Block j (rows 4j..4j+3) demands rank <= 6 of the flipped cut equations
     stacked over the unknown plane's own cut equations; row k drops power
     3-k, and the Plucker coordinate at triple S carries the Laplace sign
-    (-1)^{3+sum(S)} times the complementary 3x3 minor.
+    (-1)^{3+sum(S)} times the complementary 3x3 minor.  That is the
+    ``spanning_pluckers`` vector of the three remaining equations.
     """
     lams = _check_lams(lams)
     rows = []
     for j in range(7):
-        nj = flipped_cut_matrix(lams, j)
+        nj = flipped_cut_matrix(lams, j).data
         for k in range(4):
-            powers = [p for p in range(4) if p != 3 - k]
-            row = []
-            for tri in TRIPLES:
-                sub = ExactMatrix([[nj.data[p][c] for c in tri] for p in powers])
-                row.append(Fraction((-1) ** (3 + sum(tri))) * mat_det(sub))
-            rows.append(row)
+            kept = [nj[p] for p in range(4) if p != 3 - k]
+            rows.append(spanning_pluckers(ExactMatrix(kept)))
     return ExactMatrix(rows)
 
 
@@ -587,11 +584,6 @@ def extend_to_plane(chart, w012):
             -(chart.data[r][0] * w0 + chart.data[r][1] * w1 + chart.data[r][2] * w2)
         )
     return out
-
-
-def homogeneous_coeffs(poly, deg):
-    """Coefficients of u^deg * poly(t/u) in the order (u^deg, ..., t^deg)."""
-    return tuple(poly[k] for k in range(deg + 1))
 
 
 def freeness_matrix(ws, lams):

@@ -4,7 +4,8 @@ Rank and determinant use fraction-free (Bareiss) elimination to keep
 intermediate entries small; nullspace uses plain Gauss-Jordan over a field;
 the characteristic polynomial reduces to upper Hessenberg form and runs the
 Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
-Theory, Alg. 2.2.9), O(N^3) field operations over Q or Q(i).
+Theory, Alg. 2.2.9), O(N^3) field operations over Q or Q(i).  Every routine
+divides, so ``int`` entries are read as ``Fraction`` and no float appears.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class ExactMatrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
-    def identity(cls, size, one=1, zero=0):
-        return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
-
-    @classmethod
     def zeros(cls, rows, cols, zero=0):
         return cls([[zero] * cols for _ in range(rows)])
 
@@ -45,26 +42,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.data == other.data
-
-    def copy(self):
-        return ExactMatrix(self.data)
-
-    def transpose(self):
-        return ExactMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = 0
-                for k in range(self.cols):
-                    s = s + self.data[i][k] * other.data[k][j]
-                row.append(s)
-            out.append(row)
-        return ExactMatrix(out)
 
     def matvec(self, v):
         if self.cols != len(v):
@@ -81,9 +58,17 @@ class ExactMatrix:
         return "ExactMatrix(%d x %d)" % (self.rows, self.cols)
 
 
+def _field_rows(a: ExactMatrix):
+    """Copy of the rows with ``int`` entries read as ``Fraction``.
+
+    Every elimination here divides, and ``int / int`` would give a float.
+    """
+    return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in a.data]
+
+
 def mat_rank(a: ExactMatrix) -> int:
     """Rank by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in a.data]
+    m = _field_rows(a)
     rows, cols = a.rows, a.cols
     rank = 0
     prev = 1
@@ -117,7 +102,7 @@ def mat_det(a: ExactMatrix):
     n = a.rows
     if n == 0:
         return 1
-    m = [row[:] for row in a.data]
+    m = _field_rows(a)
     sign = 1
     prev = 1
     for r in range(n - 1):
@@ -167,7 +152,7 @@ def _rref(data, rows, cols):
 
 def mat_nullspace(a: ExactMatrix):
     """Basis of the right kernel over a field, one vector per free column."""
-    m = [row[:] for row in a.data]
+    m = _field_rows(a)
     pivots = _rref(m, a.rows, a.cols)
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
@@ -193,7 +178,7 @@ def mat_charpoly(a: ExactMatrix) -> UniPoly:
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = a.rows
-    h = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in a.data]
+    h = _field_rows(a)
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:

@@ -4,11 +4,14 @@ Cohomology basis layout used everywhere: slots 0..n are the ambient classes
 (1 and the n hyperplane powers, either cup powers h_i or small-quantum powers
 ht_i depending on the coordinate system), slots n+1..2n+3 the orthonormal
 middle-dimensional primitive classes.  All basis-dependent constants live in
-this module and nowhere else.
+this module and nowhere else.  The inverse pairing, the Euler field and the
+t -> tau change are built once per dimension, as the sparse tuples the
+engine reads; ``eta_pairing`` is the dense pairing they are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,28 +47,28 @@ class ModelParams:
         return self.n + 1 <= k <= 2 * self.n + 3
 
 
-def eta_inverse(n: int) -> ExactMatrix:
-    """Inverse Poincare pairing in the small-quantum basis.
+@functools.lru_cache(maxsize=None)
+def eta_inverse(n: int):
+    """Inverse Poincare pairing in the small-quantum basis, row by row.
 
-    Entries: -4 when e+f = 1, 1/4 on the ambient antidiagonal e+f = n,
-    identity on the primitive block, zero elsewhere.
+    Row e is the tuple of its nonzero entries (f, eta^{ef}), f ascending:
+    -4 when e+f = 1, 1/4 on the ambient antidiagonal e+f = n, 1 on the
+    primitive diagonal.
     """
     p = ModelParams(n)
-    size = p.basis_size
-    m = ExactMatrix.zeros(size, size, Fraction(0))
-    for e in range(size):
-        for f in range(size):
-            if e + f == 1:
-                m[e, f] = Fraction(-4)
-            elif e <= n and f <= n and e + f == n:
-                m[e, f] = Fraction(1, 4)
-            elif p.is_primitive_slot(e) and e == f:
-                m[e, f] = Fraction(1)
-    return m
+    rows = []
+    for e in range(p.basis_size):
+        if e > n:
+            rows.append(((e, Fraction(1)),))
+        elif e <= 1:
+            rows.append(((1 - e, Fraction(-4)), (n - e, Fraction(1, 4))))
+        else:
+            rows.append(((n - e, Fraction(1, 4)),))
+    return tuple(rows)
 
 
 def eta_pairing(n: int) -> ExactMatrix:
-    """The pairing matrix itself: explicit inverse of eta_inverse.
+    """The dense pairing matrix: the explicit inverse of eta_inverse.
 
     Ambient block: eta_{ab} = 4 * 16^((a+b-n)/(n-1)) when that exponent is a
     nonnegative integer, else 0; primitive block is the identity.
@@ -84,25 +87,18 @@ def eta_pairing(n: int) -> ExactMatrix:
     return m
 
 
-def t_tau_transition(n: int, direction: str):
-    """Derivative substitution for switching coordinates.
+@functools.lru_cache(maxsize=None)
+def t_to_tau(n: int):
+    """Cup-coordinate derivatives that are not a single tau derivative.
 
-    Returns a dict  slot -> list of (slot, coefficient)  expressing a partial
-    derivative in the source coordinates as a combination of partials in the
-    target coordinates.  direction "t_to_tau" expands d/dt^j, "tau_to_t"
-    expands d/dtau^j; composing the two is the identity.
+    Returns ((j, ((k, c), ...)), ...) with d/dt^j = sum c d/dtau^k, for the
+    two slots j = n-1 and j = n; every other d/dt^j is d/dtau^j.
     """
-    p = ModelParams(n)
-    table = {j: [(j, Fraction(1))] for j in range(p.basis_size)}
-    if direction == "t_to_tau":
-        table[n - 1] = [(n - 1, Fraction(1)), (0, Fraction(-4))]
-        table[n] = [(n, Fraction(1)), (1, Fraction(-12))]
-    elif direction == "tau_to_t":
-        table[n - 1] = [(n - 1, Fraction(1)), (0, Fraction(4))]
-        table[n] = [(n, Fraction(1)), (1, Fraction(12))]
-    else:
-        raise ValueError("direction must be 't_to_tau' or 'tau_to_t'")
-    return table
+    ModelParams(n)
+    return (
+        (n - 1, ((n - 1, Fraction(1)), (0, Fraction(-4)))),
+        (n, ((n, Fraction(1)), (1, Fraction(-12)))),
+    )
 
 
 def ambient_3pt_tau(n: int, a: int, b: int, c: int) -> Fraction:
@@ -121,35 +117,20 @@ def ambient_3pt_tau(n: int, a: int, b: int, c: int) -> Fraction:
     return Fraction(4) * Fraction(16) ** q
 
 
-@dataclass(frozen=True)
-class EulerFieldTau:
+@functools.lru_cache(maxsize=None)
+def euler_field(n: int):
     """Euler vector field in small-quantum coordinates.
 
-    E = sum_{i<=n} (1-i) tau^i d_i + (4n-4) tau^{n-1} d_0
-      + (12n-12) tau^n d_1 + sum_{prim} (1-n/2) tau^i d_i + (n-1) d_1.
+    E = (n-1) d_1 + sum_{i<=n} (1-i) tau^i d_i + sum_{prim} (1-n/2) tau^i d_i
+      + (4n-4) tau^{n-1} d_0 + (12n-12) tau^n d_1.
+
+    Returns (d_1 constant, diagonal weights, moves): the weight of slot i is
+    the coefficient of tau^i d_i, and the moves are the two off-diagonal
+    linear terms as (tau slot, d slot, coefficient).
     """
-
-    n: int
-
-    def constant_part(self):
-        return {1: Fraction(self.n - 1)}
-
-    def linear_coefficient(self, tau_slot: int, d_slot: int) -> Fraction:
-        """Coefficient of tau^{tau_slot} in the d_{d_slot} component."""
-        n = self.n
-        c = Fraction(0)
-        if tau_slot == d_slot:
-            if tau_slot <= n:
-                c += 1 - tau_slot
-            else:
-                c += Fraction(2 - n, 2)
-        if tau_slot == n - 1 and d_slot == 0:
-            c += 4 * n - 4
-        if tau_slot == n and d_slot == 1:
-            c += 12 * n - 12
-        return c
-
-
-def euler_coeffs_tau(n: int) -> EulerFieldTau:
-    ModelParams(n)
-    return EulerFieldTau(n)
+    p = ModelParams(n)
+    diag = tuple(
+        Fraction(1 - i) if i <= n else Fraction(2 - n, 2) for i in range(p.basis_size)
+    )
+    moves = ((n - 1, 0, Fraction(4 * n - 4)), (n, 1, Fraction(12 * n - 12)))
+    return Fraction(n - 1), diag, moves

@@ -108,14 +108,15 @@ def test_plucker_relations_on_spanning_planes():
 
 def test_spanning_and_cutting_conventions_agree():
     rng = random.Random(80)
+    checked = 0
     for _ in range(5):
         m = ExactMatrix([[Fraction(rng.randint(-4, 4)) for _ in range(7)] for _ in range(3)])
         if mat_rank(m) < 3:
             continue
-        ann = mat_nullspace(m.transpose())
-        if len(ann) != 4:
-            continue
-        b = ExactMatrix([[row[k] for k in range(7)] for row in ann])
+        # the four linear forms vanishing on the rows of m
+        ann = mat_nullspace(m)
+        assert len(ann) == 4
+        b = ExactMatrix(ann)
         p_cut = geo.cutting_pluckers(b)
         p_span = geo.spanning_pluckers(m)
         scale = None
@@ -127,6 +128,8 @@ def test_spanning_and_cutting_conventions_agree():
                 if scale is None:
                     scale = r
                 assert r == scale
+        checked += 1
+    assert checked
 
 
 def test_meeting_system_shape_and_solutions():

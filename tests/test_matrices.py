@@ -20,15 +20,26 @@ def rand_matrix(rng, rows, cols, span=5):
 
 
 def test_rank_basics():
-    assert mat_rank(ExactMatrix.identity(2)) == 2
+    assert mat_rank(ExactMatrix([[1, 0], [0, 1]])) == 2
     assert mat_rank(ExactMatrix.zeros(3, 5)) == 0
     assert mat_rank(ExactMatrix([[1, 2], [2, 4], [3, 6]])) == 1
 
 
 def test_nullspace_basics():
-    assert mat_nullspace(ExactMatrix.identity(3)) == []
+    assert mat_nullspace(ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
     basis = mat_nullspace(ExactMatrix([[1, -1]]))
     assert basis == [[1, 1]]
+
+
+def test_int_entries_stay_exact():
+    # int / int is a float, which rounds b = 3**40 + 1 away
+    b = 3**40 + 1
+    assert mat_rank(ExactMatrix([[1, 0, 0], [0, b, b + 1], [0, b - 1, b]])) == 3
+    det = mat_det(ExactMatrix([[1, 0, 0], [0, b, 1], [0, 1, b]]))
+    assert det == b * b - 1 and not isinstance(det, float)
+    basis = mat_nullspace(ExactMatrix([[1, 2], [2, 4]]))
+    assert basis == [[-2, 1]]
+    assert not any(isinstance(v, float) for v in basis[0])
 
 
 def test_rank_nullity_random():
@@ -56,17 +67,15 @@ def test_cayley_hamilton_random():
     for size in range(1, 7):
         m = rand_matrix(rng, size, size, span=3)
         p = mat_charpoly(m)
-        acc = ExactMatrix.zeros(size, size, Fraction(0))
-        power = ExactMatrix.identity(size, Fraction(1), Fraction(0))
+        acc = [[Fraction(0)] * size for _ in range(size)]
+        power = [[Fraction(i == j) for j in range(size)] for i in range(size)]
         for c in p.coeffs:
-            acc = ExactMatrix(
-                [
-                    [acc.data[i][j] + c * power.data[i][j] for j in range(size)]
-                    for i in range(size)
-                ]
-            )
-            power = power.matmul(m)
-        assert all(v == 0 for row in acc.data for v in row)
+            acc = [[x + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
+            power = [
+                [sum(row[k] * m.data[k][j] for k in range(size)) for j in range(size)]
+                for row in power
+            ]
+        assert all(v == 0 for row in acc for v in row)
 
 
 def test_charpoly_matches_det_on_sparse_matrices():

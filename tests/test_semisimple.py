@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from qq22.engine import CorrelatorEngine
 from qq22.matrices import mat_charpoly
+from qq22.model import eta_inverse, euler_field
 from qq22.polynomials import UniPoly, squarefree
 from qq22.semisimple import (
     branch_discriminant,
@@ -34,6 +37,71 @@ def test_cutoff_entries_n4():
     assert m[n - 1, k] == -4 * (n - 1) * taus[k - n - 1]
     assert m[j, 1] == (n - 3) * taus[j - n - 1]
     assert m[j, n] == Fraction(2 - n, 8) * taus[j - n - 1]
+
+
+def _even_completions(idx, prim, order):
+    """Multisets J of primitive slots, |J| <= order <= 2, making idx + J even.
+
+    A correlator of length <= 5 < n+3 has an empty primitive slot, so by
+    monodromy it vanishes unless every primitive exponent is even.
+    """
+    odd = tuple(p for p in prim if idx[p] % 2)
+    out = [odd] if len(odd) <= order else []
+    if not odd and order >= 2:
+        out += [(p, p) for p in prim]
+    return out
+
+
+def _engine_cutoff(eng, taus):
+    """Order-2 cutoff of E * at a primitive point, from engine correlators.
+
+    M_jk = sum_f eta^{fk} [c F_{1jf} + sum_i w_i tau_i F_{ijf}], with c the
+    d_1 constant and w_i the diagonal weights of model.euler_field, and
+    F_{ajf} = sum_J <a j f J> tau^J / J! over primitive J.
+    """
+    n = eng.n
+    const, diag, _ = euler_field(n)
+    size = 2 * n + 4
+    prim = range(n + 1, size)
+    tau = dict(zip(prim, (Fraction(v) for v in taus)))
+
+    def f_jet(a, j, f, order):
+        idx = [0] * size
+        for s in (a, j, f):
+            idx[s] += 1
+        total = Fraction(0)
+        for jj in _even_completions(idx, prim, order):
+            full = list(idx)
+            weight = Fraction(1, 2) if len(jj) == 2 and jj[0] == jj[1] else 1
+            for s in jj:
+                full[s] += 1
+                weight *= tau[s]
+            if weight:
+                value = eng.correlator_tau(full)
+                assert value.degree <= 0  # no unknown below length n+3
+                total += weight * value[0]
+        return total
+
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        for f in range(size):
+            g = const * f_jet(1, j, f, 2)
+            for i in prim:
+                if tau[i]:
+                    g += diag[i] * tau[i] * f_jet(i, j, f, 1)
+            if g:
+                for k, v in eta_inverse(n)[f]:
+                    m[j][k] += g * v
+    return m
+
+
+def test_cutoff_matrix_from_engine():
+    rng = random.Random(17)
+    for n in (4, 6, 8):
+        eng = CorrelatorEngine(n)
+        points = [(0,) * (n + 3)] + [sample_point(n, rng) for _ in range(3)]
+        for taus in points:
+            assert _engine_cutoff(eng, taus) == cutoff_matrix(n, taus).data
 
 
 def test_closed_form_at_zero():
