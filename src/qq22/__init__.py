@@ -7,12 +7,10 @@ semisimplicity criterion, and replays the dimension-4 conic count in exact
 rational and dual-number arithmetic.
 """
 
-from .ambient import ambient_correlator
 from .engine import (
     CorrelatorEngine,
     DivisionGuardError,
     convergence_witness,
-    get_engine,
     index_triple,
 )
 from .geometry import (
@@ -63,7 +61,6 @@ __all__ = [
     "ModelParams",
     "UniPoly",
     "ambient_3pt_tau",
-    "ambient_correlator",
     "branch_discriminant",
     "closed_form_charpoly",
     "conic_pipeline",
@@ -75,7 +72,6 @@ __all__ = [
     "eta_inverse",
     "eta_pairing",
     "euler_field",
-    "get_engine",
     "index_triple",
     "intersection_dim",
     "intersection_number",

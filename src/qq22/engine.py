@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .model import ModelParams, ambient_3pt_tau, eta_inverse, euler_field, t_to_tau
 from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
@@ -42,6 +42,7 @@ from .scalars import GaussianRational
 
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
+_GRID = Fraction(1, 4)  # convergence_witness reports C on this grid
 
 
 def curve_degree(n, index):
@@ -494,28 +495,30 @@ class CorrelatorEngine:
         return sorted(self.memo.items())
 
 
-def convergence_witness(n, lmax, engine=None, grid=Fraction(1, 4)):
-    """Smallest grid multiple C with |v_I| <= (|I|-5)! C^{|I|-5} on the cache.
+def convergence_witness(n, lmax, engine=None):
+    """Smallest multiple C of 1/4 with |v_I| <= (|I|-5)! C^{|I|-5} on the cache.
 
     Seeds the cache with every canonical index of length 5..lmax built from
     ambient slots 2..n and parity-uniform primitive exponents, specializes
     the unknown to the conjectural value (-1)^{n/2} / 2, then scans lengths
     6..lmax (length-5 entries give a C-independent constraint and are
-    excluded).  Returns (C, number of indices inspected).
+    excluded).  Returns (C, number of indices inspected).  A given ``engine``
+    must be for dimension n.
     """
     if lmax < 5:
         raise ValueError("lmax must be at least 5")
+    if engine is not None and engine.n != n:
+        raise ValueError("engine is for n=%d, requested n=%d" % (engine.n, n))
     eng = engine if engine is not None else CorrelatorEngine(n)
-    nn = eng.n
     for total in range(5, lmax + 1):
-        for amb in _ambient_exponents(nn, total):
+        for amb in _ambient_exponents(n, total):
             room = total - sum(amb)
-            for prim in _prim_partitions(nn, room):
+            for prim in _prim_partitions(n, room):
                 full = amb + prim
                 if eng.beta_of_t_index(full) is None:
                     continue
                 eng._T(amb, prim)
-    xval = Fraction((-1) ** (nn // 2), 2)
+    xval = Fraction((-1) ** (n // 2), 2)
     best = Fraction(1)
     count = 0
     for (amb, prim), poly in eng.cached_items():
@@ -527,21 +530,18 @@ def convergence_witness(n, lmax, engine=None, grid=Fraction(1, 4)):
         if not v:
             continue
         k = length - 5
-        fact = 1
-        for t in range(2, k + 1):
-            fact *= t
-        # smallest grid multiple m*grid with (m*grid)^k >= v / k!
-        target = v / fact
+        # smallest multiple m*_GRID with (m*_GRID)^k >= v / k!
+        target = v / factorial(k)
         lo, hi = 1, 2
-        while (hi * grid) ** k < target:
+        while (hi * _GRID) ** k < target:
             hi *= 2
         while lo < hi:
             mid = (lo + hi) // 2
-            if (mid * grid) ** k >= target:
+            if (mid * _GRID) ** k >= target:
                 hi = mid
             else:
                 lo = mid + 1
-        best = max(best, lo * grid)
+        best = max(best, lo * _GRID)
     return best, count
 
 
@@ -576,24 +576,7 @@ def _prim_partitions(n, total):
             for rest in parts(left - v, v, room - 1):
                 yield (v,) + rest
 
-    seen = set()
     for p in parts(total, total, slots):
         if len({v & 1 for v in p} | ({0} if len(p) < slots else set())) > 1:
             continue
-        tup = tuple(p) + (0,) * (slots - len(p))
-        if tup not in seen:
-            seen.add(tup)
-            yield tup
-
-
-_engines = {}
-_engines_lock = threading.Lock()
-
-
-def get_engine(n: int) -> CorrelatorEngine:
-    """Shared per-dimension engine so separate entry points reuse one cache."""
-    with _engines_lock:
-        eng = _engines.get(n)
-        if eng is None:
-            eng = _engines[n] = CorrelatorEngine(n)
-        return eng
+        yield p + (0,) * (slots - len(p))

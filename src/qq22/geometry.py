@@ -23,16 +23,16 @@ from .scalars import GaussianRational
 # ---------------------------------------------------------------------------
 # plane lattice combinatorics
 
-def canonical_flip_set(subset, n):
-    """Sign-flip subsets and their complements cut the same plane."""
-    s = frozenset(subset)
-    comp = frozenset(range(n + 3)) - s
-    return s if len(s) < len(comp) else comp
-
-
 def flip_mismatch_count(i_set, j_set, n):
-    """Number of coordinates where the two flip patterns disagree."""
-    return len(frozenset(i_set) ^ frozenset(j_set))
+    """Number of coordinates where the two flip patterns disagree.
+
+    Flip indices are coordinates 0..n+2; any other index is a ValueError.
+    """
+    i_set, j_set = frozenset(i_set), frozenset(j_set)
+    for v in i_set | j_set:
+        if not 0 <= v <= n + 2:
+            raise ValueError("flip index %r out of range 0..%d" % (v, n + 2))
+    return len(i_set ^ j_set)
 
 
 def intersection_dim(i_set, j_set, n):
@@ -114,42 +114,6 @@ def epsilon_gram(n) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def epsilon_h_pairings(n):
-    """Pairings of each orthogonal class against h_{n/2}; all zero."""
-    pairing = _pairing_matrix(n)
-    h = [Fraction(0)] * (n + 4)
-    h[0] = Fraction(1)
-    ph = pairing.matvec(h)
-    return [sum(v[k] * ph[k] for k in range(len(ph))) for v in _orthobasis_vectors(n)]
-
-
-def plane_class_roundtrip(n):
-    """Rewrite single-flip classes through the orthogonal basis and back.
-
-    Returns True when plane_i == eps_{i+1} - (1/2) sum eps + h/4 and the
-    unflipped class equals h/4 + (1/2) sum eps, both checked exactly over
-    the (h, planes) coordinates.
-    """
-    vecs = _orthobasis_vectors(n)
-    size = n + 4
-    for i in range(n + 3):
-        lhs = [Fraction(0)] * size
-        lhs[i + 1] = Fraction(1)
-        rhs = [Fraction(0)] * size
-        for k in range(size):
-            rhs[k] += vecs[i][k] - Fraction(1, 2) * sum(v[k] for v in vecs)
-        rhs[0] += Fraction(1, 4)
-        if lhs != rhs:
-            return False
-    # the unflipped plane: (n/2+1)/(n+1) h - 1/(n+1) sum planes
-    base = [Fraction(n // 2 + 1, n + 1)] + [Fraction(-1, n + 1)] * (n + 3)
-    rhs = [Fraction(0)] * size
-    rhs[0] = Fraction(1, 4)
-    for k in range(size):
-        rhs[k] += Fraction(1, 2) * sum(v[k] for v in vecs)
-    return base == rhs
-
-
 def window_class_h_eps(start, n):
     """Window-plane class over (h_{n/2}, orthogonal basis): rational coeffs.
 
@@ -182,18 +146,6 @@ def sigma_interval_class(start, n):
         else:
             vec[n + 1 + j] = GaussianRational(c)
     return vec
-
-
-def window_class_self_check(n):
-    """Pair two window classes both homologically and through the gram."""
-    w0 = window(0, n)
-    w1 = window(1, n)
-    direct = intersection_number(w0, w1, n)
-    h0, e0 = window_class_h_eps(0, n)
-    h1, e1 = window_class_h_eps(1, n)
-    sgn = (-1) ** (n // 2)
-    via_basis = 4 * h0 * h1 + Fraction(sgn) * sum(a * b for a, b in zip(e0, e1))
-    return direct, via_basis
 
 
 # ---------------------------------------------------------------------------

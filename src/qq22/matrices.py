@@ -1,7 +1,8 @@
 """Exact dense linear algebra.
 
-Rank and determinant use fraction-free (Bareiss) elimination to keep
-intermediate entries small; nullspace uses plain Gauss-Jordan over a field;
+The determinant uses fraction-free (Bareiss) elimination to keep
+intermediate entries small; rank and nullspace share one Gauss-Jordan
+reduction over a field;
 the characteristic polynomial reduces to upper Hessenberg form and runs the
 Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 2.2.9), O(N^3) field operations over Q or Q(i).  Every routine
@@ -67,32 +68,8 @@ def _field_rows(a: ExactMatrix):
 
 
 def mat_rank(a: ExactMatrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination."""
-    m = _field_rows(a)
-    rows, cols = a.rows, a.cols
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    """Rank: the number of pivots of the reduced row echelon form."""
+    return len(_rref(_field_rows(a), a.rows, a.cols))
 
 
 def mat_det(a: ExactMatrix):

@@ -17,9 +17,6 @@ from fractions import Fraction
 
 from .matrices import ExactMatrix
 
-TAU = "tau"
-T = "t"
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -38,10 +35,6 @@ class ModelParams:
     @property
     def num_primitive(self) -> int:
         return self.n + 3
-
-    @property
-    def fano_index(self) -> int:
-        return self.n - 1
 
     def is_primitive_slot(self, k: int) -> bool:
         return self.n + 1 <= k <= 2 * self.n + 3

@@ -108,9 +108,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_rational(self) -> bool:
         return self.im == 0
 
@@ -203,9 +200,6 @@ class DualNumber:
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
-
-    def is_unit(self) -> bool:
-        return self.a != 0
 
     def __repr__(self):
         return "DualNumber(%s, %s)" % (self.a, self.b)

@@ -121,23 +121,6 @@ def closed_form_charpoly(n, taus) -> UniPoly:
     return abracket * h + bbracket * g
 
 
-def branch_quadratic(n):
-    """Quadratic for the order-one Puiseux coefficient of the zero cluster.
-
-    The n+5 eigenvalue branches leaving z = 0 along the symmetric sampling
-    ray have first-order coefficients solving A a^2 + B a + C = 0 with the
-    coefficients returned here; the half-order coefficient vanishes because
-    A is nonzero.
-    """
-    ModelParams(n)
-    a2 = Fraction(-4 * (n * n - 2 * n - 11))
-    a1 = Fraction(2 * (n - 1) * (n + 3) * (n * n - n - 10))
-    a0 = Fraction(-(n + 3) ** 3 * (n - 1) * (n - 2) ** 2, 4)
-    if not a2:
-        raise ArithmeticError("degenerate branch quadratic")
-    return a2, a1, a0
-
-
 def branch_discriminant(n) -> Fraction:
     """Discriminant 64(n-1)(n+2)(n+3)^2 of the order-one branch equation."""
     ModelParams(n)
@@ -177,9 +160,15 @@ class ScanRow:
         }
 
 
+# sample_point draws num/den with |num| <= _NUM_MAX and 1 <= den <= _DEN_MAX
+_NUM_MAX = 9
+_DEN_MAX = 9
+
+
 def sample_point(n, rng):
     return tuple(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 3)
+        Fraction(rng.randint(-_NUM_MAX, _NUM_MAX), rng.randint(1, _DEN_MAX))
+        for _ in range(n + 3)
     )
 
 
@@ -195,9 +184,18 @@ def semisimple_scan(n, samples, seed):
     Pseudo-random rational points come from the seed; points with an
     accidental repeated linear factor are reported as rejected and resampled.
     Each accepted row records exact agreement of the two routes and the
-    simple-roots flag.
+    simple-roots flag.  When n+3 exceeds the number of distinct |v| the
+    sampler can draw, every point is degenerate, so that is a ValueError.
     """
     ModelParams(n)
+    distinct = len(
+        {Fraction(a, b) for a in range(_NUM_MAX + 1) for b in range(1, _DEN_MAX + 1)}
+    )
+    if n + 3 > distinct:
+        raise ValueError(
+            "n=%d needs %d distinct |coordinates|; the sampler draws only %d"
+            % (n, n + 3, distinct)
+        )
     rng = random.Random(seed)
     rows = []
     accepted = 0

@@ -7,7 +7,7 @@ one record per canonical key,
 
 with rationals rendered as num/den, and a newline ending every line.
 Loading refuses a different format version or dimension, a cut last line,
-and non-canonical or repeated keys.  Saving writes a temporary file next to
+negative exponents, and non-canonical or repeated keys.  Saving writes a temporary file next to
 the cache and renames it over the cache, so a reader sees either the old
 file or the new one, never a cut one.
 """
@@ -123,8 +123,9 @@ def load_cache(path, n):
     """Read a cache file written by ``save_cache`` for dimension n.
 
     Raises ``CacheError`` naming the line for a malformed header or record, a
-    record cut short (the writer ends every file with a newline), primitive
-    exponents out of canonical (descending) order, or a repeated key.
+    record cut short (the writer ends every file with a newline), a negative
+    exponent, primitive exponents out of canonical (descending) order, or a
+    repeated key.
     """
     with open(path) as fh:
         text = fh.read()
@@ -161,6 +162,8 @@ def load_cache(path, n):
             raise CacheError("line %d: %s" % (lineno, exc)) from None
         if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
             raise CacheError("line %d: record does not match n=%d" % (lineno, n))
+        if min(amb + prim) < 0:
+            raise CacheError("line %d: negative exponent" % lineno)
         if list(prim) != sorted(prim, reverse=True):
             raise CacheError(
                 "line %d: primitive exponents not sorted descending" % lineno

@@ -1,16 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from qq22.ambient import ambient_correlator
 from qq22.engine import CorrelatorEngine
 
 
-def unit(n, slot, k=1):
-    v = [0] * (n + 1)
-    v[slot] = k
-    return v
+def ambient(n, amb):
+    """Exponent vector over the 2n+4 slots from ambient exponents 0..n."""
+    return tuple(amb) + (0,) * (n + 3)
 
 
 def test_three_point_base():
@@ -19,7 +15,7 @@ def test_three_point_base():
         idx = [0] * (n + 1)
         idx[n - 1] = 2
         idx[n] = 1
-        assert ambient_correlator(n, idx, basis="t") == 192
+        assert CorrelatorEngine(n).correlator_t(ambient(n, idx)).coeffs == (192,)
 
 
 def test_pairing_triple():
@@ -29,20 +25,21 @@ def test_pairing_triple():
         idx[0] = 1
         idx[1] += 1
         idx[n - 1] += 1
-        assert ambient_correlator(n, idx) == 4
+        assert CorrelatorEngine(n).correlator_tau(ambient(n, idx)).coeffs == (4,)
 
 
 def test_degree_seven_golden():
-    idx = [0, 0, 7, 0, 0]
-    assert ambient_correlator(4, idx) == 46656
-    assert ambient_correlator(4, idx, basis="t") == 46656
+    eng = CorrelatorEngine(4)
+    index = ambient(4, [0, 0, 7, 0, 0])
+    assert eng.correlator_tau(index).coeffs == (46656,)
+    assert eng.correlator_t(index).coeffs == (46656,)
 
 
 def test_divisor_equation_oracle():
     # appending the divisor multiplies by the curve degree: independent
     # route to <h, h3, h3, h4> = 2 * 192
-    idx = [0, 1, 0, 2, 1]
-    assert ambient_correlator(4, idx, basis="t") == 384
+    index = ambient(4, [0, 1, 0, 2, 1])
+    assert CorrelatorEngine(4).correlator_t(index).coeffs == (384,)
 
 
 def test_divisor_property_random():
@@ -77,13 +74,6 @@ def test_dimension_vanishing():
         weighted = sum(k * v for k, v in enumerate(idx[:5]))
         if (weighted - (n - 3 + sum(idx))) % (n - 1):
             assert eng.correlator_tau(idx).is_zero()
-
-
-def test_rejects_primitive_exponents():
-    with pytest.raises(ValueError):
-        ambient_correlator(4, [0] * 5 + [1] * 7)
-    with pytest.raises(ValueError):
-        ambient_correlator(4, [1, 2, 3])
 
 
 def test_full_symmetry_through_class_entry():

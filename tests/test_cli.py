@@ -97,6 +97,8 @@ def test_semisimple_command(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["squarefree"] >= 2
+    rc, _, err = run_capture(capsys, ["semisimple", "--n", "54", "--samples", "1"])
+    assert rc == 2 and "error" in err
 
 
 def test_lattice_command(capsys):
@@ -108,6 +110,10 @@ def test_lattice_command(capsys):
     doc = json.loads(out)
     assert doc["dim"] == 0
     assert doc["number"] == "1"
+    # flip indices outside 0..n+2 are usage errors
+    for argv in (["--dim", "0,99", "-"], ["--number", "0,-3", "0"]):
+        rc, out, err = run_capture(capsys, ["lattice", "--n", "4"] + argv)
+        assert rc == 2 and out == "" and "out of range" in err
 
 
 def test_poly_round_trip():
@@ -230,6 +236,10 @@ def test_cache_rejects_non_canonical_and_duplicate_keys(tmp_path):
     with pytest.raises(CacheError) as exc:
         load_cache(path, 4)
     assert str(exc.value) == "line 4: duplicate key"
+    path.write_text(head + "4|0,0,0,0,-1|2,2,0,0,0,0,0|1\n")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line 3: negative exponent"
 
 
 def test_warm_query_does_not_rewrite_cache(tmp_path, capsys, monkeypatch):

@@ -93,13 +93,6 @@ def test_fca_vanishing(eng4):
     assert eng4.correlator_tau(idx(4, amb=[(0, 1), (2, 1)], prim=[(0, 2)])).is_zero()
 
 
-def test_pure_ambient_consistency(eng4):
-    from qq22.ambient import ambient_correlator
-
-    index = idx(4, amb=[(2, 4), (4, 1)])
-    assert ambient_correlator(4, index, basis="t", engine=eng4) == eng4.correlator_t(index)[0]
-
-
 def test_permutation_invariance_random(eng4):
     rng = random.Random(100)
     for _ in range(100):
@@ -241,6 +234,8 @@ def test_convergence_witness_monotone():
     assert c5 == 1 and count5 == 0
     with pytest.raises(ValueError):
         convergence_witness(4, 4)
+    with pytest.raises(ValueError):
+        convergence_witness(4, 7, engine=CorrelatorEngine(6))
 
 
 def test_peval():

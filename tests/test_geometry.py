@@ -16,10 +16,12 @@ def test_flip_set_combinatorics():
         j_set = frozenset(v for v in range(n + 3) if rng.random() < 0.4)
         assert geo.flip_mismatch_count(i_set, j_set, n) == geo.flip_mismatch_count(j_set, i_set, n)
         assert geo.flip_mismatch_count(i_set, i_set, n) == 0
-        canon = geo.canonical_flip_set(i_set, n)
-        assert geo.canonical_flip_set(canon, n) == canon
-        comp = frozenset(range(n + 3)) - i_set
-        assert geo.canonical_flip_set(comp, n) == canon
+    # flip indices are the coordinates 0..n+2
+    for bad in ({n + 3}, {-1}, {0, 99}):
+        with pytest.raises(ValueError):
+            geo.flip_mismatch_count(bad, set(), n)
+        with pytest.raises(ValueError):
+            geo.intersection_number(set(), bad, n)
 
 
 def test_intersection_dims():
@@ -48,12 +50,29 @@ def test_epsilon_gram_signed_identity():
         for i in range(n + 3):
             for j in range(n + 3):
                 assert gram.data[i][j] == (sign if i == j else 0)
-        assert set(geo.epsilon_h_pairings(n)) == {Fraction(0)}
+        # each orthogonal class pairs to zero with h_{n/2}
+        ph = geo._pairing_matrix(n).matvec([Fraction(1)] + [Fraction(0)] * (n + 3))
+        for v in geo._orthobasis_vectors(n):
+            assert sum(a * b for a, b in zip(v, ph)) == 0
 
 
 def test_plane_class_roundtrip():
+    # over the (h_{n/2}, single-flip planes) coordinates:
+    # plane_i = eps_{i+1} - (1/2) sum eps + h/4, and the unflipped plane
+    # (n/2+1)/(n+1) h - 1/(n+1) sum planes = h/4 + (1/2) sum eps
     for n in (4, 6):
-        assert geo.plane_class_roundtrip(n)
+        vecs = geo._orthobasis_vectors(n)
+        size = n + 4
+        half_sum = [Fraction(1, 2) * sum(v[k] for v in vecs) for k in range(size)]
+        quarter_h = [Fraction(1, 4)] + [Fraction(0)] * (n + 3)
+        for i in range(n + 3):
+            plane = [Fraction(0)] * size
+            plane[i + 1] = Fraction(1)
+            assert plane == [
+                e - s + q for e, s, q in zip(vecs[i], half_sum, quarter_h)
+            ]
+        base = [Fraction(n // 2 + 1, n + 1)] + [Fraction(-1, n + 1)] * (n + 3)
+        assert base == [s + q for s, q in zip(half_sum, quarter_h)]
 
 
 def test_window_class_coefficients_n4():
@@ -76,9 +95,14 @@ def test_window_class_normalization_n6():
 
 
 def test_window_self_intersection_two_routes():
+    # windows 0 and 1 paired homologically and through the orthogonal basis,
+    # where h.h = 4 and eps_i.eps_j = (-1)^{n/2} delta_ij
     for n in (4, 6):
-        direct, via_basis = geo.window_class_self_check(n)
-        assert direct == via_basis
+        direct = geo.intersection_number(geo.window(0, n), geo.window(1, n), n)
+        h0, e0 = geo.window_class_h_eps(0, n)
+        h1, e1 = geo.window_class_h_eps(1, n)
+        sign = (-1) ** (n // 2)
+        assert direct == 4 * h0 * h1 + sign * sum(a * b for a, b in zip(e0, e1))
 
 
 def test_unique_meeting_plane():

@@ -21,7 +21,6 @@ def test_params_validation():
     p = ModelParams(6)
     assert p.basis_size == 16
     assert p.num_primitive == 9
-    assert p.fano_index == 5
 
 
 def test_eta_inverse_entries_n4():

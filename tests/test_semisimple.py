@@ -130,13 +130,14 @@ def test_agreement_at_random_points():
 
 
 def test_branch_structure_at_zero_cluster():
-    # the n+5 branches leaving the zero eigenvalue: the half-order Puiseux
-    # coefficient dies because the leading quadratic is nondegenerate, and
-    # its discriminant is exactly the closed-form product
-    from qq22.semisimple import branch_quadratic
-
+    # the n+5 branches leaving the zero eigenvalue along the symmetric
+    # sampling ray have first-order Puiseux coefficients solving
+    # a2 t^2 + a1 t + a0 = 0; the half-order coefficient dies because a2 is
+    # nonzero, and the discriminant is exactly the closed-form product
     for n in (4, 6, 8):
-        a2, a1, a0 = branch_quadratic(n)
+        a2 = Fraction(-4 * (n * n - 2 * n - 11))
+        a1 = Fraction(2 * (n - 1) * (n + 3) * (n * n - n - 10))
+        a0 = Fraction(-(n + 3) ** 3 * (n - 1) * (n - 2) ** 2, 4)
         assert a2 != 0
         assert a1 * a1 - 4 * a2 * a0 == branch_discriminant(n)
 
@@ -150,6 +151,10 @@ def test_seed_reproducibility():
 def test_degenerate_point_rejected():
     assert point_is_degenerate([Fraction(1), Fraction(-1)] + [Fraction(k + 2) for k in range(5)])
     assert not point_is_degenerate([Fraction(k + 1) for k in range(7)])
+    # n + 3 = 57 coordinates cannot have distinct squares among the 56
+    # values |v| the sampler draws, so the scan refuses instead of spinning
+    with pytest.raises(ValueError):
+        semisimple_scan(54, 1, 0)
 
 
 def test_branch_discriminant():
