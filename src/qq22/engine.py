@@ -438,31 +438,76 @@ class CorrelatorEngine:
 
         Expressed in the unnormalized middle-degree basis, so the
         coefficients are plain rationals for every even n.
+
+        f is the symmetric multilinear correlator M(L_1..L_N) of the N = n+3
+        window classes L_w = c h_{n/2} + i^p sum_j e_{w,j} eps_j, with c and
+        e_{w,j} = sigma_{w,j} / 2 (sigma = +-1) from ``window_class_h_eps``
+        and the basis phase i^p of ``sigma_interval_class`` (p = 3 when
+        n = 2 mod 4, else 0).  The sign-sum identity behind Glynn's permanent
+        formula (D. G. Glynn, "The permanent of a square matrix", Eur. J.
+        Combin. 31 (2010)) polarizes it:
+
+            M(L_1..L_N) = (2^N N!)^-1 sum_{delta in {+-1}^N} (prod delta) M(l^N),
+            l = sum_w delta_w L_w = c s h_{n/2} + (i^p / 2) sum_j alpha_j eps_j,
+
+        with s = sum delta and the integers alpha_j = sum_w delta_w sigma_{w,j}.
+        Expanding the power, M(l^N) = sum_lam C(N, k) (c s)^k (i^p / 2)^|lam|
+        T(k, lam) |lam|! m_lam(alpha) / prod lam_i!, where k = N - |lam| and
+        T(k, lam) is the correlator with k insertions of h_{n/2} (a slot the
+        t -> tau change does not move, and every such term has degree n/2)
+        and primitive exponents lam.  Monodromy keeps only lam with all parts
+        even, and lam = (1^N), the special correlator.  The integer factor
+        |lam|! m_lam(alpha) / prod lam_i! comes from a slot-by-slot DP.  The
+        windows are circulant, so rotating delta permutes alpha cyclically,
+        and N is odd, so flipping every sign leaves the summand unchanged:
+        one delta per orbit, weighted by the orbit size, covers the sum.  The
+        phase i^(p |lam|) and the rewrite x = i x' (an i^d on the x^d
+        coefficient when n = 2 mod 4) fold into one power of i.
         """
-        from .geometry import sigma_interval_class
+        from .geometry import window_class_h_eps
 
         n = self.n
-        classes = [sigma_interval_class(w, n) for w in range(n + 3)]
-        poly = self.correlator_classes(classes, beta=n // 2)
-        if n % 4 == 2:
-            # the engine unknown x is normalized; rewrite in terms of the
-            # unnormalized unknown x' with x = i * x'
-            i_pow = GaussianRational(0, 1)
-            coeffs = []
-            fac = GaussianRational(1)
-            for c in poly.coeffs:
-                coeffs.append(c * fac)
-                fac = fac * i_pow
-            poly = UniPoly(coeffs)
-        out = []
-        for c in poly.coeffs:
-            if isinstance(c, GaussianRational):
-                if not c.is_rational():
-                    raise ArithmeticError("window correlator has imaginary part")
-                out.append(c.re)
-            else:
-                out.append(Fraction(c))
-        return UniPoly(out)
+        size = n + 3
+        twist = n % 4 // 2  # 1 when n = 2 mod 4: phase i^3 and x = i x'
+        windows = [window_class_h_eps(w, n) for w in range(size)]
+        hcoef = windows[0][0]
+        # columns[j][w] = sigma_{w,j} = 2 e_{w,j} = +-1
+        columns = list(zip(*([int(2 * e) for e in eps] for _, eps in windows)))
+        moves = _even_partition_moves(size)
+        ones = (1,) * size
+        sums = dict.fromkeys(list(moves) + [ones], 0)
+        top = factorial(size)
+        for delta, orbit in _sign_orbits(size):
+            alpha = [sum(d * c for d, c in zip(delta, col)) for col in columns]
+            sign = orbit
+            for d in delta:
+                sign *= d
+            s = sum(delta)
+            for lam, val in _even_moments(alpha, moves).items():
+                sums[lam] += sign * s ** (size - sum(lam)) * val
+            val = top
+            for a in alpha:
+                val *= a
+            sums[ones] += sign * val
+        amb = [0] * (n + 1)
+        real, imag = {}, {}
+        for lam, total in sums.items():
+            if not total:
+                continue
+            used = sum(lam)
+            k = size - used
+            scale = Fraction(comb(size, k) * total, 2 ** (size + used) * top) * hcoef**k
+            amb[n // 2] = k
+            value = self._T(tuple(amb), lam + (0,) * (size - len(lam)))
+            for d, c in enumerate(value):
+                phase = twist * (3 * used + d) % 4
+                part = imag if phase & 1 else real
+                part[d] = part.get(d, 0) + scale * c * (1 - (phase & 2))
+        if any(imag.values()):
+            raise ArithmeticError("window correlator has imaginary part")
+        return UniPoly(
+            [Fraction(real.get(d, 0)) for d in range(max(real, default=-1) + 1)]
+        )
 
     def conjecture_quadratic_lhs(self) -> UniPoly:
         """The squares-on-n+1-slots correlator of length 2n+2."""
@@ -543,6 +588,64 @@ def convergence_witness(n, lmax, engine=None):
                 lo = mid + 1
         best = max(best, lo * _GRID)
     return best, count
+
+
+def _sign_orbits(size):
+    """One sign vector per orbit of cyclic rotation and global sign flip.
+
+    Yields (delta, orbit size) with delta a list of +-1 of the given length.
+    """
+    full = (1 << size) - 1
+    for mask in range(1 << size):
+        images = set()
+        m = mask
+        for _ in range(size):
+            m = ((m << 1) | (m >> (size - 1))) & full
+            images.update((m, m ^ full))
+        if mask == min(images):
+            yield [1 - 2 * (mask >> w & 1) for w in range(size)], len(images)
+
+
+def _even_partition_moves(size):
+    """Moves of the slot DP over partitions with even parts, weight <= size.
+
+    Maps each descending partition lam to [(lam + (m,) sorted, C(|lam|+m, m))
+    for m = 2, 4, ...]: the partitions one more slot with exponent m reaches.
+    """
+    moves = {}
+    todo = [()]
+    while todo:
+        lam = todo.pop()
+        if lam in moves:
+            continue
+        used = sum(lam)
+        moves[lam] = [
+            (tuple(sorted(lam + (m,), reverse=True)), comb(used + m, m))
+            for m in range(2, size - used + 1, 2)
+        ]
+        todo.extend(key for key, _ in moves[lam])
+    return moves
+
+
+def _even_moments(alpha, moves):
+    """|lam|! m_lam(alpha) / prod lam_i! for every partition lam in moves.
+
+    m_lam is the monomial symmetric polynomial: the sum of prod alpha_j^m_j
+    over the exponent vectors m that sort to lam.  Each slot adds an exponent
+    m with weight C(|lam|+m, m) alpha_j^m, so every value stays an integer.
+    """
+    states = dict.fromkeys(moves, 0)
+    states[()] = 1
+    for a in alpha:
+        sq = a * a
+        nxt = dict(states)
+        for lam, val in states.items():
+            if val:
+                for key, c in moves[lam]:
+                    val *= sq
+                    nxt[key] += c * val
+        states = nxt
+    return states
 
 
 def _ambient_exponents(n, total):

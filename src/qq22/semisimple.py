@@ -185,9 +185,12 @@ def semisimple_scan(n, samples, seed):
     accidental repeated linear factor are reported as rejected and resampled.
     Each accepted row records exact agreement of the two routes and the
     simple-roots flag.  When n+3 exceeds the number of distinct |v| the
-    sampler can draw, every point is degenerate, so that is a ValueError.
+    sampler can draw, every point is degenerate, so that is a ValueError; so
+    is samples < 1, since an empty scan checks nothing.
     """
     ModelParams(n)
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %r" % (samples,))
     distinct = len(
         {Fraction(a, b) for a in range(_NUM_MAX + 1) for b in range(1, _DEN_MAX + 1)}
     )

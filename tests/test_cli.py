@@ -41,9 +41,14 @@ def test_correlator_symbolic(capsys):
 
 
 def test_special_expr_f4(capsys):
-    rc, out, _ = run_capture(capsys, ["special-expr", "--n", "4", "--target", "f"])
-    assert rc == 0
-    assert out.strip() == "11/16+5/8*x"
+    for n, expected in (
+        ("4", "11/16+5/8*x"),
+        ("6", "19303/16+39/8*x"),
+        ("8", "6441821/4+135/2*x"),
+    ):
+        rc, out, _ = run_capture(capsys, ["special-expr", "--n", n, "--target", "f"])
+        assert rc == 0
+        assert out.strip() == expected
 
 
 def test_correlator_json_schema(capsys):
@@ -99,6 +104,10 @@ def test_semisimple_command(capsys):
     assert doc["squarefree"] >= 2
     rc, _, err = run_capture(capsys, ["semisimple", "--n", "54", "--samples", "1"])
     assert rc == 2 and "error" in err
+    # an empty scan checks nothing, so it must not report a pass
+    for samples in ("0", "-1"):
+        rc, out, err = run_capture(capsys, ["semisimple", "--n", "4", "--samples", samples])
+        assert rc == 2 and out == "" and "samples" in err
 
 
 def test_lattice_command(capsys):

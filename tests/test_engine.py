@@ -11,6 +11,7 @@ from qq22.engine import (
     index_triple,
 )
 from qq22.polynomials import UniPoly, peval
+from qq22.scalars import GaussianRational
 from qq22.serial import save_cache
 
 X = UniPoly((Fraction(0), Fraction(1)))
@@ -198,6 +199,36 @@ def test_quadratic_conjecture_small():
 def test_f4_value():
     eng = CorrelatorEngine(4)
     assert eng.f_value().coeffs == (Fraction(11, 16), Fraction(5, 8))
+
+
+def test_f_value_matches_gaussian_expansion():
+    # second route: the multilinear expansion of the window classes over the
+    # engine basis, with Gaussian-rational coefficients, at the fixed degree
+    from qq22.geometry import sigma_interval_class
+
+    for n in (4, 6):
+        eng = CorrelatorEngine(n)
+        classes = [sigma_interval_class(w, n) for w in range(n + 3)]
+        ref = eng.correlator_classes(classes, beta=n // 2).coeffs
+        if n % 4 == 2:
+            # f is written in the unnormalized unknown x' with x = i x', so
+            # the x^d coefficient picks up i^d
+            fac, out = GaussianRational(1), []
+            for c in ref:
+                out.append(c * fac)
+                fac = fac * GaussianRational(0, 1)
+            ref = out
+        assert all(c.is_rational() for c in ref)
+        assert eng.f_value().coeffs == tuple(c.re for c in ref)
+
+
+def test_f_integer_at_conjectural_x():
+    # Observed, not proved: at the conjectural x = (-1)^{n/2} / 2 (the value
+    # convergence_witness uses) the window correlator is an integer for every
+    # n computed.  f(4) = 1 agrees with the single conic conic_pipeline finds.
+    for n, expected in ((4, 1), (6, 1204), (8, 1610489)):
+        f = CorrelatorEngine(n).f_value()
+        assert peval(f.coeffs, Fraction((-1) ** (n // 2), 2)) == expected
 
 
 def test_class_entry_bilinearity(eng4):

@@ -155,6 +155,10 @@ def test_degenerate_point_rejected():
     # values |v| the sampler draws, so the scan refuses instead of spinning
     with pytest.raises(ValueError):
         semisimple_scan(54, 1, 0)
+    # an empty scan would report "all agree" over no rows
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            semisimple_scan(4, samples, 0)
 
 
 def test_branch_discriminant():
