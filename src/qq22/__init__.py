@@ -3,8 +3,8 @@
 Reconstructs all genus-zero correlators of an even n-dimensional smooth
 intersection of two quadrics (n >= 4) as exact polynomials in the one
 undetermined length-(n+3) correlator, checks the cutoff Euler-multiplication
-semisimplicity criterion, and replays the dimension-4 conic count in exact
-rational and dual-number arithmetic.
+semisimplicity criterion, and replays the dimension-4 conic count and its
+first-order rigidity in exact rational arithmetic.
 """
 
 from .engine import (
@@ -27,13 +27,7 @@ from .geometry import (
     sigma_interval_class,
     window_sum_inequality,
 )
-from .matrices import (
-    ExactMatrix,
-    mat_charpoly,
-    mat_det,
-    mat_nullspace,
-    mat_rank,
-)
+from .matrices import mat_charpoly, mat_det, mat_nullspace, mat_rank
 from .model import (
     ModelParams,
     ambient_3pt_tau,
@@ -43,7 +37,7 @@ from .model import (
     t_to_tau,
 )
 from .polynomials import UniPoly, poly_gcd, squarefree
-from .scalars import DualNumber, GaussianRational
+from .scalars import GaussianRational
 from .semisimple import (
     branch_discriminant,
     closed_form_charpoly,
@@ -55,8 +49,6 @@ from .semisimple import (
 __all__ = [
     "CorrelatorEngine",
     "DivisionGuardError",
-    "DualNumber",
-    "ExactMatrix",
     "GaussianRational",
     "ModelParams",
     "UniPoly",

@@ -201,7 +201,7 @@ def cmd_lattice(args):
         gram = geometry.epsilon_gram(n)
         sign = (-1) ** (n // 2)
         expected = all(
-            gram.data[i][j] == (sign if i == j else 0)
+            gram[i][j] == (sign if i == j else 0)
             for i in range(n + 3)
             for j in range(n + 3)
         )

@@ -32,6 +32,7 @@ are safe under CPython and always agree.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -43,6 +44,15 @@ from .scalars import GaussianRational
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
 _GRID = Fraction(1, 4)  # convergence_witness reports C on this grid
+
+
+def _int_exponents(index):
+    """The entries of an index as a tuple of ints; a non-integer is a ValueError."""
+    index = tuple(index)
+    try:
+        return tuple(map(operator.index, index))
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
 
 
 def curve_degree(n, index):
@@ -350,7 +360,7 @@ class CorrelatorEngine:
 
     def _flat(self, index, min_length=3):
         n = self.n
-        index = tuple(int(v) for v in index)
+        index = _int_exponents(index)
         if len(index) != 2 * n + 4:
             raise ValueError(
                 "index must have %d entries, got %d" % (2 * n + 4, len(index))
@@ -390,7 +400,7 @@ class CorrelatorEngine:
 
     def beta_of_t_index(self, index):
         """Curve degree forced by the dimension axiom, or None; see curve_degree."""
-        return curve_degree(self.n, tuple(int(v) for v in index))
+        return curve_degree(self.n, _int_exponents(index))
 
     def correlator_classes(self, classes, beta) -> UniPoly:
         """Multilinear correlator of cohomology classes at fixed degree.

@@ -8,7 +8,8 @@ exact pipeline that pins down the unique conic meeting the seven consecutive
 sign-flip planes: the linear system on Plucker coordinates, its
 seven-dimensional solution space, the two plane solutions, the conic through
 the seven marked points, its parametrization, the two quadric containment
-identities, the freeness determinant and the dual-number rigidity check.
+identities, the freeness determinant and the first-order rigidity check.
+Matrices are plain row lists, as in ``matrices``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .matrices import ExactMatrix, mat_det, mat_nullspace, mat_rank
+from .matrices import mat_det, mat_nullspace, mat_rank
 from .polynomials import UniPoly, poly_gcd
 from .scalars import GaussianRational
 
@@ -90,7 +91,7 @@ def _pairing_matrix(n):
         m[0][i + 1] = m[i + 1][0] = Fraction(1)
         for j in range(n + 3):
             m[i + 1][j + 1] = intersection_number({i}, {j}, n)
-    return ExactMatrix(m)
+    return m
 
 
 def _orthobasis_vectors(n):
@@ -103,15 +104,15 @@ def _orthobasis_vectors(n):
     return vecs
 
 
-def epsilon_gram(n) -> ExactMatrix:
+def epsilon_gram(n):
     """Gram matrix of the orthogonal middle-degree basis; (-1)^{n/2} Id."""
     pairing = _pairing_matrix(n)
     vecs = _orthobasis_vectors(n)
     rows = []
     for v in vecs:
-        pv = pairing.matvec(v)
+        pv = [sum(c * x for c, x in zip(row, v)) for row in pairing]
         rows.append([sum(w[k] * pv[k] for k in range(len(pv))) for w in vecs])
-    return ExactMatrix(rows)
+    return rows
 
 
 def window_class_h_eps(start, n):
@@ -210,34 +211,33 @@ def relation_gradient(rel, v):
     return grad
 
 
-def cutting_pluckers(b: ExactMatrix):
+def cutting_pluckers(b):
     """Plucker vector of the plane cut out by a 4x7 matrix of linear forms.
 
     The coordinate at triple I is the 4x4 minor on the complementary
     columns.
     """
-    if b.rows != 4 or b.cols != 7:
+    if len(b) != 4 or any(len(row) != 7 for row in b):
         raise ValueError("cutting matrix must be 4 x 7")
     out = []
     for tri in TRIPLES:
         cols = [c for c in range(7) if c not in tri]
-        sub = ExactMatrix([[b.data[r][c] for c in cols] for r in range(4)])
-        out.append(mat_det(sub))
+        out.append(mat_det([[row[c] for c in cols] for row in b]))
     return out
 
 
-def spanning_pluckers(m: ExactMatrix):
+def spanning_pluckers(m):
     """Plucker vector of the row space of a 3x7 matrix, cutting convention.
 
     Converts the spanning-convention minors with the duality sign
     (-1)^{sum(I)+1} so the result matches ``cutting_pluckers`` of any matrix
     annihilating the rows.
     """
-    if m.rows != 3 or m.cols != 7:
+    if len(m) != 3 or any(len(row) != 7 for row in m):
         raise ValueError("spanning matrix must be 3 x 7")
     out = []
     for tri in TRIPLES:
-        sub = ExactMatrix([[m.data[r][c] for c in tri] for r in range(3)])
+        sub = [[row[c] for c in tri] for row in m]
         out.append(Fraction((-1) ** (sum(tri) + 1)) * mat_det(sub))
     return out
 
@@ -254,22 +254,22 @@ def _check_lams(lams):
     return lams
 
 
-def base_plane_cut_matrix(lams) -> ExactMatrix:
+def base_plane_cut_matrix(lams):
     """Power-sum equations (exponents 0..3) cutting the unflipped plane."""
     lams = _check_lams(lams)
-    return ExactMatrix([[v**p for v in lams] for p in range(4)])
+    return [[v**p for v in lams] for p in range(4)]
 
 
-def flipped_cut_matrix(lams, j) -> ExactMatrix:
+def flipped_cut_matrix(lams, j):
     """Same equations with signs flipped on coordinates j, j+1 (mod 7)."""
     lams = _check_lams(lams)
     flip = {j % 7, (j + 1) % 7}
-    return ExactMatrix(
-        [[(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)]
-    )
+    return [
+        [(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)
+    ]
 
 
-def plane_meeting_system(lams) -> ExactMatrix:
+def plane_meeting_system(lams):
     """28 x 35 system: a plane meets all seven flipped planes.
 
     Block j (rows 4j..4j+3) demands rank <= 6 of the flipped cut equations
@@ -281,11 +281,11 @@ def plane_meeting_system(lams) -> ExactMatrix:
     lams = _check_lams(lams)
     rows = []
     for j in range(7):
-        nj = flipped_cut_matrix(lams, j).data
+        nj = flipped_cut_matrix(lams, j)
         for k in range(4):
             kept = [nj[p] for p in range(4) if p != 3 - k]
-            rows.append(spanning_pluckers(ExactMatrix(kept)))
-    return ExactMatrix(rows)
+            rows.append(spanning_pluckers(kept))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def chart_matrix_from_pluckers(p):
             s * Fraction(p[TRIPLE_POS[(0, 1, 3 + r)]], 1) / p012,
         ] + [Fraction(1) if c == r else Fraction(0) for c in range(4)]
         rows.append(row)
-    return ExactMatrix(rows)
+    return rows
 
 
 def _conic_monomials(w0, w1, w2):
@@ -487,7 +487,7 @@ def _conic_value(coeffs, pt):
 def fit_conic(points):
     """The unique conic through five chart points, leading coefficient 1."""
     rows = [list(_conic_monomials(p[0], p[1], p[2])) for p in points]
-    basis = mat_nullspace(ExactMatrix(rows))
+    basis = mat_nullspace(rows)
     if len(basis) != 1:
         raise ArithmeticError("conic through the points is not unique")
     v = basis[0]
@@ -533,7 +533,7 @@ def extend_to_plane(chart, w012):
     out = [w0, w1, w2]
     for r in range(4):
         out.append(
-            -(chart.data[r][0] * w0 + chart.data[r][1] * w1 + chart.data[r][2] * w2)
+            -(chart[r][0] * w0 + chart[r][1] * w1 + chart[r][2] * w2)
         )
     return out
 
@@ -554,7 +554,7 @@ def freeness_matrix(ws, lams):
         for vec in (tmul, umul):
             row = [2 * v for v in vec] + [2 * lams[i] * v for v in vec]
             rows.append([Fraction(x) for x in row])
-    return ExactMatrix(rows)
+    return rows
 
 
 class Stage:
@@ -605,7 +605,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
 
     rels = plucker_relations()
     for label, table in (("main", PLANE_SOLUTION_MAIN), ("base", PLANE_SOLUTION_BASE)):
-        resid = [v for v in ec.matvec(list(table)) if v]
+        resid = [r for r in (sum(c * x for c, x in zip(row, table)) for row in ec) if r]
         rep.check("table %s solves the meeting system" % label, not resid, [], resid[:3])
         bad = [evaluate_relation(r, table) for r in rels]
         bad = [v for v in bad if v]
@@ -630,15 +630,14 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     chart = chart_matrix_from_pluckers(PLANE_SOLUTION_MAIN)
     rep.check(
         "chart matrix of the main plane",
-        [list(r) for r in CHART_MATRIX] == chart.data,
+        [list(r) for r in CHART_MATRIX] == chart,
         CHART_MATRIX,
-        chart.data,
+        chart,
     )
 
     points = []
     for j in range(7):
-        stacked = ExactMatrix(chart.data + flipped_cut_matrix(lams, j).data)
-        kern = mat_nullspace(stacked)
+        kern = mat_nullspace(chart + flipped_cut_matrix(lams, j))
         if len(kern) != 1 or not kern[0][0]:
             rep.check("meeting point %d is unique" % j, False, 1, len(kern))
             return rep
@@ -664,7 +663,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     rep.check("parametrization lies on the conic", conic_val.is_zero(), 0, conic_val.coeffs)
     for r in range(4):
         resid = ws[3 + r] + sum(
-            UniPoly.constant(chart.data[r][c]) * ws[c] for c in range(3)
+            UniPoly.constant(chart[r][c]) * ws[c] for c in range(3)
         )
         rep.check("parametrization satisfies plane form %d" % r, resid.is_zero(), 0, resid.coeffs)
     q1, q2 = rescaled_quadric_coeffs(lams)
@@ -720,7 +719,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     fm = freeness_matrix(PARAM_WS, lams)
     rep.check(
         "freeness matrix matches",
-        fm.data == [list(r) for r in FREENESS_MATRIX],
+        fm == [list(r) for r in FREENESS_MATRIX],
         "frozen 8x8",
         "mismatch",
     )
@@ -734,7 +733,7 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
 
     Stacks the meeting system with the exchange-relation gradients at the
     main solution; the kernel must be the scaling line, so the only
-    dual-number deformations are unit multiples.
+    first-order deformations over Q[eps]/(eps^2) are unit multiples.
     """
     lams = _check_lams(lams)
     if tuple(lams) != CASE_LAMS:
@@ -742,11 +741,8 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
     rep = VerificationReport()
     p = list(PLANE_SOLUTION_MAIN)
     ec = plane_meeting_system(lams)
-    rows = [list(r) for r in ec.data]
-    for rel in plucker_relations():
-        rows.append(relation_gradient(rel, p))
-    stacked = ExactMatrix(rows)
-    kern = mat_nullspace(stacked)
+    rels = plucker_relations()
+    kern = mat_nullspace(ec + [relation_gradient(rel, p) for rel in rels])
     rep.check("tangent space is one-dimensional", len(kern) == 1, 1, len(kern))
     if len(kern) == 1:
         v = kern[0]
@@ -762,23 +758,12 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
             0,
             lhs,
         )
-    # explicit dual-number scaling check: (1+eps) p solves everything
-    from .scalars import DualNumber
-
-    unit = DualNumber(1, 1)
-    dual_p = [unit * v for v in p]
-    ec_dual = [
-        sum((DualNumber(c) * x for c, x in zip(row, dual_p)), DualNumber(0))
-        for row in ec.data
-    ]
-    rep.check("scaled solution passes the system over dual numbers", not any(ec_dual), 0, "nonzero")
-    bad = []
-    for rel in plucker_relations():
-        acc = DualNumber(0)
-        for sign, p1, p2 in rel:
-            acc = acc + DualNumber(sign) * dual_p[p1] * dual_p[p2]
-        if acc:
-            bad.append(acc)
+    # over Q[eps]/(eps^2) a form of degree d takes the value (1+eps)^d v(p)
+    # at (1+eps) p, and (1+eps)^d is a unit, so that value vanishes exactly
+    # when v(p) = 0: both dual-number checks evaluate at p itself
+    ec_vals = [sum(c * x for c, x in zip(row, p)) for row in ec]
+    rep.check("scaled solution passes the system over dual numbers", not any(ec_vals), 0, "nonzero")
+    bad = [v for v in (evaluate_relation(rel, p) for rel in rels) if v]
     rep.check("scaled solution passes the relations over dual numbers", not bad, 0, bad[:2])
     return rep
 
@@ -796,7 +781,7 @@ def no_conic_through_meeting_points(lams) -> bool:
         b = lams[(i + 1) % 7]
         x, y = a * b, -a - b
         rows.append([x * x, y * y, Fraction(1), x * y, x, y])
-    return mat_rank(ExactMatrix(rows)) == 6
+    return mat_rank(rows) == 6
 
 
 def conic_plane_in_conjectural_quadric(lams=CASE_LAMS) -> bool:

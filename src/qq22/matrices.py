@@ -1,9 +1,10 @@
-"""Exact dense linear algebra.
+"""Exact dense linear algebra on plain row lists.
 
-The determinant uses fraction-free (Bareiss) elimination to keep
-intermediate entries small; rank and nullspace share one Gauss-Jordan
-reduction over a field;
-the characteristic polynomial reduces to upper Hessenberg form and runs the
+A matrix is a list of equal-length rows.  Every routine copies its input
+and rejects a ragged one.  The determinant uses
+fraction-free (Bareiss) elimination to keep intermediate entries small; rank
+and nullspace share one Gauss-Jordan reduction over a field; the
+characteristic polynomial reduces to upper Hessenberg form and runs the
 Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 2.2.9), O(N^3) field operations over Q or Q(i).  Every routine
 divides, so ``int`` entries are read as ``Fraction`` and no float appears.
@@ -16,70 +17,37 @@ from fractions import Fraction
 from .polynomials import UniPoly, padd, pmul, pscale
 
 
-class ExactMatrix:
-    """Row-major dense matrix over an exact scalar ring."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def zeros(cls, rows, cols, zero=0):
-        return cls([[zero] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
-
-    def __setitem__(self, ij, v):
-        self.data[ij[0]][ij[1]] = v
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def matvec(self, v):
-        if self.cols != len(v):
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            s = 0
-            for k in range(self.cols):
-                s = s + self.data[i][k] * v[k]
-            out.append(s)
-        return out
-
-    def __repr__(self):
-        return "ExactMatrix(%d x %d)" % (self.rows, self.cols)
-
-
-def _field_rows(a: ExactMatrix):
-    """Copy of the rows with ``int`` entries read as ``Fraction``.
+def _field_rows(a):
+    """Copy of a row list with ``int`` entries read as ``Fraction``.
 
     Every elimination here divides, and ``int / int`` would give a float.
+    Returns (rows, number of rows, number of columns); a ragged input is a
+    ValueError.
     """
-    return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in a.data]
+    rows = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in a]
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged matrix")
+    return rows, len(rows), cols
 
 
-def mat_rank(a: ExactMatrix) -> int:
+def _square_field_rows(a, what):
+    m, n, cols = _field_rows(a)
+    if n != cols:
+        raise ValueError("%s of a non-square matrix" % what)
+    return m, n
+
+
+def mat_rank(a) -> int:
     """Rank: the number of pivots of the reduced row echelon form."""
-    return len(_rref(_field_rows(a), a.rows, a.cols))
+    return len(_rref(*_field_rows(a)))
 
 
-def mat_det(a: ExactMatrix):
+def mat_det(a):
     """Determinant by Bareiss elimination (square input)."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
+    m, n = _square_field_rows(a, "determinant")
     if n == 0:
         return 1
-    m = _field_rows(a)
     sign = 1
     prev = 1
     for r in range(n - 1):
@@ -127,15 +95,15 @@ def _rref(data, rows, cols):
     return pivots
 
 
-def mat_nullspace(a: ExactMatrix):
+def mat_nullspace(a):
     """Basis of the right kernel over a field, one vector per free column."""
-    m = _field_rows(a)
-    pivots = _rref(m, a.rows, a.cols)
+    m, rows, cols = _field_rows(a)
+    pivots = _rref(m, rows, cols)
     pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [0] * a.cols
+        v = [0] * cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
@@ -143,7 +111,7 @@ def mat_nullspace(a: ExactMatrix):
     return basis
 
 
-def mat_charpoly(a: ExactMatrix) -> UniPoly:
+def mat_charpoly(a) -> UniPoly:
     """Monic characteristic polynomial det(zI - A) over a field.
 
     Entries must be field elements (``Fraction`` or ``GaussianRational``);
@@ -152,10 +120,7 @@ def mat_charpoly(a: ExactMatrix) -> UniPoly:
     p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
     gives p_N = det(zI - A).
     """
-    if a.rows != a.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = a.rows
-    h = _field_rows(a)
+    h, n = _square_field_rows(a, "characteristic polynomial")
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:

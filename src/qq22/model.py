@@ -15,8 +15,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import ExactMatrix
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -60,23 +58,23 @@ def eta_inverse(n: int):
     return tuple(rows)
 
 
-def eta_pairing(n: int) -> ExactMatrix:
-    """The dense pairing matrix: the explicit inverse of eta_inverse.
+def eta_pairing(n: int):
+    """Dense pairing matrix (a row list): the explicit inverse of eta_inverse.
 
     Ambient block: eta_{ab} = 4 * 16^((a+b-n)/(n-1)) when that exponent is a
     nonnegative integer, else 0; primitive block is the identity.
     """
     p = ModelParams(n)
     size = p.basis_size
-    m = ExactMatrix.zeros(size, size, Fraction(0))
+    m = [[Fraction(0)] * size for _ in range(size)]
     for e in range(size):
         for f in range(size):
             if e <= n and f <= n:
                 q, r = divmod(e + f - n, n - 1)
                 if r == 0 and q >= 0:
-                    m[e, f] = Fraction(4) * Fraction(16) ** q
+                    m[e][f] = Fraction(4) * Fraction(16) ** q
             elif p.is_primitive_slot(e) and e == f:
-                m[e, f] = Fraction(1)
+                m[e][f] = Fraction(1)
     return m
 
 

@@ -1,7 +1,7 @@
 """Dense univariate polynomials over an exact scalar ring.
 
 Coefficients live in any ring whose elements support +, -, * with each other
-and with ints (Fraction, GaussianRational, DualNumber).  Trailing zeros are
+and with ints (Fraction, GaussianRational).  Trailing zeros are
 stripped, so ``degree`` is the index of the last nonzero coefficient and the
 zero polynomial has degree -1.
 

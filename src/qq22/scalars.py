@@ -1,10 +1,9 @@
-"""Exact scalar rings: Gaussian rationals and dual numbers.
+"""Exact scalars: rational serialization and the Gaussian rationals.
 
-Plain rationals are ``fractions.Fraction``.  The two classes here cover the
-scalars the rest of the package needs beyond that: Q(i) for basis
-normalizations involving sqrt(-1), and Q[eps]/(eps^2) for first-order
-deformation checks.  Both coerce ints and Fractions on the fly so polynomial
-and matrix code can use literal 0 and 1.
+Plain rationals are ``fractions.Fraction``.  The one class here covers the
+scalar field the rest of the package needs beyond that: Q(i) for basis
+normalizations involving sqrt(-1).  It coerces ints and Fractions on the fly
+so polynomial and matrix code can use literal 0 and 1.
 """
 
 from __future__ import annotations
@@ -122,93 +121,3 @@ class GaussianRational:
             return "%s*i" % im
         sign = "+" if self.im > 0 else "-"
         return "%s%s%s*i" % (rational_str(self.re), sign, rational_str(abs(self.im)))
-
-
-class DualNumber:
-    """An element a + b*eps of Q[eps]/(eps^2).
-
-    Invertible exactly when the constant part a is nonzero.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, DualNumber):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return DualNumber(v)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.a == 0:
-            raise ZeroDivisionError("dual number with zero constant part is not a unit")
-        return DualNumber(self.a / o.a, (self.b * o.a - self.a * o.b) / (o.a * o.a))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return DualNumber(-self.a, -self.b)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __repr__(self):
-        return "DualNumber(%s, %s)" % (self.a, self.b)
-
-    def __str__(self):
-        if self.b == 0:
-            return rational_str(self.a)
-        b = rational_str(self.b)
-        if self.a == 0:
-            return "%s*eps" % b
-        sign = "+" if self.b > 0 else "-"
-        return "%s%s%s*eps" % (rational_str(self.a), sign, rational_str(abs(self.b)))

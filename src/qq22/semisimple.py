@@ -14,13 +14,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import ExactMatrix, mat_charpoly
+from .matrices import mat_charpoly
 from .model import ModelParams
 from .polynomials import UniPoly, squarefree
 from .scalars import rational_str
 
 
-def cutoff_matrix(n, taus) -> ExactMatrix:
+def cutoff_matrix(n, taus):
     """Second-order cutoff of Euler-field multiplication at a primitive point.
 
     ``taus`` lists the n+3 primitive coordinates; ambient coordinates are
@@ -73,7 +73,7 @@ def cutoff_matrix(n, taus) -> ExactMatrix:
                 elif p.is_primitive_slot(j):
                     v = s / 2 if j == k else tau(j) * tau(k)
             m[j][k] = v
-    return ExactMatrix(m)
+    return m
 
 
 def closed_form_charpoly(n, taus) -> UniPoly:

@@ -6,10 +6,11 @@ one record per canonical key,
     n|ambient exponents|sorted primitive exponents|polynomial in x
 
 with rationals rendered as num/den, and a newline ending every line.
-Loading refuses a different format version or dimension, a cut last line,
-negative exponents, and non-canonical or repeated keys.  Saving writes a temporary file next to
-the cache and renames it over the cache, so a reader sees either the old
-file or the new one, never a cut one.
+Loading refuses a different format version or dimension, a blank first
+line ahead of records, a cut last line, negative exponents (in keys and in
+the polynomial), and non-canonical or repeated keys.  Saving writes a
+temporary file next to the cache and renames it over the cache, so a reader
+sees either the old file or the new one, never a cut one.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def poly_from_str(s: str):
             coef = Fraction(head) if head else Fraction(1)
             if tail.startswith("^"):
                 k = int(tail[1:])
+                if k < 0:
+                    raise ValueError("negative exponent in %r" % chunk)
             elif tail == "":
                 k = 1
             else:
@@ -122,18 +125,19 @@ def save_cache(path, n, memo):
 def load_cache(path, n):
     """Read a cache file written by ``save_cache`` for dimension n.
 
-    Raises ``CacheError`` naming the line for a malformed header or record, a
-    record cut short (the writer ends every file with a newline), a negative
-    exponent, primitive exponents out of canonical (descending) order, or a
-    repeated key.
+    An empty or whitespace-only file is an empty cache.  Raises
+    ``CacheError`` naming the line for a blank or malformed header, a
+    malformed record, a record cut short (the writer ends every file with a
+    newline), a negative exponent, primitive exponents out of canonical
+    (descending) order, or a repeated key.
     """
     with open(path) as fh:
         text = fh.read()
-    lines = text.splitlines()
-    if text and not text.endswith("\n"):
-        raise CacheError("line %d: truncated record" % len(lines))
-    if not lines or not lines[0].strip():
+    if not text.strip():
         return {}
+    lines = text.splitlines()
+    if not text.endswith("\n"):
+        raise CacheError("line %d: truncated record" % len(lines))
     header = lines[0].split()
     if len(header) != 3 or header[0] != CACHE_MAGIC:
         raise CacheError("line 1: not a cache file header")

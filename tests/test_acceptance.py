@@ -192,7 +192,7 @@ def test_criterion_8_lattice_suite():
         gram = geo.epsilon_gram(n)
         sign = (-1) ** (n // 2)
         ok &= all(
-            gram.data[i][j] == (sign if i == j else 0)
+            gram[i][j] == (sign if i == j else 0)
             for i in range(n + 3)
             for j in range(n + 3)
         )
@@ -201,7 +201,7 @@ def test_criterion_8_lattice_suite():
     ok &= geo.intersection_number({0}, {0}, 4) == 2
     # any plane class pairs to 1 against the middle hyperplane power
     pairing = geo._pairing_matrix(4)
-    ok &= pairing.data[0][1] == 1
+    ok &= pairing[0][1] == 1
     for n in range(4, 66, 2):
         ok &= geo.window_sum_inequality(n)
     elapsed = time.time() - start

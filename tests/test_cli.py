@@ -251,6 +251,42 @@ def test_cache_rejects_non_canonical_and_duplicate_keys(tmp_path):
     assert str(exc.value) == "line 3: negative exponent"
 
 
+def test_negative_polynomial_exponent_is_rejected(tmp_path):
+    for text in ("3*x^-1", "2+x^-1"):
+        with pytest.raises(ValueError):
+            poly_from_str(text)
+    eng = CorrelatorEngine(4)
+    eng.correlator_tau([0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+    path = tmp_path / "memo.cache"
+    save_cache(path, 4, eng.memo)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 3
+    lines[2] = lines[2].rpartition("|")[0] + "|2+x^-1\n"
+    path.write_text("".join(lines))
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value).startswith("line 3: negative exponent")
+
+
+def test_blank_first_line_is_not_an_empty_cache(tmp_path, capsys):
+    index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
+    path = tmp_path / "memo.cache"
+    for text in ("", "\n", " \n\n\t\n"):
+        path.write_text(text)
+        assert load_cache(path, 4) == {}
+    eng = CorrelatorEngine(4)
+    eng.correlator_tau([0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+    save_cache(path, 4, eng.memo)
+    path.write_text("\n" + path.read_text())
+    before = path.read_bytes()
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value).startswith("line 1: ")
+    rc, out, err = run_capture(capsys, index + ["--cache", str(path)])
+    assert rc == 2 and out == "" and "line 1: " in err
+    assert path.read_bytes() == before
+
+
 def test_warm_query_does_not_rewrite_cache(tmp_path, capsys, monkeypatch):
     from qq22 import cli
 

@@ -273,6 +273,14 @@ def test_peval():
     assert peval((Fraction(1), Fraction(2)), Fraction(1, 2)) == 2
 
 
+@pytest.mark.parametrize("bad", [7.5, "7"])
+def test_non_integer_exponents_are_rejected(eng4, bad):
+    index = [0, 0, bad, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    for query in (eng4.correlator_tau, eng4.correlator_t, eng4.beta_of_t_index):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            query(index)
+
+
 def test_engine_input_validation(eng4):
     with pytest.raises(ValueError):
         eng4.correlator_tau([1, 2, 3])

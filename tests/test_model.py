@@ -43,10 +43,10 @@ def test_eta_inverse_times_pairing_is_identity():
         assert len(rows) == size
         for e, row in enumerate(rows):
             for g in range(size):
-                assert sum(v * pair[f, g] for f, v in row) == (1 if e == g else 0)
+                assert sum(v * pair[f][g] for f, v in row) == (1 if e == g else 0)
         for e in range(size):
             for f in range(size):
-                assert pair[e, f] == pair[f, e]
+                assert pair[e][f] == pair[f][e]
 
 
 def test_transition_spec_values():

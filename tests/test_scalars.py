@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qq22.scalars import DualNumber, GaussianRational, rational_str
+from qq22.scalars import GaussianRational, rational_str
 
 
 def rand_fraction(rng):
@@ -40,25 +40,3 @@ def test_gaussian_field_axioms_random():
         assert (a * b) * c == a * (b * c)
         if a:
             assert a * (1 / a) == 1
-
-
-def test_dual_ring():
-    eps = DualNumber(0, 1)
-    assert eps * eps == 0
-    d = DualNumber(2, 5)
-    assert d * (1 / d) == 1
-    assert (DualNumber(1, 1) * DualNumber(1, -1)) == 1
-    with pytest.raises(ZeroDivisionError):
-        DualNumber(1, 0) / eps
-
-
-def test_dual_ring_axioms_random():
-    rng = random.Random(17)
-    for _ in range(50):
-        a = DualNumber(rand_fraction(rng), rand_fraction(rng))
-        b = DualNumber(rand_fraction(rng), rand_fraction(rng))
-        c = DualNumber(rand_fraction(rng), rand_fraction(rng))
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        if a.a:
-            assert (b / a) * a == b

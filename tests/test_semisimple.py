@@ -24,19 +24,19 @@ def test_cutoff_entries_n4():
     m = cutoff_matrix(n, taus)
     s = sum(v * v for v in taus)
     # spot entries from the five block families
-    assert m[0, 1] == n - 1
-    assert m[2, 3] == n - 1  # superdiagonal of the middle block
-    assert m[n - 1, 0] == -2 * (n - 1) * s
-    assert m[n, 1] == (-2 * n - 6) * s
-    assert m[n, 2] == 16 * (n - 1)
-    assert m[n - 1, n] == n - 1
+    assert m[0][1] == n - 1
+    assert m[2][3] == n - 1  # superdiagonal of the middle block
+    assert m[n - 1][0] == -2 * (n - 1) * s
+    assert m[n][1] == (-2 * n - 6) * s
+    assert m[n][2] == 16 * (n - 1)
+    assert m[n - 1][n] == n - 1
     j, k = n + 2, n + 4  # two distinct primitive slots
-    assert m[j, k] == taus[j - n - 1] * taus[k - n - 1]
-    assert m[j, j] == s / 2
-    assert m[0, k] == Fraction(2 - n, 2) * taus[k - n - 1]
-    assert m[n - 1, k] == -4 * (n - 1) * taus[k - n - 1]
-    assert m[j, 1] == (n - 3) * taus[j - n - 1]
-    assert m[j, n] == Fraction(2 - n, 8) * taus[j - n - 1]
+    assert m[j][k] == taus[j - n - 1] * taus[k - n - 1]
+    assert m[j][j] == s / 2
+    assert m[0][k] == Fraction(2 - n, 2) * taus[k - n - 1]
+    assert m[n - 1][k] == -4 * (n - 1) * taus[k - n - 1]
+    assert m[j][1] == (n - 3) * taus[j - n - 1]
+    assert m[j][n] == Fraction(2 - n, 8) * taus[j - n - 1]
 
 
 def _even_completions(idx, prim, order):
@@ -101,7 +101,7 @@ def test_cutoff_matrix_from_engine():
         eng = CorrelatorEngine(n)
         points = [(0,) * (n + 3)] + [sample_point(n, rng) for _ in range(3)]
         for taus in points:
-            assert _engine_cutoff(eng, taus) == cutoff_matrix(n, taus).data
+            assert _engine_cutoff(eng, taus) == cutoff_matrix(n, taus)
 
 
 def test_closed_form_at_zero():
