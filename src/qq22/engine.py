@@ -16,6 +16,9 @@ Moves 3 and 4, and the ``wdvv_extracted_residual`` diagnostic, are signed
 combinations of one kernel, ``_extract``: the binomially weighted sum over
 subindices J of the contraction, through the inverse pairing, of the
 correlators at J plus two fixed slots and at the complement plus two more.
+Primitive slots that share an exponent and hold no fixed slot can be
+permuted without changing the contraction, so the kernel sums one J per
+orbit of those permutations, weighted by the orbit's total binomial weight.
 The inverse pairing, the Euler field and the t -> tau change are read from
 ``model.py`` as the sparse tables it builds once per dimension.
 
@@ -31,6 +34,7 @@ are safe under CPython and always agree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import threading
@@ -232,22 +236,45 @@ class CorrelatorEngine:
         subindices J <= vec with lo <= |J| <= |vec| + hi; the slots are
         global basis indices, and every WDVV move in the engine is a signed
         combination of such sums.
+
+        The sum runs over orbits of J, not over every J.  Permuting
+        primitive slots that carry the same exponent in vec and are not in
+        aslots or bslots leaves the contraction unchanged: correlators are
+        invariant under primitive permutations (the memo key sorts them),
+        and the primitive block of the inverse pairing is the identity.  So
+        such a group of g slots with exponent v takes its part of J as a
+        multiset of g values in 0..v, weighted by its g! / prod mult!
+        arrangements times prod C(v, j).  Every other slot is a group of
+        one.  The memo sees the same keys and values as the plain sum.
         """
+        n = self.n
+        fixed = set(aslots) | set(bslots)
+        groups = {}
+        for s, v in enumerate(vec):
+            if v:
+                key = v if s > n and s not in fixed else (v, s)
+                groups.setdefault(key, []).append(s)
+        members = list(groups.values())
+        factors = [_orbit_choices(vec[m[0]], len(m)) for m in members]
+        abase = [0] * len(vec)
+        for s in aslots:
+            abase[s] += 1
+        bbase = list(vec)
+        for s in bslots:
+            bbase[s] += 1
         top = sum(vec) + hi
         total = PZERO
-        for j in itertools.product(*(range(v + 1) for v in vec)):
-            if not lo <= sum(j) <= top:
+        for combo in itertools.product(*factors):
+            if not lo <= sum(choice[2] for choice in combo) <= top:
                 continue
             w = 1
-            for v, jv in zip(vec, j):
-                if jv:
-                    w *= comb(v, jv)
-            a = list(j)
-            for s in aslots:
-                a[s] += 1
-            b = [v - jv for v, jv in zip(vec, j)]
-            for s in bslots:
-                b[s] += 1
+            a = abase[:]
+            b = bbase[:]
+            for slots, (js, cw, _) in zip(members, combo):
+                w *= cw
+                for s, j in zip(slots, js):
+                    a[s] += j
+                    b[s] -= j
             total = padd(total, pscale(w, self._contract(a, b)))
         return total
 
@@ -325,7 +352,21 @@ class CorrelatorEngine:
         return total
 
     def _rhs_two_equal(self, inner, a, b):
-        """Right side of the double-insertion extraction (slots a, a; b, b)."""
+        """Right side of the double-insertion extraction (slots a, a; b, b).
+
+        The +-1 terms are WDVV for (a, a; b, b) at inner without its boundary
+        terms, those with a 3- or 4-point factor.  The boundary holds the
+        correlators at inner + 2a and inner + 2b plus one slot-n insertion,
+        each with weight eta^{0,n} = 1/4, since a degree-0 three-point value
+        <0, c, c> = 1 pairs only against slot 0.  The WDVV equation for
+        (slot 1, slot n-1; c, c) has exactly that correlator as its J = 0
+        term (<1, n-1, 0> = 4 and <1, n-1, n-1> = 64 against eta^{0,1} = -4,
+        eta^{0,n} = eta^{1,n-1} = 1/4 leave it with weight 1), so the +-1/4
+        terms are 1/4 times that equation for c = a and c = b, again without
+        boundary, and cancel the slot-n correlators.  What is left of the
+        boundary holds the multiples of the target that the caller divides
+        out.
+        """
         n = self.n
         ga, gb = n + 1 + a, n + 1 + b
         q = Fraction(1, 4)
@@ -342,7 +383,13 @@ class CorrelatorEngine:
         )
 
     def _rhs_distinct(self, inner, a, b, c):
-        """Right side of the distinct-slot extraction (slots a, b; c, c)."""
+        """Right side of the distinct-slot extraction (slots a, b; c, c).
+
+        As in ``_rhs_two_equal``: the +-1 terms are WDVV for (a, b; c, c)
+        without boundary, and the +-1/4 terms, 1/4 = eta^{0,n} times WDVV for
+        (slot 1, slot n-1; a, b) without boundary, cancel the boundary's
+        correlator at inner + a + b plus a slot-n insertion.
+        """
         n = self.n
         ga, gb, gc = n + 1 + a, n + 1 + b, n + 1 + c
         q = Fraction(1, 4)
@@ -598,6 +645,24 @@ def convergence_witness(n, lmax, engine=None):
                 lo = mid + 1
         best = max(best, lo * _GRID)
     return best, count
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_choices(v, g):
+    """The multisets of g values in 0..v, as (values, weight, sum).
+
+    The weight is the number of arrangements of the multiset over g slots
+    times prod C(v, j): the total binomial weight of its orbit of J.
+    """
+    out = []
+    for js in itertools.combinations_with_replacement(range(v + 1), g):
+        w = factorial(g)
+        for j in set(js):
+            w //= factorial(js.count(j))
+        for j in js:
+            w *= comb(v, j)
+        out.append((js, w, sum(js)))
+    return tuple(out)
 
 
 def _sign_orbits(size):

@@ -8,9 +8,11 @@ one record per canonical key,
 with rationals rendered as num/den, and a newline ending every line.
 Loading refuses a different format version or dimension, a blank first
 line ahead of records, a cut last line, negative exponents (in keys and in
-the polynomial), and non-canonical or repeated keys.  Saving writes a
-temporary file next to the cache and renames it over the cache, so a reader
-sees either the old file or the new one, never a cut one.
+the polynomial), non-canonical or repeated keys, and text the writer never
+produces: a sign, whitespace, '_' or a non-ASCII digit in a key field, and
+a doubled sign or a coefficient not joined to x by '*' in the polynomial.
+Saving writes a temporary file next to the cache and renames it over the
+cache, so a reader sees either the old file or the new one, never a cut one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .scalars import rational_str
 
 CACHE_MAGIC = "qq22-cache"
 CACHE_VERSION = 1
+_POLY_CHARS = frozenset("0123456789+-*/^x")
 
 
 def poly_to_str(coeffs, descending=False) -> str:
@@ -47,10 +50,16 @@ def poly_to_str(coeffs, descending=False) -> str:
 
 
 def poly_from_str(s: str):
-    """Parse the output of poly_to_str back into a coefficient tuple."""
-    s = s.strip().replace(" ", "")
+    """Parse the output of poly_to_str back into a coefficient tuple.
+
+    Only that grammar is read: ASCII digits, terms joined by one sign (the
+    first term signed only by '-'), a coefficient joined to x by '*', and no
+    whitespace, '_' or other text.
+    """
     if not s:
         raise ValueError("empty polynomial")
+    if not _POLY_CHARS.issuperset(s):
+        raise ValueError("bad character in polynomial %r" % s)
     if s == "0":
         return ()
     chunks = []
@@ -61,38 +70,45 @@ def poly_from_str(s: str):
             start = k
     chunks.append(s[start:])
     coeffs = {}
-    for chunk in chunks:
-        sign = 1
-        body = chunk
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        if not body:
-            raise ValueError("bad polynomial term %r" % chunk)
-        if "x" in body:
-            head, _, tail = body.partition("x")
-            if head.endswith("*"):
-                head = head[:-1]
-            coef = Fraction(head) if head else Fraction(1)
-            if tail.startswith("^"):
-                k = int(tail[1:])
-                if k < 0:
-                    raise ValueError("negative exponent in %r" % chunk)
-            elif tail == "":
+    for pos, chunk in enumerate(chunks):
+        sign = -1 if chunk[0] == "-" else 1
+        body = chunk[1:] if chunk[0] == "-" or (pos and chunk[0] == "+") else chunk
+        if body[:1] in ("+", "-"):
+            raise ValueError("bad sign in %r" % chunk)
+        head, var, tail = body.partition("x")
+        if not var:
+            coef, k = Fraction(head), 0
+        else:
+            if tail.startswith("^-"):
+                raise ValueError("negative exponent in %r" % chunk)
+            if head and not head.endswith("*"):
+                raise ValueError("coefficient without '*' in %r" % chunk)
+            coef = Fraction(head[:-1]) if head else Fraction(1)
+            if not tail:
                 k = 1
+            elif tail[0] == "^" and tail[1:].isdigit():
+                k = int(tail[1:])
             else:
                 raise ValueError("bad polynomial term %r" % chunk)
-        else:
-            coef = Fraction(body)
-            k = 0
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coef
-    if not coeffs:
-        return ()
     out = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def _exponents(field):
+    """Comma-separated exponents: ASCII digits, or a minus sign and digits.
+
+    A negative exponent is returned as read, for the caller to report.
+    """
+    values = field.split(",")
+    if not (field.isascii() and field.replace(",", "").isdigit()):
+        for v in values:
+            digits = v[1:] if v[:1] == "-" else v
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError("bad exponent %r" % v)
+    return tuple(map(int, values))
 
 
 class CacheError(Exception):
@@ -151,6 +167,7 @@ def load_cache(path, n):
     if file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
     memo = {}
+    fields = {}  # key fields repeat across records: parse each text once
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -158,9 +175,10 @@ def load_cache(path, n):
         if len(parts) != 4:
             raise CacheError("line %d: expected 4 fields" % lineno)
         try:
-            rec_n = int(parts[0])
-            amb = tuple(int(v) for v in parts[1].split(","))
-            prim = tuple(int(v) for v in parts[2].split(","))
+            for field in parts[:3]:
+                if field not in fields:
+                    fields[field] = _exponents(field)
+            (rec_n,), amb, prim = map(fields.get, parts[:3])
             poly = poly_from_str(parts[3])
         except (ValueError, ArithmeticError) as exc:
             raise CacheError("line %d: %s" % (lineno, exc)) from None

@@ -268,6 +268,38 @@ def test_negative_polynomial_exponent_is_rejected(tmp_path):
     assert str(exc.value).startswith("line 3: negative exponent")
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        "4|0,0,+7,0,0|0,0,0,0,0,0,0|--3x^1_0",  # every fault below at once
+        "4|0,0,+7,0,0|0,0,0,0,0,0,0|3",  # sign in a key field
+        "+4|0,0,7,0,0|0,0,0,0,0,0,0|3",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|--3",  # doubled sign
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|1+-3*x",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|+3",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|3x",  # x with no '*'
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|3*x^1_0",  # '_' digit separator
+        "4|0,0,1_0,0,0|0,0,0,0,0,0,0|3",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|3 ",  # whitespace
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|3\t",
+        "4|0,0, 7,0,0|0,0,0,0,0,0,0|3",
+        " 4|0,0,7,0,0|0,0,0,0,0,0,0|3",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|٣",  # non-ASCII digit
+        "4|0,0,٧,0,0|0,0,0,0,0,0,0|3",
+    ],
+)
+def test_cache_record_outside_writer_grammar_is_rejected(tmp_path, record):
+    # each of these used to load as a value save_cache never writes
+    path = tmp_path / "memo.cache"
+    path.write_text("qq22-cache 1 n=4\n" + record + "\n", encoding="utf-8")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value).startswith("line 2: ")
+    good = "4|0,0,7,0,0|0,0,0,0,0,0,0|3\n"
+    path.write_text("qq22-cache 1 n=4\n" + good)
+    assert load_cache(path, 4) == {((0, 0, 7, 0, 0), (0,) * 7): (Fraction(3),)}
+
+
 def test_blank_first_line_is_not_an_empty_cache(tmp_path, capsys):
     index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
     path = tmp_path / "memo.cache"

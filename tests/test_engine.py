@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -10,7 +12,7 @@ from qq22.engine import (
     convergence_witness,
     index_triple,
 )
-from qq22.polynomials import UniPoly, peval
+from qq22.polynomials import PZERO, UniPoly, padd, peval, pscale
 from qq22.scalars import GaussianRational
 from qq22.serial import save_cache
 
@@ -162,6 +164,7 @@ def test_wdvv_extracted_residuals(eng4, eng6):
 MEMO_CACHE_SHA256 = {
     4: (14874, "770980d61ae3ffcd1b7b76c2d71b926ae24d8c0b8bad3178c09581a8a77c8caa"),
     6: (76671, "bbcfaf4704175f27c1c144ed5a2d34ba6b7d69844125769611b84577c83f62ec"),
+    8: (297723, "a8aa2471b4335fba35c517921cc0a7955c2a9017da16035256804dcb499e617d"),
 }
 
 
@@ -173,6 +176,89 @@ def test_memo_cache_bytes_pinned(n, tmp_path):
     save_cache(path, n, eng.memo)
     data = path.read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == MEMO_CACHE_SHA256[n]
+
+
+def _subindex_sum(eng, vec, aslots, bslots, lo=0, hi=0):
+    """WDVV extraction as the plain sum over every subindex J <= vec."""
+    top = sum(vec) + hi
+    total = PZERO
+    for j in itertools.product(*(range(v + 1) for v in vec)):
+        if not lo <= sum(j) <= top:
+            continue
+        w = 1
+        for v, jv in zip(vec, j):
+            w *= math.comb(v, jv)
+        a = list(j)
+        for s in aslots:
+            a[s] += 1
+        b = [v - jv for v, jv in zip(vec, j)]
+        for s in bslots:
+            b[s] += 1
+        total = padd(total, pscale(w, eng._contract(a, b)))
+    return total
+
+
+def test_extract_orbit_sum_matches_subindex_sum(monkeypatch):
+    # second route for the orbit-summed kernel: every extraction the n = 4
+    # and n = 6 squares correlators make, with the primitive slots (and the
+    # fixed slots among them) shuffled by a seeded permutation, against the
+    # same extraction summed over every J
+    calls = []
+    extract = CorrelatorEngine._extract
+
+    def recorded(self, vec, aslots, bslots, lo=0, hi=0):
+        calls.append((self, vec, aslots, bslots, lo, hi))
+        return extract(self, vec, aslots, bslots, lo, hi)
+
+    monkeypatch.setattr(CorrelatorEngine, "_extract", recorded)
+    for n in (4, 6):
+        CorrelatorEngine(n).conjecture_quadratic_lhs()
+    monkeypatch.undo()
+    rng = random.Random(8101)
+    seen = {"free group": 0, "fixed slot in a group": 0, "lo/hi": 0}
+    for eng, vec, aslots, bslots, lo, hi in calls:
+        n = eng.n
+        perm = list(range(n + 1, 2 * n + 4))
+        rng.shuffle(perm)
+        move = list(range(n + 1)) + perm
+        shuffled = [0] * len(vec)
+        for s, v in enumerate(vec):
+            shuffled[move[s]] = v
+        aslots = tuple(move[s] for s in aslots)
+        bslots = tuple(move[s] for s in bslots)
+        got = eng._extract(tuple(shuffled), aslots, bslots, lo, hi)
+        assert got == _subindex_sum(eng, shuffled, aslots, bslots, lo, hi)
+        if not got:
+            continue
+        fixed = set(aslots) | set(bslots)
+        prim = [(s, v) for s, v in enumerate(shuffled) if s > n and v]
+        free = [v for s, v in prim if s not in fixed]
+        seen["free group"] += len(free) > len(set(free))
+        seen["fixed slot in a group"] += any(
+            s in fixed and any(t != s and w == v for t, w in prim) for s, v in prim
+        )
+        seen["lo/hi"] += (lo, hi) != (0, 0)
+    assert min(seen.values()) >= 4, seen
+
+
+def test_quadratic_identity_n10():
+    assert CorrelatorEngine(10).conjecture_quadratic().is_zero()
+
+
+def test_n8_quadratic_makes_few_memo_lookups(monkeypatch):
+    # the plain subindex sum made 1,228,317 _T calls here; the orbit sum
+    # must stay below a fifth of that
+    calls = 0
+    lookup = CorrelatorEngine._T
+
+    def counted(self, amb, prim):
+        nonlocal calls
+        calls += 1
+        return lookup(self, amb, prim)
+
+    monkeypatch.setattr(CorrelatorEngine, "_T", counted)
+    assert CorrelatorEngine(8).conjecture_quadratic().is_zero()
+    assert calls <= 1228317 // 5
 
 
 def test_index_triple_examples():
