@@ -227,8 +227,9 @@ def cmd_cache_info(args):
     if not path:
         print("no cache path given", file=sys.stderr)
         return 2
-    with open(path) as fh:
-        header = fh.readline().split()
+    # a byte that is not ASCII is left for load_cache to report by line
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", "replace").split()
     if len(header) != 3:
         print("not a cache file", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ Matrices are plain row lists, as in ``matrices``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -172,12 +173,14 @@ def _sort_sign(idx):
     return sign, tuple(idx)
 
 
+@functools.cache
 def plucker_relations():
     """Quadratic exchange relations cutting the plane Grassmannian in P^6.
 
-    Each relation is a list of (sign, pos1, pos2) with positions into
+    Each relation is a tuple of (sign, pos1, pos2) with positions into
     TRIPLES; a coordinate vector v is decomposable only if
-    sum sign * v[pos1] * v[pos2] vanishes for every relation.
+    sum sign * v[pos1] * v[pos2] vanishes for every relation.  Built once
+    per process: the tuples are shared by every caller.
     """
     rels = []
     for pair in itertools.combinations(range(7), 2):
@@ -191,8 +194,8 @@ def plucker_relations():
                 sign = s1 * (-1) ** t
                 terms.append((sign, TRIPLE_POS[t1], TRIPLE_POS[rest]))
             if terms:
-                rels.append(terms)
-    return rels
+                rels.append(tuple(terms))
+    return tuple(rels)
 
 
 def evaluate_relation(rel, v):
@@ -204,7 +207,7 @@ def evaluate_relation(rel, v):
 
 def relation_gradient(rel, v):
     """Gradient of a quadratic relation at v, as a length-35 row."""
-    grad = [Fraction(0)] * len(TRIPLES)
+    grad = [0] * len(TRIPLES)
     for sign, p1, p2 in rel:
         grad[p1] += sign * v[p2]
         grad[p2] += sign * v[p1]
@@ -294,24 +297,19 @@ def plane_meeting_system(lams):
 CASE_LAMS = tuple(Fraction(v) for v in range(1, 8))
 
 # the two projective solutions of the meeting system plus all exchange
-# relations; the second one is the unflipped plane itself
-PLANE_SOLUTION_MAIN = tuple(
-    Fraction(v)
-    for v in (
-        1277, 2420, 2053, -808, 2958, 9020, 20295, 12338, 40332, 38335,
-        1804, 8403, 21780, 13024, 42416, 40332, 6722, 21780, 20295, -808,
-        451, 2420, 6722, 3861, 13024, 12338, 2420, 8403, 9020, 2053,
-        451, 1804, 2958, 2420, 1277,
-    )
+# relations; the second one is the unflipped plane itself.  Integral tables
+# (these two, PARAM_WS, FREENESS_MATRIX) hold plain ints.
+PLANE_SOLUTION_MAIN = (
+    1277, 2420, 2053, -808, 2958, 9020, 20295, 12338, 40332, 38335,
+    1804, 8403, 21780, 13024, 42416, 40332, 6722, 21780, 20295, -808,
+    451, 2420, 6722, 3861, 13024, 12338, 2420, 8403, 9020, 2053,
+    451, 1804, 2958, 2420, 1277,
 )
-PLANE_SOLUTION_BASE = tuple(
-    Fraction(v)
-    for v in (
-        1, 4, 10, 20, 6, 20, 45, 20, 60, 50,
-        4, 15, 36, 20, 64, 60, 10, 36, 45, 20,
-        1, 4, 10, 6, 20, 20, 4, 15, 20, 10,
-        1, 4, 6, 4, 1,
-    )
+PLANE_SOLUTION_BASE = (
+    1, 4, 10, 20, 6, 20, 45, 20, 60, 50,
+    4, 15, 36, 20, 64, 60, 10, 36, 45, 20,
+    1, 4, 10, 6, 20, 20, 4, 15, 20, 10,
+    1, 4, 6, 4, 1,
 )
 
 CHART_MATRIX = tuple(
@@ -349,35 +347,29 @@ CONIC_COEFFS = (
 )
 
 # degree-2 parametrization of the conic, coefficients (t^2, t, 1)
-PARAM_WS = tuple(
-    tuple(Fraction(v) for v in row)
-    for row in (
-        (5545734, 3809960, -4214784),
-        (-18460312, -31751328, 0),
-        (19410069, 77945952, 96377904),
-        (-3596236, -94256288, -185309376),
-        (2704496, 16828728, 156262176),
-        (-532380, 33837888, -64266048),
-        (1063751, -12587344, 11851728),
-    )
+PARAM_WS = (
+    (5545734, 3809960, -4214784),
+    (-18460312, -31751328, 0),
+    (19410069, 77945952, 96377904),
+    (-3596236, -94256288, -185309376),
+    (2704496, 16828728, 156262176),
+    (-532380, 33837888, -64266048),
+    (1063751, -12587344, 11851728),
 )
 
 # the two quadric forms in the rescaled coordinates, up to overall scale
 QUADRIC_1_SCALED = (60, -10, 4, -3, 4, -10, 60)
 QUADRIC_2_SCALED = (15, -5, 3, -3, 5, -15, 105)
 
-FREENESS_MATRIX = tuple(
-    tuple(Fraction(v) for v in row)
-    for row in (
-        (0, -370618752, -188512576, -7192472, 0, -1482475008, -754050304, -28769888),
-        (-370618752, -188512576, -7192472, 0, -1482475008, -754050304, -28769888, 0),
-        (0, 312524352, 33657456, 5408992, 0, 1562621760, 168287280, 27044960),
-        (312524352, 33657456, 5408992, 0, 1562621760, 168287280, 27044960, 0),
-        (0, -128532096, 67675776, -1064760, 0, -771192576, 406054656, -6388560),
-        (-128532096, 67675776, -1064760, 0, -771192576, 406054656, -6388560, 0),
-        (0, 23703456, -25174688, 2127502, 0, 165924192, -176222816, 14892514),
-        (23703456, -25174688, 2127502, 0, 165924192, -176222816, 14892514, 0),
-    )
+FREENESS_MATRIX = (
+    (0, -370618752, -188512576, -7192472, 0, -1482475008, -754050304, -28769888),
+    (-370618752, -188512576, -7192472, 0, -1482475008, -754050304, -28769888, 0),
+    (0, 312524352, 33657456, 5408992, 0, 1562621760, 168287280, 27044960),
+    (312524352, 33657456, 5408992, 0, 1562621760, 168287280, 27044960, 0),
+    (0, -128532096, 67675776, -1064760, 0, -771192576, 406054656, -6388560),
+    (-128532096, 67675776, -1064760, 0, -771192576, 406054656, -6388560, 0),
+    (0, 23703456, -25174688, 2127502, 0, 165924192, -176222816, 14892514),
+    (23703456, -25174688, 2127502, 0, 165924192, -176222816, 14892514, 0),
 )
 
 # tangent-direction relations at the main solution: coef1 x_{t1} + coef2 x_{t2} = 0
@@ -654,8 +646,9 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
         rep.check("conic passes point %d" % j, v == 0, 0, v)
 
     # frozen parametrization: check it satisfies the conic, the plane and
-    # both quadrics identically
-    ws = [UniPoly((c[2], c[1], c[0])) for c in PARAM_WS]
+    # both quadrics identically; its coefficients are read as Fractions
+    # because the coprimality check divides
+    ws = [UniPoly([Fraction(v) for v in reversed(c)]) for c in PARAM_WS]
     conic_val = sum(
         UniPoly.constant(c) * m
         for c, m in zip(conic, _conic_monomials(ws[0], ws[1], ws[2]))

@@ -1,112 +1,135 @@
 """Exact dense linear algebra on plain row lists.
 
 A matrix is a list of equal-length rows.  Every routine copies its input
-and rejects a ragged one.  The determinant uses
-fraction-free (Bareiss) elimination to keep intermediate entries small; rank
-and nullspace share one Gauss-Jordan reduction over a field; the
-characteristic polynomial reduces to upper Hessenberg form and runs the
-Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
-Theory, Alg. 2.2.9), O(N^3) field operations over Q or Q(i).  Every routine
-divides, so ``int`` entries are read as ``Fraction`` and no float appears.
+and rejects a ragged one.  Rank, nullspace and determinant take ``int`` and
+``Fraction`` entries only (anything else is a TypeError) and eliminate on
+Python ints: each row is scaled by the lcm of its denominators, which
+leaves the row space unchanged.  Rank and nullspace share one integer
+Gauss-Jordan reduction that keeps every row primitive; a ``Fraction`` is
+formed only for a nullspace entry.  The determinant runs Bareiss's
+fraction-free elimination (Math. Comp. 22 (1968) 565-578) with exact
+``//`` and divides by the row scales once, at the end.  The
+characteristic polynomial works over a field, Q or Q(i): it reduces to
+upper Hessenberg form and runs the Hessenberg recurrence (Cohen, A Course
+in Computational Algebraic Number Theory, Alg. 2.2.9), O(N^3) field
+operations, reading ``int`` entries as ``Fraction``.  No float appears.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .polynomials import UniPoly, padd, pmul, pscale
 
 
-def _field_rows(a):
-    """Copy of a row list with ``int`` entries read as ``Fraction``.
+def _int_rows(a):
+    """Integer copy of a row list: each row times the lcm of its denominators.
 
-    Every elimination here divides, and ``int / int`` would give a float.
-    Returns (rows, number of rows, number of columns); a ragged input is a
+    Returns (rows, product of the row scales, number of columns).  An entry
+    that is not ``int`` or ``Fraction`` is a TypeError; a ragged input is a
     ValueError.
     """
-    rows = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in a]
+    rows = []
+    scale = 1
+    for row in a:
+        for v in row:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError("matrix entry must be int or Fraction, got %r" % (v,))
+        den = lcm(*[v.denominator for v in row])
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ValueError("ragged matrix")
-    return rows, len(rows), cols
+    return rows, scale, cols
 
 
-def _square_field_rows(a, what):
-    m, n, cols = _field_rows(a)
-    if n != cols:
-        raise ValueError("%s of a non-square matrix" % what)
-    return m, n
+def _rref(rows, cols):
+    """Integer Gauss-Jordan reduction in place; returns the pivot columns.
 
-
-def mat_rank(a) -> int:
-    """Rank: the number of pivots of the reduced row echelon form."""
-    return len(_rref(*_field_rows(a)))
-
-
-def mat_det(a):
-    """Determinant by Bareiss elimination (square input)."""
-    m, n = _square_field_rows(a, "determinant")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if not m[r][r]:
-            piv = None
-            for i in range(r + 1, n):
-                if m[i][r]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                m[i][j] = (m[r][r] * m[i][j] - m[i][r] * m[r][j]) / prev
-            m[i][r] = 0
-        prev = m[r][r]
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
-
-
-def _rref(data, rows, cols):
-    """In-place reduced row echelon form over a field; returns pivot columns."""
+    Afterwards row r < len(pivots) vanishes in every other pivot column and,
+    divided by its entry in column pivots[r], is row r of the reduced row
+    echelon form, which is unique.  A row is cleared in column c by
+    (p/g) row - (a/g) pivot_row, with p and a the two entries in column c
+    and g = gcd(p, a), and then divided by the gcd of its entries, so every
+    row it touches stays primitive.
+    """
     pivots = []
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if data[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        data[r], data[piv] = data[piv], data[r]
-        lead = data[r][c]
-        data[r] = [v / lead for v in data[r]]
-        for i in range(rows):
-            if i != r and data[i][c]:
-                f = data[i][c]
-                data[i] = [vi - f * vr for vi, vr in zip(data[i], data[r])]
+        prow = rows[piv]
+        g = gcd(*prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+        rows[piv] = rows[r]
+        rows[r] = prow
+        p = prow[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                row = [pg * x - ag * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(rows):
             break
     return pivots
 
 
+def mat_rank(a) -> int:
+    """Rank: the number of pivots of the reduced row echelon form."""
+    rows, _, cols = _int_rows(a)
+    return len(_rref(rows, cols))
+
+
+def mat_det(a) -> Fraction:
+    """Determinant by Bareiss elimination on the integer rows (square input)."""
+    m, scale, n = _int_rows(a)
+    if len(m) != n:
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    prev = 1
+    for r in range(n):
+        piv = next((i for i in range(r, n) if m[i][r]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[r]
+        # every entry is a minor of the scaled input, so // is exact
+        for i in range(r + 1, n):
+            a = m[i][r]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
+
+
 def mat_nullspace(a):
-    """Basis of the right kernel over a field, one vector per free column."""
-    m, rows, cols = _field_rows(a)
-    pivots = _rref(m, rows, cols)
+    """Basis of the right kernel over Q, one vector per free column.
+
+    The vector of free column f has 1 at f, 0 at the other free columns and
+    minus the reduced row echelon entries at the pivot columns.
+    """
+    rows, _, cols = _int_rows(a)
+    pivots = _rref(rows, cols)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
         v = [0] * cols
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -Fraction(row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -120,7 +143,10 @@ def mat_charpoly(a) -> UniPoly:
     p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
     gives p_N = det(zI - A).
     """
-    h, n = _square_field_rows(a, "characteristic polynomial")
+    h = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in a]
+    n = len(h)
+    if any(len(row) != n for row in h):
+        raise ValueError("characteristic polynomial of a ragged or non-square matrix")
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:

@@ -6,9 +6,10 @@ one record per canonical key,
     n|ambient exponents|sorted primitive exponents|polynomial in x
 
 with rationals rendered as num/den, and a newline ending every line.
-Loading refuses a different format version or dimension, a blank first
-line ahead of records, a cut last line, negative exponents (in keys and in
-the polynomial), non-canonical or repeated keys, and text the writer never
+Loading refuses a byte that is not ASCII (the writer writes only ASCII),
+a different format version or dimension, a blank first line ahead of
+records, a cut last line, negative exponents (in keys and in the
+polynomial), non-canonical or repeated keys, and text the writer never
 produces: a sign, whitespace, '_' or a non-ASCII digit in a key field, and
 a doubled sign or a coefficient not joined to x by '*' in the polynomial.
 Saving writes a temporary file next to the cache and renames it over the
@@ -142,13 +143,20 @@ def load_cache(path, n):
     """Read a cache file written by ``save_cache`` for dimension n.
 
     An empty or whitespace-only file is an empty cache.  Raises
-    ``CacheError`` naming the line for a blank or malformed header, a
-    malformed record, a record cut short (the writer ends every file with a
-    newline), a negative exponent, primitive exponents out of canonical
-    (descending) order, or a repeated key.
+    ``CacheError`` naming the line for a byte that is not ASCII, a blank or
+    malformed header, a malformed record, a record cut short (the writer
+    ends every file with a newline), a negative exponent, primitive
+    exponents out of canonical (descending) order, or a repeated key.
     """
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CacheError(
+            "line %d: byte 0x%02x is not ASCII" % (lineno, data[exc.start])
+        ) from None
     if not text.strip():
         return {}
     lines = text.splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -203,6 +204,25 @@ def test_cache_version_and_n_mismatch(tmp_path):
         load_cache(path, 4)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        (b"qq22-cache\xff 1 n=4\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n", 1),
+        (b"qq22-cache 1 n=4\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n4|0,0,6,0,0|0,0,0,0,0,0,0|3\xff\n", 3),
+    ],
+    ids=["header", "record"],
+)
+def test_cache_byte_outside_ascii_names_line_number(tmp_path, capsys, text, lineno):
+    path = tmp_path / "memo.cache"
+    path.write_bytes(text)
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line %d: byte 0xff is not ASCII" % lineno
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert rc == 1 and out == ""
+    assert err == "error: line %d: byte 0xff is not ASCII\n" % lineno
+
+
 def test_cache_corrupt_line_names_line_number(tmp_path):
     path = tmp_path / "memo.cache"
     path.write_text("qq22-cache 1 n=4\n4|0,0,0,0,0|nonsense|1\n")
@@ -355,6 +375,23 @@ def test_conics_command(capsys):
     assert doc["rigidity"]["ok"] is True
     assert doc["extras"]["no_conic_on_base_plane"] is True
     assert doc["extras"]["plane_in_conjectural_quadric"] is True
+
+
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [
+        ("json", 4244, "4cac785e1180548cb0997827daabe7bfd82fe6382d0ddafe9383666c434c6583"),
+        ("text", 1819, "4ff066e07a9308181c0bf9d59d6e0da84759097e11278a7b10d924e6f6f15142"),
+    ],
+)
+def test_conics_output_is_pinned(capsys, fmt, size, digest):
+    rc, out, err = run_capture(
+        capsys, ["conics", "--lambda", "1,2,3,4,5,6,7", "--format", fmt]
+    )
+    assert rc == 0 and err == ""
+    data = out.encode("ascii")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_conics_rejects_degenerate_parameters(capsys):

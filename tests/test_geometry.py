@@ -199,6 +199,20 @@ def test_tables_satisfy_relations():
         assert all(geo.evaluate_relation(r, table) == 0 for r in rels)
 
 
+def test_plucker_relations_built_once():
+    rels = geo.plucker_relations()
+    assert geo.plucker_relations() is rels
+    assert type(rels) is tuple and len(rels) == 735
+    assert all(type(rel) is tuple and all(len(t) == 3 for t in rel) for rel in rels)
+    geo.plucker_relations.cache_clear()
+    assert geo.plucker_relations() == rels
+
+
+def test_integral_tables_hold_ints():
+    rows = [geo.PLANE_SOLUTION_MAIN, geo.PLANE_SOLUTION_BASE, *geo.PARAM_WS, *geo.FREENESS_MATRIX]
+    assert all(type(v) is int for row in rows for v in row)
+
+
 def test_base_table_is_base_plane():
     base = geo.cutting_pluckers(geo.base_plane_cut_matrix(range(1, 8)))
     scale = Fraction(base[0]) / geo.PLANE_SOLUTION_BASE[0]
