@@ -646,9 +646,8 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
         rep.check("conic passes point %d" % j, v == 0, 0, v)
 
     # frozen parametrization: check it satisfies the conic, the plane and
-    # both quadrics identically; its coefficients are read as Fractions
-    # because the coprimality check divides
-    ws = [UniPoly([Fraction(v) for v in reversed(c)]) for c in PARAM_WS]
+    # both quadrics identically
+    ws = [UniPoly(reversed(c)) for c in PARAM_WS]
     conic_val = sum(
         UniPoly.constant(c) * m
         for c, m in zip(conic, _conic_monomials(ws[0], ws[1], ws[2]))

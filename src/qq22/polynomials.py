@@ -13,6 +13,7 @@ memo values, and ``UniPoly`` wraps them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 PZERO = ()
 
@@ -56,6 +57,11 @@ def peval(p, v):
     for c in reversed(p):
         acc = acc * v + c
     return acc
+
+
+def _divisor(c):
+    """A leading coefficient to divide by: int / int would be a float."""
+    return Fraction(c) if isinstance(c, int) else c
 
 
 class UniPoly:
@@ -150,16 +156,16 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
+        lead = _divisor(self.coeffs[-1])
         return UniPoly(tuple(c / lead for c in self.coeffs))
 
     def divmod(self, other):
-        """Euclidean division; requires field coefficients."""
+        """Euclidean division over Q or Q(i); an ``int`` is read as ``Fraction``."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         d = other.degree
-        lead = other.coeffs[-1]
+        lead = _divisor(other.coeffs[-1])
         if len(rem) - 1 < d:
             return UniPoly.zero(), UniPoly(rem)
         quot = [0] * (len(rem) - d)
@@ -187,11 +193,71 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
+_PRIME = (1 << 61) - 1
+
+
+def _gcd_mod_is_constant(a, b, p):
+    """True iff gcd(a, b) over F_p is a nonzero constant.
+
+    ``a`` and ``b`` are coefficient lists over F_p, highest degree first,
+    with nonzero leading coefficients and len(a) >= len(b) >= 1; the lists
+    are overwritten.
+    """
+    while b:
+        inv = pow(b[0], -1, p)
+        db = len(b)
+        cut = len(a) - db + 1
+        for i in range(cut):
+            q = a[i] * inv % p
+            if q:
+                for j in range(1, db):
+                    a[i + j] = (a[i + j] - q * b[j]) % p
+        r = a[cut:]
+        k = 0
+        while k < len(r) and not r[k]:
+            k += 1
+        a, b = b, r[k:]
+    return len(a) == 1
+
+
+def _certified_squarefree(coeffs) -> bool:
+    """The mod-p certificate of ``squarefree``; False means "not proved"."""
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return False
+    den = lcm(*[c.denominator for c in coeffs])
+    p = _PRIME
+    f = [c.numerator * (den // c.denominator) % p for c in reversed(coeffs)]
+    if not f[0]:
+        return False
+    deg = len(f) - 1
+    df = [(deg - k) * c % p for k, c in enumerate(f[:-1])]
+    return _gcd_mod_is_constant(f, df, p)
+
+
 def squarefree(p: UniPoly) -> bool:
-    """True iff gcd(p, p') is constant, i.e. p has only simple roots."""
+    """True iff gcd(p, p') is constant, i.e. p has only simple roots.
+
+    A modular certificate comes first.  When every coefficient is an ``int``
+    or ``Fraction``, p times the lcm of its denominators is an integer
+    polynomial f.  If the prime P = 2^61 - 1 does not divide lead(f) and
+    gcd(f mod P, f' mod P) over F_P is a constant, p is squarefree over Q
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14).  Proof:
+    suppose f = g^2 h with g primitive in Z[x] and deg g >= 1.  By Gauss's
+    lemma h lies in Z[x], so lead(g) divides lead(f); then P does not divide
+    lead(g), and g mod P keeps its degree.  Now (g mod P)^2 divides f mod P,
+    so g mod P divides f' mod P = 2gg'h + g^2h' mod P in any characteristic,
+    and the gcd mod P is not a constant.
+
+    Every other case -- a nonconstant gcd mod P, P dividing lead(f), or a
+    ``GaussianRational`` coefficient -- runs Euclid over the field,
+    ``poly_gcd(p, p')``.  So every False is proved over Q or Q(i), and every
+    True by the certificate or by Euclid.
+    """
     if p.is_zero():
         raise ValueError("squarefree test of the zero polynomial")
     if p.degree == 0:
+        return True
+    if _certified_squarefree(p.coeffs):
         return True
     g = poly_gcd(p, p.derivative())
     return g.degree == 0

@@ -394,6 +394,25 @@ def test_conics_output_is_pinned(capsys, fmt, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [
+        ("json", 10662, "58824eeb45bd8165022890a4dfd719c2a1678dd7c5edb6b88faae29445b7fb27"),
+        ("text", 1983, "dfcc1d4f35d2dcd2e3e6c3cc5d570928d099472dfacb207c78c4256cacb925d4"),
+    ],
+    ids=["json", "text"],
+)
+def test_semisimple_output_is_pinned(capsys, fmt, size, digest):
+    rc, out, err = run_capture(
+        capsys,
+        ["semisimple", "--n", "6", "--samples", "20", "--seed", "1", "--format", fmt],
+    )
+    assert rc == 0 and err == ""
+    data = out.encode("ascii")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_conics_rejects_degenerate_parameters(capsys):
     rc, _, err = run_capture(capsys, ["conics", "--lambda", "1,1,3,4,5,6,7"])
     assert rc == 2

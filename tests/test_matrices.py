@@ -141,6 +141,26 @@ def test_entry_type_is_checked(func, entry):
         func([[1, Fraction(1, 2)], [entry, 3]])
 
 
+@pytest.mark.parametrize(
+    "entry", [0.5, 2.0, 1j, "3"], ids=["float", "integral-float", "complex", "str"]
+)
+def test_charpoly_entry_type_is_checked(entry):
+    # a float entry used to give float coefficients: (-0.5, -3.5, 1)
+    with pytest.raises(TypeError, match="matrix entry must be"):
+        mat_charpoly([[entry, 1], [2, 3]])
+    with pytest.raises(TypeError, match="matrix entry must be"):
+        mat_charpoly([[1, Fraction(1, 2)], [GaussianRational(1, 1), entry]])
+
+
+def test_charpoly_takes_int_fraction_and_gaussian_entries():
+    p = mat_charpoly([[1, Fraction(1, 2)], [2, 3]])
+    assert p.coeffs == (2, -4, 1)
+    assert all(isinstance(c, Fraction) for c in p.coeffs)
+    # [[i, 1], [0, -i]] has charpoly (z - i)(z + i) = z^2 + 1
+    i = GaussianRational(0, 1)
+    assert mat_charpoly([[i, 1], [0, -i]]) == UniPoly((1, 0, 1))
+
+
 def test_rank_basics():
     assert mat_rank([[1, 0], [0, 1]]) == 2
     assert mat_rank([[0] * 5 for _ in range(3)]) == 0

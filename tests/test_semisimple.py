@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qq22 import polynomials
 from qq22.engine import CorrelatorEngine
 from qq22.matrices import mat_charpoly
 from qq22.model import eta_inverse, euler_field
@@ -176,3 +177,21 @@ def test_simple_roots_family():
     assert zn_minus_az_plus_1_squarefree(9, a)
     with pytest.raises(ValueError):
         zn_minus_az_plus_1_squarefree(2, 1)
+
+
+def test_squarefree_scan_runs_no_euclid(monkeypatch):
+    # the mod-p certificate proves every squarefree row; Euclid over Q
+    # (poly_gcd) is left for rows it cannot prove
+    calls = 0
+    exact_gcd = polynomials.poly_gcd
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return exact_gcd(p, q)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    rows = [r for r in semisimple_scan(6, 3, 4) if not r.rejected]
+    assert len(rows) == 3
+    assert all(r.agrees and r.squarefree for r in rows)
+    assert calls == 0
