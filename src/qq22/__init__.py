@@ -24,7 +24,6 @@ from .geometry import (
     only_base_plane_meets_all_windows,
     plane_meeting_system,
     plucker_relations,
-    sigma_interval_class,
     window_sum_inequality,
 )
 from .matrices import mat_charpoly, mat_det, mat_nullspace, mat_rank
@@ -77,7 +76,6 @@ __all__ = [
     "plucker_relations",
     "poly_gcd",
     "semisimple_scan",
-    "sigma_interval_class",
     "squarefree",
     "t_to_tau",
     "window_sum_inequality",

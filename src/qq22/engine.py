@@ -43,7 +43,6 @@ from math import comb, factorial
 
 from .model import ModelParams, ambient_3pt_tau, eta_inverse, euler_field, t_to_tau
 from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
-from .scalars import GaussianRational
 
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
@@ -447,48 +446,39 @@ class CorrelatorEngine:
 
     def beta_of_t_index(self, index):
         """Curve degree forced by the dimension axiom, or None; see curve_degree."""
-        return curve_degree(self.n, _int_exponents(index))
+        return curve_degree(self.n, self._flat(index, min_length=0))
 
     def correlator_classes(self, classes, beta) -> UniPoly:
         """Multilinear correlator of cohomology classes at fixed degree.
 
         Classes are coefficient vectors over the cup-coordinate basis
-        (1, h_1..h_n, eps_1..eps_{n+3}); entries may be Gaussian rationals.
+        (1, h_1..h_n, eps_1..eps_{n+3}) with ``int`` or ``Fraction``
+        entries; any other entry is a TypeError.
         """
-        n = self.n
-        size = 2 * n + 4
+        size = 2 * self.n + 4
         if len(classes) < 3:
             raise ValueError("need at least three insertions")
-        zero = GaussianRational(0)
-        acc = {(0,) * size: GaussianRational(1)}
+        acc = {(0,) * size: 1}
         for cls in classes:
             if len(cls) != size:
                 raise ValueError("class vector must have %d entries" % size)
-            support = []
-            for slot, c in enumerate(cls):
-                g = c if isinstance(c, GaussianRational) else GaussianRational(c)
-                if g:
-                    support.append((slot, g))
+            for c in cls:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(
+                        "class entry must be int or Fraction, got %r" % (c,)
+                    )
+            support = [(slot, c) for slot, c in enumerate(cls) if c]
             nxt = {}
             for idx, cf in acc.items():
-                for slot, g in support:
+                for slot, c in support:
                     key = _bump(idx, slot)
-                    cur = nxt.get(key)
-                    nxt[key] = cf * g if cur is None else cur + cf * g
+                    nxt[key] = nxt.get(key, 0) + cf * c
             acc = nxt
-        out = {}
+        val = PZERO
         for idx, cf in acc.items():
-            if self.beta_of_t_index(idx) != beta:
-                continue
-            poly = self.correlator_t(idx)
-            for k, coeff in enumerate(poly.coeffs):
-                if coeff:
-                    cur = out.get(k, zero)
-                    out[k] = cur + cf * coeff
-        if not out:
-            return UniPoly(())
-        coeffs = [out.get(k, zero) for k in range(max(out) + 1)]
-        return UniPoly(coeffs)
+            if self.beta_of_t_index(idx) == beta:
+                val = padd(val, pscale(cf, self.correlator_t(idx).coeffs))
+        return UniPoly(val)
 
     def f_value(self) -> UniPoly:
         """Correlator of the n+3 sliding-window plane classes.
@@ -499,7 +489,7 @@ class CorrelatorEngine:
         f is the symmetric multilinear correlator M(L_1..L_N) of the N = n+3
         window classes L_w = c h_{n/2} + i^p sum_j e_{w,j} eps_j, with c and
         e_{w,j} = sigma_{w,j} / 2 (sigma = +-1) from ``window_class_h_eps``
-        and the basis phase i^p of ``sigma_interval_class`` (p = 3 when
+        and the phase i^p of the normalized primitive basis (p = 3 when
         n = 2 mod 4, else 0).  The sign-sum identity behind Glynn's permanent
         formula (D. G. Glynn, "The permanent of a square matrix", Eur. J.
         Combin. 31 (2010)) polarizes it:
@@ -586,8 +576,13 @@ class CorrelatorEngine:
     def wdvv_extracted_residual(self, a, b, c, d, index) -> UniPoly:
         """Coefficient extraction of WDVV for components (a,b;c,d) at index.
 
-        Returns left minus right; must be identically zero.
+        Returns left minus right; must be identically zero.  Each component
+        is a basis slot, an int in range(2n+4); anything else is a ValueError.
         """
+        size = 2 * self.n + 4
+        for s in (a, b, c, d):
+            if not isinstance(s, int) or not 0 <= s < size:
+                raise ValueError("slot %r is not in range(%d)" % (s, size))
         vec = self._flat(index, min_length=0)
         left = self._extract(vec, (a, b), (c, d))
         right = self._extract(vec, (a, c), (b, d))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from .matrices import mat_det, mat_nullspace, mat_rank
 from .polynomials import UniPoly, poly_gcd
-from .scalars import GaussianRational
 
 # ---------------------------------------------------------------------------
 # plane lattice combinatorics
@@ -28,11 +28,16 @@ from .scalars import GaussianRational
 def flip_mismatch_count(i_set, j_set, n):
     """Number of coordinates where the two flip patterns disagree.
 
-    Flip indices are coordinates 0..n+2; any other index is a ValueError.
+    Flip indices are the integer coordinates 0..n+2; a non-integer or any
+    other index is a ValueError.
     """
     i_set, j_set = frozenset(i_set), frozenset(j_set)
     for v in i_set | j_set:
-        if not 0 <= v <= n + 2:
+        try:
+            k = operator.index(v)
+        except TypeError:
+            raise ValueError("flip index %r is not an integer" % (v,)) from None
+        if not 0 <= k <= n + 2:
             raise ValueError("flip index %r out of range 0..%d" % (v, n + 2))
     return len(i_set ^ j_set)
 
@@ -131,23 +136,6 @@ def window_class_h_eps(start, n):
         for j in range(n + 3)
     ]
     return Fraction(1, 4), eps
-
-
-def sigma_interval_class(start, n):
-    """Window-plane class over the engine basis (1, h_1..h_n, eps-normalized).
-
-    The primitive coefficients pick up -i when n = 2 mod 4, matching the
-    normalization of the orthonormal basis.
-    """
-    hcoef, eps = window_class_h_eps(start, n)
-    vec = [GaussianRational(0)] * (2 * n + 4)
-    vec[n // 2] = GaussianRational(hcoef)
-    for j, c in enumerate(eps):
-        if n % 4 == 2:
-            vec[n + 1 + j] = GaussianRational(0, -c)
-        else:
-            vec[n + 1 + j] = GaussianRational(c)
-    return vec
 
 
 # ---------------------------------------------------------------------------

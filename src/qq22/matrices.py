@@ -9,11 +9,11 @@ Gauss-Jordan reduction that keeps every row primitive; a ``Fraction`` is
 formed only for a nullspace entry.  The determinant runs Bareiss's
 fraction-free elimination (Math. Comp. 22 (1968) 565-578) with exact
 ``//`` and divides by the row scales once, at the end.  The
-characteristic polynomial works over a field, Q or Q(i), and takes
-``int``, ``Fraction`` and ``GaussianRational`` entries only: it reduces to
-upper Hessenberg form and runs the Hessenberg recurrence (Cohen, A Course
-in Computational Algebraic Number Theory, Alg. 2.2.9), O(N^3) field
-operations, reading ``int`` entries as ``Fraction``.  No float appears.
+characteristic polynomial works over Q and takes ``int`` and ``Fraction``
+entries only, reading ``int`` as ``Fraction``: it reduces to upper
+Hessenberg form and runs the Hessenberg recurrence (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.2.9), O(N^3) rational
+operations.  No float appears.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .polynomials import UniPoly, padd, pmul, pscale
-from .scalars import GaussianRational
 
 
 def _int_rows(a):
@@ -136,27 +135,24 @@ def mat_nullspace(a):
     return basis
 
 
-def _field_entry(v):
-    if isinstance(v, (Fraction, GaussianRational)):
+def _fraction_entry(v):
+    if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    raise TypeError(
-        "matrix entry must be int, Fraction or GaussianRational, got %r" % (v,)
-    )
+    raise TypeError("matrix entry must be int or Fraction, got %r" % (v,))
 
 
 def mat_charpoly(a) -> UniPoly:
-    """Monic characteristic polynomial det(zI - A) over a field.
+    """Monic characteristic polynomial det(zI - A) over Q.
 
-    Entries must be field elements (``Fraction`` or ``GaussianRational``);
-    ``int`` entries are read as ``Fraction``, and any other entry is a
-    TypeError.  A copy of A is reduced to upper Hessenberg form H by
-    similarity, then the recurrence
+    Entries must be ``int`` or ``Fraction``; ``int`` entries are read as
+    ``Fraction``, and any other entry is a TypeError.  A copy of A is
+    reduced to upper Hessenberg form H by similarity, then the recurrence
     p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
     gives p_N = det(zI - A).
     """
-    h = [[_field_entry(v) for v in row] for row in a]
+    h = [[_fraction_entry(v) for v in row] for row in a]
     n = len(h)
     if any(len(row) != n for row in h):
         raise ValueError("characteristic polynomial of a ragged or non-square matrix")

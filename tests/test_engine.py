@@ -13,7 +13,6 @@ from qq22.engine import (
     index_triple,
 )
 from qq22.polynomials import PZERO, UniPoly, padd, peval, pscale
-from qq22.scalars import GaussianRational
 from qq22.serial import save_cache
 
 X = UniPoly((Fraction(0), Fraction(1)))
@@ -287,25 +286,64 @@ def test_f4_value():
     assert eng.f_value().coeffs == (Fraction(11, 16), Fraction(5, 8))
 
 
+def _gaussian_window_expansion(eng):
+    """f by the plain multilinear expansion of the window classes.
+
+    Each window class over the engine basis is 4 times the class of
+    ``window_class_h_eps``, its primitive part times -i when n = 2 mod 4,
+    held as Gaussian integer (re, im) pairs.  The expansion sums the product
+    of one entry per class times correlator_t over every index at degree
+    n/2; f is written in the unknown x' with x = i x', so the x^d
+    coefficient then picks up i^d.  Returns (real, imaginary) coefficients.
+    """
+    from qq22.geometry import window_class_h_eps
+
+    n = eng.n
+    size = n + 3
+    twist = n % 4 == 2
+    classes = []
+    for w in range(size):
+        hcoef, eps = window_class_h_eps(w, n)
+        support = [(n // 2, (int(4 * hcoef), 0))]
+        for j, e in enumerate(eps):
+            support.append((n + 1 + j, (0, -int(4 * e)) if twist else (int(4 * e), 0)))
+        classes.append(support)
+    acc = {(0,) * (2 * n + 4): (1, 0)}
+    for support in classes:
+        nxt = {}
+        for key, (ar, ai) in acc.items():
+            for slot, (gr, gi) in support:
+                k = key[:slot] + (key[slot] + 1,) + key[slot + 1 :]
+                cr, ci = nxt.get(k, (0, 0))
+                nxt[k] = (cr + ar * gr - ai * gi, ci + ar * gi + ai * gr)
+        acc = nxt
+    re, im = {}, {}
+    for key, (ar, ai) in acc.items():
+        if eng.beta_of_t_index(key) != n // 2:
+            continue
+        for d, c in enumerate(eng.correlator_t(key).coeffs):
+            r, i = ar * c, ai * c
+            for _ in range(d if twist else 0):
+                r, i = -i, r  # times i
+            re[d] = re.get(d, 0) + r
+            im[d] = im.get(d, 0) + i
+    scale = Fraction(1, 4**size)
+    degrees = range(max(re, default=-1) + 1)
+    return (
+        UniPoly([re[d] * scale for d in degrees]),
+        UniPoly([im[d] * scale for d in degrees]),
+    )
+
+
 def test_f_value_matches_gaussian_expansion():
     # second route: the multilinear expansion of the window classes over the
-    # engine basis, with Gaussian-rational coefficients, at the fixed degree
-    from qq22.geometry import sigma_interval_class
-
+    # engine basis, in Gaussian integer arithmetic, at the fixed degree
     for n in (4, 6):
         eng = CorrelatorEngine(n)
-        classes = [sigma_interval_class(w, n) for w in range(n + 3)]
-        ref = eng.correlator_classes(classes, beta=n // 2).coeffs
-        if n % 4 == 2:
-            # f is written in the unnormalized unknown x' with x = i x', so
-            # the x^d coefficient picks up i^d
-            fac, out = GaussianRational(1), []
-            for c in ref:
-                out.append(c * fac)
-                fac = fac * GaussianRational(0, 1)
-            ref = out
-        assert all(c.is_rational() for c in ref)
-        assert eng.f_value().coeffs == tuple(c.re for c in ref)
+        real, imag = _gaussian_window_expansion(eng)
+        assert imag.is_zero()
+        assert eng.f_value() == real
+        assert not real.is_zero()
 
 
 def test_f_integer_at_conjectural_x():
@@ -318,9 +356,12 @@ def test_f_integer_at_conjectural_x():
 
 
 def test_class_entry_bilinearity(eng4):
-    from qq22.geometry import sigma_interval_class
+    from qq22.geometry import window_class_h_eps
 
-    classes = [sigma_interval_class(w, 4) for w in range(7)]
+    classes = []
+    for w in range(7):
+        hcoef, eps = window_class_h_eps(w, 4)
+        classes.append([0, 0, hcoef, 0, 0] + eps)
     base = eng4.correlator_classes(classes, beta=2)
     doubled = [[2 * c for c in classes[0]]] + classes[1:]
     assert eng4.correlator_classes(doubled, beta=2) == base * 2
@@ -374,3 +415,17 @@ def test_engine_input_validation(eng4):
         eng4.correlator_tau([0] * 11 + [-1])
     with pytest.raises(ValueError):
         eng4.correlator_tau([1] + [0] * 11)
+    # the curve degree is read off a full-length, nonnegative index only
+    for bad in ((0, 0, 0, 0, 1, 1), [0] * 11 + [-1]):
+        with pytest.raises(ValueError):
+            eng4.beta_of_t_index(bad)
+    assert eng4.beta_of_t_index(idx(4, amb=[(3, 2), (4, 1)])) == 2
+
+
+@pytest.mark.parametrize("slot", [-1, 12, 1.0, "0"])
+def test_wdvv_residual_slots_are_checked(eng4, slot):
+    # slot -1 used to alias slot 11, and slot 12 raised IndexError
+    index = [0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="slot"):
+        eng4.wdvv_extracted_residual(slot, 5, 6, 2, index)
+    assert eng4.wdvv_extracted_residual(11, 5, 6, 2, index).is_zero()

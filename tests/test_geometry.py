@@ -17,7 +17,7 @@ def test_flip_set_combinatorics():
         assert geo.flip_mismatch_count(i_set, j_set, n) == geo.flip_mismatch_count(j_set, i_set, n)
         assert geo.flip_mismatch_count(i_set, i_set, n) == 0
     # flip indices are the coordinates 0..n+2
-    for bad in ({n + 3}, {-1}, {0, 99}):
+    for bad in ({n + 3}, {-1}, {0, 99}, {1.5}):
         with pytest.raises(ValueError):
             geo.flip_mismatch_count(bad, set(), n)
         with pytest.raises(ValueError):
@@ -80,18 +80,6 @@ def test_window_class_coefficients_n4():
     assert hcoef == Fraction(1, 4)
     assert eps[0] == eps[1] == Fraction(-1, 2)
     assert all(c == Fraction(1, 2) for c in eps[2:])
-    vec = geo.sigma_interval_class(0, 4)
-    assert vec[2].re == Fraction(1, 4)
-    assert vec[5].re == Fraction(-1, 2) and vec[5].im == 0
-
-
-def test_window_class_normalization_n6():
-    # n = 2 mod 4: the h coefficient stays rational, the primitive
-    # coefficients are purely imaginary; window 0 covers slots 0..2
-    vec = geo.sigma_interval_class(0, 6)
-    assert vec[3].re == Fraction(1, 4) and vec[3].im == 0
-    assert vec[8].re == 0 and vec[8].im == Fraction(-1, 2)
-    assert vec[11].re == 0 and vec[11].im == Fraction(1, 2)
 
 
 def test_window_self_intersection_two_routes():
