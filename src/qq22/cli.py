@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import geometry, semisimple
 from .engine import CorrelatorEngine
 from .scalars import rational_str
-from .serial import CacheError, load_cache, poly_to_str, save_cache
+from .serial import CacheError, header_dimension, load_cache, poly_to_str, save_cache
 
 CACHE_ENV = "QH22_CACHE"
 
@@ -234,12 +234,7 @@ def cmd_cache_info(args):
         print("not a cache file", file=sys.stderr)
         return 1
     try:
-        n = int(header[2].partition("=")[2])
-    except ValueError:
-        print("error: line 1: malformed header", file=sys.stderr)
-        return 1
-    try:
-        entries = len(load_cache(path, n))
+        entries = len(load_cache(path, header_dimension(header)))
     except CacheError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -612,7 +612,7 @@ def convergence_witness(n, lmax, engine=None):
             room = total - sum(amb)
             for prim in _prim_partitions(n, room):
                 full = amb + prim
-                if eng.beta_of_t_index(full) is None:
+                if curve_degree(n, full) is None:
                     continue
                 eng._T(amb, prim)
     xval = Fraction((-1) ** (n // 2), 2)

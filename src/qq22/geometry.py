@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -245,19 +246,21 @@ def _check_lams(lams):
     return lams
 
 
+def _cut_matrix(lams, flip=frozenset()):
+    lams = _check_lams(lams)
+    return [
+        [(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)
+    ]
+
+
 def base_plane_cut_matrix(lams):
     """Power-sum equations (exponents 0..3) cutting the unflipped plane."""
-    lams = _check_lams(lams)
-    return [[v**p for v in lams] for p in range(4)]
+    return _cut_matrix(lams)
 
 
 def flipped_cut_matrix(lams, j):
     """Same equations with signs flipped on coordinates j, j+1 (mod 7)."""
-    lams = _check_lams(lams)
-    flip = {j % 7, (j + 1) % 7}
-    return [
-        [(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)
-    ]
+    return _cut_matrix(lams, {j % 7, (j + 1) % 7})
 
 
 def plane_meeting_system(lams):
@@ -412,15 +415,10 @@ def quadric_seed_poly(lams):
 
 
 def conjectural_quadric_coeffs(lams):
+    """Seed polynomial at each rotation of lam, times prod_{j!=i}(lam_i - lam_j)."""
     lams = _check_lams(lams)
-    out = []
-    for i in range(7):
-        rot = [lams[(i + k) % 7] for k in range(7)]
-        prod = Fraction(1)
-        for k in range(1, 7):
-            prod *= lams[i] - lams[(i + k) % 7]
-        out.append(quadric_seed_poly(rot) * prod)
-    return out
+    c2, _ = rescaled_quadric_coeffs(lams)
+    return [quadric_seed_poly(lams[i:] + lams[:i]) * c for i, c in enumerate(c2)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +427,7 @@ def conjectural_quadric_coeffs(lams):
 def rescaled_quadric_coeffs(lams):
     """Coefficients of the two quadrics in the rescaled coordinates."""
     lams = _check_lams(lams)
-    c2 = []
-    for i, v in enumerate(lams):
-        prod = Fraction(1)
-        for j, w in enumerate(lams):
-            if j != i:
-                prod *= v - w
-        c2.append(prod)
+    c2 = [math.prod((v - w for w in lams if w != v), start=Fraction(1)) for v in lams]
     return c2, [v * c for v, c in zip(lams, c2)]
 
 
@@ -456,17 +448,35 @@ def chart_matrix_from_pluckers(p):
     return rows
 
 
-def _conic_monomials(w0, w1, w2):
-    return (w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2, w2 * w2)
+def _conic_monomials(pt):
+    w0, w1, w2 = pt[:3]
+    return [w0 * w0, w0 * w1, w0 * w2, w1 * w1, w1 * w2, w2 * w2]
 
 
 def _conic_value(coeffs, pt):
-    return sum(c * m for c, m in zip(coeffs, _conic_monomials(pt[0], pt[1], pt[2])))
+    """The conic at the chart part of a point or of a parametrization."""
+    return sum(c * m for c, m in zip(coeffs, _conic_monomials(pt)))
+
+
+def _proportional(u, v):
+    """Whether u = c v for a rational c != 0."""
+    pivot = next((k for k, y in enumerate(v) if y), None)
+    if pivot is None:
+        return False
+    c = Fraction(u[pivot]) / v[pivot]
+    return c != 0 and all(x == c * y for x, y in zip(u, v))
+
+
+def _residuals(ec, v):
+    """Nonzero values of the meeting system and of the exchange relations at v."""
+    system = (sum(c * x for c, x in zip(row, v)) for row in ec)
+    relations = (evaluate_relation(rel, v) for rel in plucker_relations())
+    return [r for r in system if r], [r for r in relations if r]
 
 
 def fit_conic(points):
     """The unique conic through five chart points, leading coefficient 1."""
-    rows = [list(_conic_monomials(p[0], p[1], p[2])) for p in points]
+    rows = [_conic_monomials(p) for p in points]
     basis = mat_nullspace(rows)
     if len(basis) != 1:
         raise ArithmeticError("conic through the points is not unique")
@@ -476,35 +486,27 @@ def fit_conic(points):
     return tuple(c / v[0] for c in v)
 
 
-def parametrize_conic(coeffs, seed=(2, 0, 7)):
-    """Quadratic parametrization through the pencil of lines at a seed point.
+# a chart point (x0, 0, z0) of the lam = (1..7) conic
+CONIC_SEED = (Fraction(2), Fraction(0), Fraction(7))
 
-    Uses the line family W2 = seed2, W1 = t (W0 - seed0) and returns seven
-    homogeneous quadratics in t once the plane chart is extended.
+
+def parametrize_conic(coeffs):
+    """Quadratic parametrization through the pencil of lines at CONIC_SEED.
+
+    Uses the line family W2 = z0, W1 = t (W0 - x0) and returns the three
+    chart components, homogeneous quadratics in t; ``extend_to_plane`` gives
+    the other four.
     """
-    x0, y0, z0 = (Fraction(v) for v in seed)
-    if y0 != 0:
-        raise ValueError("seed must have vanishing middle coordinate")
-    if _conic_value(coeffs, (x0, y0, z0)):
+    x0, _, z0 = CONIC_SEED
+    if _conic_value(coeffs, CONIC_SEED):
         raise ValueError("seed point does not lie on the conic")
-    c = list(coeffs)
-    tp = UniPoly((Fraction(0), Fraction(1)))
-    one = UniPoly.constant(Fraction(1))
-    # substitute W0 = w, W1 = t(w - x0), W2 = z0 and divide by (w - x0)
-    a = c[0] * one + c[1] * tp + c[3] * tp * tp  # coefficient of w^2
-    b = (
-        c[1] * (-x0) * tp
-        + c[2] * z0 * one
-        + c[3] * (-2 * x0) * tp * tp
-        + c[4] * z0 * tp
-    )
-    const = c[3] * x0 * x0 * tp * tp + c[4] * (-x0) * z0 * tp + c[5] * z0 * z0 * one
-    # roots multiply to const/a; one root is x0, the other gives the curve
-    w0 = const
-    denom = a * x0
-    w1 = tp * (const - denom * x0)
-    w2 = z0 * denom
-    return w0, w1, w2
+    c = coeffs
+    # substituting W0 = w, W1 = t(w - x0), W2 = z0 gives a quadratic in w
+    # with leading coefficient a and constant term const; its roots
+    # multiply to const/a, one root is x0, and the other gives the curve
+    a = UniPoly((c[0], c[1], c[3]))
+    const = UniPoly((c[5] * z0 * z0, -c[4] * x0 * z0, c[3] * x0 * x0))
+    return const, UniPoly.x() * (const - a * x0 * x0), a * x0 * z0
 
 
 def extend_to_plane(chart, w012):
@@ -583,29 +585,14 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     kernel = mat_nullspace(ec)
     rep.check("meeting system solution space has dimension 7", len(kernel) == 7, 7, len(kernel))
 
-    rels = plucker_relations()
     for label, table in (("main", PLANE_SOLUTION_MAIN), ("base", PLANE_SOLUTION_BASE)):
-        resid = [r for r in (sum(c * x for c, x in zip(row, table)) for row in ec) if r]
+        resid, bad = _residuals(ec, table)
         rep.check("table %s solves the meeting system" % label, not resid, [], resid[:3])
-        bad = [evaluate_relation(r, table) for r in rels]
-        bad = [v for v in bad if v]
         rep.check("table %s satisfies all exchange relations" % label, not bad, [], bad[:3])
 
     base = cutting_pluckers(base_plane_cut_matrix(lams))
-    scale = None
-    ok = True
-    for u, v in zip(base, PLANE_SOLUTION_BASE):
-        if (u == 0) != (v == 0):
-            ok = False
-            break
-        if v:
-            r = Fraction(u) / v
-            if scale is None:
-                scale = r
-            elif r != scale:
-                ok = False
-                break
-    rep.check("base table is the unflipped plane", ok and scale, "proportional", "mismatch")
+    ok = _proportional(base, PLANE_SOLUTION_BASE)
+    rep.check("base table is the unflipped plane", ok, "proportional", "mismatch")
 
     chart = chart_matrix_from_pluckers(PLANE_SOLUTION_MAIN)
     rep.check(
@@ -633,39 +620,27 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
         v = _conic_value(conic, points[j])
         rep.check("conic passes point %d" % j, v == 0, 0, v)
 
+    q1, q2 = rescaled_quadric_coeffs(lams)
+
+    def check_quadrics(curve, what):
+        for label, qc in (("first", q1), ("second", q2)):
+            total = sum(c * w * w for c, w in zip(qc, curve))
+            rep.check("%s lies on the %s quadric" % (what, label), total.is_zero(), 0, total.coeffs)
+
     # frozen parametrization: check it satisfies the conic, the plane and
     # both quadrics identically
     ws = [UniPoly(reversed(c)) for c in PARAM_WS]
-    conic_val = sum(
-        UniPoly.constant(c) * m
-        for c, m in zip(conic, _conic_monomials(ws[0], ws[1], ws[2]))
-    )
+    conic_val = _conic_value(conic, ws)
     rep.check("parametrization lies on the conic", conic_val.is_zero(), 0, conic_val.coeffs)
     for r in range(4):
         resid = ws[3 + r] + sum(
             UniPoly.constant(chart[r][c]) * ws[c] for c in range(3)
         )
         rep.check("parametrization satisfies plane form %d" % r, resid.is_zero(), 0, resid.coeffs)
-    q1, q2 = rescaled_quadric_coeffs(lams)
-    s1 = Fraction(q1[0], QUADRIC_1_SCALED[0])
-    s2 = Fraction(q2[0], QUADRIC_2_SCALED[0])
-    rep.check(
-        "first quadric matches its scaled form",
-        [v / s1 for v in q1] == [Fraction(v) for v in QUADRIC_1_SCALED],
-        QUADRIC_1_SCALED,
-        q1,
-    )
-    rep.check(
-        "second quadric matches its scaled form",
-        [v / s2 for v in q2] == [Fraction(v) for v in QUADRIC_2_SCALED],
-        QUADRIC_2_SCALED,
-        q2,
-    )
-    for label, qc in (("first", q1), ("second", q2)):
-        total = UniPoly.zero()
-        for c, w in zip(qc, ws):
-            total = total + UniPoly.constant(c) * w * w
-        rep.check("curve lies on the %s quadric" % label, total.is_zero(), 0, total.coeffs)
+    for label, qc, scaled in (("first", q1, QUADRIC_1_SCALED), ("second", q2, QUADRIC_2_SCALED)):
+        ok = _proportional(qc, scaled)
+        rep.check("%s quadric matches its scaled form" % label, ok, scaled, qc)
+    check_quadrics(ws, "curve")
 
     for i in range(7):
         for j in range(i + 1, 7):
@@ -678,23 +653,11 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     # substitution (scaling and reparametrization do not matter)
     own = parametrize_conic(conic)
     own_full = extend_to_plane(chart, own)
-    own_conic = sum(
-        UniPoly.constant(c) * m
-        for c, m in zip(conic, _conic_monomials(own[0], own[1], own[2]))
-    )
+    own_conic = _conic_value(conic, own)
     rep.check("derived parametrization lies on the conic", own_conic.is_zero(), 0, own_conic.coeffs)
     nontrivial = any(w.degree == 2 for w in own_full)
     rep.check("derived parametrization is a genuine conic", nontrivial, True, False)
-    for label, qc in (("first", q1), ("second", q2)):
-        total = UniPoly.zero()
-        for c, w in zip(qc, own_full):
-            total = total + UniPoly.constant(c) * w * w
-        rep.check(
-            "derived parametrization lies on the %s quadric" % label,
-            total.is_zero(),
-            0,
-            total.coeffs,
-        )
+    check_quadrics(own_full, "derived parametrization")
 
     fm = freeness_matrix(PARAM_WS, lams)
     rep.check(
@@ -721,14 +684,10 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
     rep = VerificationReport()
     p = list(PLANE_SOLUTION_MAIN)
     ec = plane_meeting_system(lams)
-    rels = plucker_relations()
-    kern = mat_nullspace(ec + [relation_gradient(rel, p) for rel in rels])
+    kern = mat_nullspace(ec + [relation_gradient(rel, p) for rel in plucker_relations()])
     rep.check("tangent space is one-dimensional", len(kern) == 1, 1, len(kern))
     if len(kern) == 1:
-        v = kern[0]
-        pivot = next(k for k, x in enumerate(p) if x)
-        scale = Fraction(v[pivot]) / p[pivot]
-        ok = scale != 0 and all(Fraction(x) == scale * y for x, y in zip(v, p))
+        ok = _proportional(kern[0], p)
         rep.check("tangent direction is the scaling line", ok, "multiple of solution", "other")
     for c1, t1, c2, t2 in DUAL_IDEAL_GENERATORS:
         lhs = c1 * p[TRIPLE_POS[t1]] + c2 * p[TRIPLE_POS[t2]]
@@ -741,9 +700,8 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
     # over Q[eps]/(eps^2) a form of degree d takes the value (1+eps)^d v(p)
     # at (1+eps) p, and (1+eps)^d is a unit, so that value vanishes exactly
     # when v(p) = 0: both dual-number checks evaluate at p itself
-    ec_vals = [sum(c * x for c, x in zip(row, p)) for row in ec]
-    rep.check("scaled solution passes the system over dual numbers", not any(ec_vals), 0, "nonzero")
-    bad = [v for v in (evaluate_relation(rel, p) for rel in rels) if v]
+    resid, bad = _residuals(ec, p)
+    rep.check("scaled solution passes the system over dual numbers", not resid, 0, "nonzero")
     rep.check("scaled solution passes the relations over dual numbers", not bad, 0, bad[:2])
     return rep
 

@@ -6,10 +6,18 @@ has an explicit closed-form characteristic polynomial.  Distinct eigenvalues
 of the cutoff at a single point witness generic semisimplicity, so the module
 verifies the closed form against direct exact computation at sampled rational
 points and tests the polynomial for simple roots.
+
+The cutoff's nonzero entries are five families, set block by block in
+``cutoff_matrix``: the ambient superdiagonal n-1, the ambient diagonal -s/2
+(s the sum of the squared primitive coordinates), three ambient corners, the
+primitive rows and columns linear in the coordinates, and the primitive
+block tau_j tau_k.  Coordinates are ``int`` or ``Fraction``; anything else is
+a TypeError.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,59 +28,56 @@ from .polynomials import UniPoly, squarefree
 from .scalars import rational_str
 
 
+def _rational(v, what):
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError("%s must be int or Fraction, got %r" % (what, v))
+    return Fraction(v)
+
+
+def _point(n, taus):
+    """Check n and the n+3 primitive coordinates; return them and s = sum tau_i^2."""
+    p = ModelParams(n)
+    taus = [_rational(v, "primitive coordinate") for v in taus]
+    if len(taus) != p.num_primitive:
+        raise ValueError("need %d primitive coordinates" % p.num_primitive)
+    return taus, sum(v * v for v in taus)
+
+
 def cutoff_matrix(n, taus):
     """Second-order cutoff of Euler-field multiplication at a primitive point.
 
-    ``taus`` lists the n+3 primitive coordinates; ambient coordinates are
-    zero.  Entry (j, k) is the coefficient of basis vector k in the image of
-    basis vector j.
+    ``taus`` lists the n+3 primitive coordinates, ``int`` or ``Fraction``;
+    ambient coordinates are zero.  Entry (j, k) is the coefficient of basis
+    vector k in the image of basis vector j.  With s = sum tau_i^2 and j, k
+    primitive slots (tau_j the coordinate of slot j), the nonzero entries
+    are five families:
+
+    * the superdiagonal m[k-1][k] = n-1 for k = 1..n;
+    * the diagonal m[k][k] = -s/2 for k = 1..n-1;
+    * three ambient corners m[n-1][0] = -2(n-1)s, m[n][1] = -(2n+6)s and
+      m[n][2] = 16(n-1);
+    * the tau-linear rows and columns m[j][1] = (n-3)tau_j,
+      m[j][n] = (2-n)tau_j/8, m[0][j] = (2-n)tau_j/2 and
+      m[n-1][j] = -4(n-1)tau_j;
+    * the primitive block m[j][k] = tau_j tau_k off the diagonal and s/2 on it.
     """
-    p = ModelParams(n)
-    taus = [Fraction(v) for v in taus]
-    if len(taus) != p.num_primitive:
-        raise ValueError("need %d primitive coordinates" % p.num_primitive)
-    s = sum(v * v for v in taus)
-    size = p.basis_size
+    taus, s = _point(n, taus)
+    size = 2 * n + 4
     m = [[Fraction(0)] * size for _ in range(size)]
-
-    def tau(k):
-        return taus[k - n - 1]
-
-    for j in range(size):
-        for k in range(size):
-            v = Fraction(0)
-            if k == 0:
-                if j == n - 1:
-                    v = -2 * (n - 1) * s
-            elif k == 1:
-                if j == 0:
-                    v = Fraction(n - 1)
-                elif j == 1:
-                    v = -s / 2
-                elif j == n:
-                    v = (-2 * n - 6) * s
-                elif p.is_primitive_slot(j):
-                    v = (n - 3) * tau(j)
-            elif 2 <= k <= n - 1:
-                if j == k - 1:
-                    v = Fraction(n - 1)
-                elif j == k:
-                    v = -s / 2
-                elif (j, k) == (n, 2):
-                    v = Fraction(16 * (n - 1))
-            elif k == n:
-                if j == n - 1:
-                    v = Fraction(n - 1)
-                elif p.is_primitive_slot(j):
-                    v = Fraction(2 - n, 8) * tau(j)
-            else:  # primitive column
-                if j == 0:
-                    v = Fraction(2 - n, 2) * tau(k)
-                elif j == n - 1:
-                    v = -4 * (n - 1) * tau(k)
-                elif p.is_primitive_slot(j):
-                    v = s / 2 if j == k else tau(j) * tau(k)
-            m[j][k] = v
+    for k in range(1, n + 1):
+        m[k - 1][k] = Fraction(n - 1)
+    for k in range(1, n):
+        m[k][k] = -s / 2
+    m[n - 1][0] = -2 * (n - 1) * s
+    m[n][1] = (-2 * n - 6) * s
+    m[n][2] = Fraction(16 * (n - 1))
+    for j, t in enumerate(taus, start=n + 1):
+        m[j][1] = (n - 3) * t
+        m[j][n] = Fraction(2 - n, 8) * t
+        m[0][j] = Fraction(2 - n, 2) * t
+        m[n - 1][j] = -4 * (n - 1) * t
+        m[j][n + 1 :] = [t * u for u in taus]
+        m[j][j] = s / 2
     return m
 
 
@@ -82,30 +87,16 @@ def closed_form_charpoly(n, taus) -> UniPoly:
     Assembles ((n-1)^{n-1}(-(n-1)(n-2)^2 s^2/4 + 2(n-1)(n-4) s z
     - 4(n-5) z^2) - z^2 (z+s/2)^{n-1}) * H + (4(n-1)^n s z
     - 16(n-1)^{n-1} z^2 + z^2 (z+s/2)^{n-1}) * G, where G is the product of
-    the linear factors z - s/2 + tau_i^2 and H the partial-sum form of the
-    rational-function sum cleared against G.
+    the linear factors z - s/2 + tau_i^2 and H = sum tau_i^2 G/(z - s/2 +
+    tau_i^2) clears the rational-function sum against G; each quotient is
+    an exact division.
     """
-    ModelParams(n)
-    taus = [Fraction(v) for v in taus]
-    if len(taus) != n + 3:
-        raise ValueError("need %d primitive coordinates" % (n + 3))
-    s = sum(v * v for v in taus)
+    taus, s = _point(n, taus)
     z = UniPoly.x()
     factors = [z + (v * v - s / 2) for v in taus]
-    g = UniPoly.constant(Fraction(1))
-    for f in factors:
-        g = g * f
-    h = UniPoly.zero()
-    for i, v in enumerate(taus):
-        if not v:
-            continue
-        part = UniPoly.constant(v * v)
-        for k, f in enumerate(factors):
-            if k != i:
-                part = part * f
-        h = h + part
-    zs = z + UniPoly.constant(s / 2)
-    pw = zs ** (n - 1)
+    g = math.prod(factors, start=UniPoly.constant(Fraction(1)))
+    h = sum((g.divmod(f)[0] * (v * v) for v, f in zip(taus, factors) if v), UniPoly.zero())
+    pw = (z + s / 2) ** (n - 1)
     c = Fraction((n - 1) ** (n - 1))
     abracket = (
         UniPoly.constant(c * Fraction(-(n - 1) * (n - 2) ** 2, 4) * s * s)
@@ -134,12 +125,8 @@ def zn_minus_az_plus_1_squarefree(n, a) -> bool:
     """Simple-roots test for z^n - a z + 1 with rational a (true for n >= 3)."""
     if n < 3:
         raise ValueError("degree must be at least 3")
-    a = Fraction(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    coeffs[1] = -a
-    coeffs[n] = Fraction(1)
-    return squarefree(UniPoly(coeffs))
+    a = _rational(a, "a")
+    return squarefree(UniPoly([Fraction(1), -a] + [Fraction(0)] * (n - 2) + [Fraction(1)]))
 
 
 @dataclass
@@ -163,6 +150,10 @@ class ScanRow:
 # sample_point draws num/den with |num| <= _NUM_MAX and 1 <= den <= _DEN_MAX
 _NUM_MAX = 9
 _DEN_MAX = 9
+# the number of distinct |v| the sampler can draw
+_DISTINCT_ABS = len(
+    {Fraction(a, b) for a in range(_NUM_MAX + 1) for b in range(1, _DEN_MAX + 1)}
+)
 
 
 def sample_point(n, rng):
@@ -191,13 +182,10 @@ def semisimple_scan(n, samples, seed):
     ModelParams(n)
     if samples < 1:
         raise ValueError("samples must be at least 1, got %r" % (samples,))
-    distinct = len(
-        {Fraction(a, b) for a in range(_NUM_MAX + 1) for b in range(1, _DEN_MAX + 1)}
-    )
-    if n + 3 > distinct:
+    if n + 3 > _DISTINCT_ABS:
         raise ValueError(
             "n=%d needs %d distinct |coordinates|; the sampler draws only %d"
-            % (n, n + 3, distinct)
+            % (n, n + 3, _DISTINCT_ABS)
         )
     rng = random.Random(seed)
     rows = []

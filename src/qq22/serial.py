@@ -7,9 +7,10 @@ one record per canonical key,
 
 with rationals rendered as num/den, and a newline ending every line.
 Loading refuses a byte that is not ASCII (the writer writes only ASCII),
-a different format version or dimension, a blank first line ahead of
-records, a cut last line, negative exponents (in keys and in the
-polynomial), non-canonical or repeated keys, and text the writer never
+a header other than the writer's (single spaces, ``n=``, canonical decimal
+version and n), a different format version or dimension, a blank first
+line ahead of records, a cut last line, negative exponents (in keys and in
+the polynomial), non-canonical or repeated keys, and text the writer never
 produces: a sign, whitespace, '_' or a non-ASCII digit in a key field, and
 a doubled sign or a coefficient not joined to x by '*' in the polynomial.
 Saving writes a temporary file next to the cache and renames it over the
@@ -116,6 +117,22 @@ class CacheError(Exception):
     pass
 
 
+def _header_int(text):
+    """A header number as ``save_cache`` writes it: a canonical decimal int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise CacheError("line 1: malformed header")
+    return value
+
+
+def header_dimension(fields):
+    """The n of a split header ``<magic> <version> n=<n>``, canonical decimal."""
+    return _header_int(fields[2][2:] if fields[2].startswith("n=") else "")
+
+
 def save_cache(path, n, memo):
     lines = ["%s %d n=%d" % (CACHE_MAGIC, CACHE_VERSION, n)]
     for (amb, prim), poly in sorted(memo.items()):
@@ -143,10 +160,11 @@ def load_cache(path, n):
     """Read a cache file written by ``save_cache`` for dimension n.
 
     An empty or whitespace-only file is an empty cache.  Raises
-    ``CacheError`` naming the line for a byte that is not ASCII, a blank or
-    malformed header, a malformed record, a record cut short (the writer
-    ends every file with a newline), a negative exponent, primitive
-    exponents out of canonical (descending) order, or a repeated key.
+    ``CacheError`` naming the line for a byte that is not ASCII, a blank
+    header or one other than ``save_cache`` writes, a malformed record, a
+    record cut short (the writer ends every file with a newline), a negative
+    exponent, primitive exponents out of canonical (descending) order, or a
+    repeated key.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -165,11 +183,10 @@ def load_cache(path, n):
     header = lines[0].split()
     if len(header) != 3 or header[0] != CACHE_MAGIC:
         raise CacheError("line 1: not a cache file header")
-    try:
-        version = int(header[1])
-        file_n = int(header[2].partition("=")[2])
-    except ValueError:
-        raise CacheError("line 1: malformed header") from None
+    version = _header_int(header[1])
+    file_n = header_dimension(header)
+    if " ".join(header) != lines[0]:
+        raise CacheError("line 1: malformed header")
     if version != CACHE_VERSION:
         raise CacheError("unsupported cache format version %d" % version)
     if file_n != n:

@@ -223,6 +223,35 @@ def test_cache_byte_outside_ascii_names_line_number(tmp_path, capsys, text, line
     assert err == "error: line %d: byte 0xff is not ASCII\n" % lineno
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "qq22-cache 1 m=4",
+        "qq22-cache 1 n=+4",
+        "qq22-cache 1 n=04",
+        "qq22-cache 01 n=4",
+        "qq22-cache  1 n=4",
+    ],
+    ids=["key", "plus", "leading-zero", "version", "spacing"],
+)
+def test_cache_header_outside_writer_format_is_rejected(tmp_path, capsys, header):
+    # save_cache writes exactly "qq22-cache 1 n=<n>"; each of these used to load
+    path = tmp_path / "memo.cache"
+    path.write_text(header + "\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n")
+    before = path.read_bytes()
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line 1: malformed header"
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert rc == 1 and out == ""
+    assert err == "error: line 1: malformed header\n"
+    index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
+    rc, out, err = run_capture(capsys, index + ["--cache", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "error: line 1: malformed header\n"
+    assert path.read_bytes() == before
+
+
 def test_cache_corrupt_line_names_line_number(tmp_path):
     path = tmp_path / "memo.cache"
     path.write_text("qq22-cache 1 n=4\n4|0,0,0,0,0|nonsense|1\n")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -195,3 +197,32 @@ def test_squarefree_scan_runs_no_euclid(monkeypatch):
     assert len(rows) == 3
     assert all(r.agrees and r.squarefree for r in rows)
     assert calls == 0
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", 1j], ids=["float", "str", "complex"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: cutoff_matrix(4, [Fraction(1, 2)] * 6 + [v]),
+        lambda v: closed_form_charpoly(4, [Fraction(1, 2)] * 6 + [v]),
+        lambda v: zn_minus_az_plus_1_squarefree(5, v),
+    ],
+    ids=["cutoff_matrix", "closed_form_charpoly", "zn_minus_az_plus_1_squarefree"],
+)
+def test_non_rational_input_is_rejected(call, value):
+    # Fraction() would read 0.5 as a binary fraction and parse '1/2'
+    with pytest.raises(TypeError, match="must be int or Fraction, got"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (4, "dcc6ed8f43a53475a910b376a8e9a9174ea2a8c0490a90c50f8453e59a42fb40"),
+        (8, "1fa69febbd609779b973b792081478235ecfa9c0066d0b2bfc1599e93648f593"),
+        (10, "edf87d7863fd99b52d6516c8e36b523c159432a54295065feedd9c71d5b1a1ef"),
+    ],
+)
+def test_scan_rows_are_pinned(n, digest):
+    rows = [r.as_dict() for seed in (0, 1, 2) for r in semisimple_scan(n, 2, seed)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
