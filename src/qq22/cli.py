@@ -22,7 +22,15 @@ from fractions import Fraction
 from . import geometry, semisimple
 from .engine import CorrelatorEngine
 from .scalars import rational_str
-from .serial import CacheError, header_dimension, load_cache, poly_to_str, save_cache
+from .serial import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    CacheError,
+    _read_cache,
+    load_cache,
+    poly_to_str,
+    save_cache,
+)
 
 CACHE_ENV = "QH22_CACHE"
 
@@ -227,21 +235,21 @@ def cmd_cache_info(args):
     if not path:
         print("no cache path given", file=sys.stderr)
         return 2
-    # a byte that is not ASCII is left for load_cache to report by line
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", "replace").split()
-    if len(header) != 3:
-        print("not a cache file", file=sys.stderr)
-        return 1
     try:
-        entries = len(load_cache(path, header_dimension(header)))
+        n, memo = _read_cache(path)
     except CacheError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if args.format == "json":
-        _print_json({"magic": header[0], "version": header[1], "n": header[2], "entries": entries})
+    if n is None:
+        magic = version = dim = None
     else:
-        print("%s version %s %s, %d entries" % (header[0], header[1], header[2], entries))
+        magic, version, dim = CACHE_MAGIC, str(CACHE_VERSION), "n=%d" % n
+    if args.format == "json":
+        _print_json({"magic": magic, "version": version, "n": dim, "entries": len(memo)})
+    elif n is None:
+        print("empty cache, 0 entries")
+    else:
+        print("%s version %s %s, %d entries" % (magic, version, dim, len(memo)))
     return 0
 
 

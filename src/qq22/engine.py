@@ -1,26 +1,28 @@
 """Genus-0 correlator reconstruction for even intersections of two quadrics.
 
 Every correlator is reduced to the known 3- and 4-point data through four
-rewriting moves, applied in a fixed order:
+rewriting moves, applied in a fixed order by ``_compute``:
 
   1. dimension and monodromy vanishing (degree not a nonnegative integer, or
-     primitive exponents of mixed parity);
+     primitive exponents of mixed parity), in ``_compute`` itself;
   2. fundamental-class and Euler-field elimination of slot-0 / slot-1
-     insertions;
+     insertions, the latter in ``_euler_step``;
   3. WDVV coefficient extraction against the pair (slot 1, slot i-1) to
-     remove an ambient insertion of index i >= 2;
+     remove an ambient insertion of index i >= 2, in ``_ambient_step``;
   4. WDVV coefficient extraction among primitive slots to shorten a purely
-     primitive correlator.
+     primitive correlator, in ``_primitive_step`` with its right side from
+     ``_rhs``.
 
 Moves 3 and 4, and the ``wdvv_extracted_residual`` diagnostic, are signed
-combinations of one kernel, ``_extract``: the binomially weighted sum over
-subindices J of the contraction, through the inverse pairing, of the
-correlators at J plus two fixed slots and at the complement plus two more.
-Primitive slots that share an exponent and hold no fixed slot can be
-permuted without changing the contraction, so the kernel sums one J per
-orbit of those permutations, weighted by the orbit's total binomial weight.
-The inverse pairing, the Euler field and the t -> tau change are read from
-``model.py`` as the sparse tables it builds once per dimension.
+combinations (``_signed_extracts``) of one kernel, ``_extract``: the
+binomially weighted sum over subindices J of the contraction, through the
+inverse pairing, of the correlators at J plus two fixed slots and at the
+complement plus two more.  Primitive slots that share an exponent and hold
+no fixed slot can be permuted without changing the contraction, so the
+kernel sums one J per orbit of those permutations, weighted by the orbit's
+total binomial weight.  The inverse pairing, the Euler field and the t -> tau
+change are read from ``model.py`` as the sparse tables it builds once per
+dimension.
 
 The one value the moves cannot determine, the length-(n+3) correlator with
 one insertion on every primitive slot, stays symbolic: results are
@@ -156,19 +158,14 @@ class CorrelatorEngine:
             return PZERO  # fundamental class axiom
         if amb[1]:
             return self._euler_step(amb, prim)
-        nprim = sum(prim)
         if any(amb[k] for k in range(2, n + 1)):
-            if nprim:
-                return self._ambient_elim_mixed(amb, prim)
-            return self._ambient_elim_leaf(amb, prim)
+            return self._ambient_step(amb, prim)
         # now purely primitive
-        if nprim == 4:
+        if sum(prim) == 4:
             return PONE  # the two surviving shapes (4) and (2,2) both give 1
         if all(v == 1 for v in prim):
             return PX  # the special correlator
-        if sum(1 for v in prim if v) == 1:
-            return self._single_slot_step(prim)
-        return self._generic_primitive_step(prim)
+        return self._primitive_step(prim)
 
     def _three_point(self, amb, prim):
         n = self.n
@@ -277,130 +274,93 @@ class CorrelatorEngine:
             total = padd(total, pscale(w, self._contract(a, b)))
         return total
 
-    def _ambient_elim_mixed(self, amb, prim):
-        n = self.n
-        i = max(k for k in range(2, n + 1) if amb[k])
-        if prim[0] >= 2:
-            a = b = n + 1  # global slot of the largest primitive exponent
-            prim2 = _bump(prim, 0, -2)
-        else:
-            a, b = n + 1, n + 2
-            prim2 = _bump(_bump(prim, 0, -1), 1, -1)
-        return self._wdvv_ambient_step(_bump(amb, i, -1), prim2, i, a, b)
-
-    def _ambient_elim_leaf(self, amb, prim):
-        n = self.n
-        i = min(k for k in range(2, n + 1) if amb[k])
-        rest = _bump(amb, i, -1)
-        a = max(k for k in range(2, n + 1) if rest[k])
-        rest = _bump(rest, a, -1)
-        b = max(k for k in range(2, n + 1) if rest[k])
-        rest = _bump(rest, b, -1)
-        return self._wdvv_ambient_step(rest, prim, i, a, b)
-
-    def _wdvv_ambient_step(self, amb, prim, i, a, b):
-        """Extract the tau^I coefficient of WDVV for (slot1, slot i-1; a, b).
-
-        The leading term of the left side is the target correlator because
-        multiplying by the degree-one quantum class raises the power index by
-        one; all other terms are strictly smaller in the termination order.
-        The J = 0 term of the left side is that target, so it is left out.
-        """
-        vec = amb + prim
-        right = self._extract(vec, (1, a), (i - 1, b))
-        left = self._extract(vec, (1, i - 1), (a, b), lo=1)
-        return padd(right, pscale(-1, left))
-
-    def _single_slot_step(self, prim):
-        """Purely primitive with one active slot: split two insertions off."""
-        n = self.n
-        m = prim[0]
-        inner = _bump(prim, 0, -2)
-        size = sum(inner)
-        coeff_a = Fraction(2 * size - 4, n - 1)  # partner slot exponent is 0
-        if not coeff_a:
-            raise DivisionGuardError(
-                "single-slot reduction hit zero coefficient at exponent %d" % m
-            )
-        coeff_b = Fraction(2 * size - 4, n - 1) - 2 * inner[0]
-        rhs = self._rhs_two_equal(inner, 0, 1)
-        partner = self._T((0,) * (n + 1), _bump(inner, 1, 2))
-        val = padd(rhs, pscale(-coeff_b, partner))
-        return pscale(1 / coeff_a, val)
-
-    def _generic_primitive_step(self, prim):
-        n = self.n
-        a, b, c = index_triple(prim)
-        inner = _bump(_bump(prim, a, -1), b, -1)
-        size = sum(inner)
-        coeff = Fraction(2 * size - 4, n - 1) - 2 * inner[c]
-        if not coeff:
-            raise DivisionGuardError(
-                "generic primitive reduction hit zero coefficient for %r" % (prim,)
-            )
-        rhs = self._rhs_distinct(inner, a, b, c)
-        return pscale(1 / coeff, rhs)
-
-    def _prim_sum(self, inner, specs):
-        """Sum of coeff * extract(...) over (coeff, aslots, bslots, lo, hi) specs."""
-        vec = (0,) * (self.n + 1) + inner
+    def _signed_extracts(self, vec, specs):
+        """Sum of coeff * extract(vec, ...) over (coeff, aslots, bslots, lo, hi)."""
         total = PZERO
         for coeff, aslots, bslots, lo, hi in specs:
             part = self._extract(vec, aslots, bslots, lo, hi)
             total = padd(total, pscale(coeff, part))
         return total
 
-    def _rhs_two_equal(self, inner, a, b):
-        """Right side of the double-insertion extraction (slots a, a; b, b).
+    def _ambient_step(self, amb, prim):
+        """Remove an ambient insertion i >= 2 by WDVV for (slot 1, slot i-1; a, b).
 
-        The +-1 terms are WDVV for (a, a; b, b) at inner without its boundary
-        terms, those with a 3- or 4-point factor.  The boundary holds the
-        correlators at inner + 2a and inner + 2b plus one slot-n insertion,
-        each with weight eta^{0,n} = 1/4, since a degree-0 three-point value
-        <0, c, c> = 1 pairs only against slot 0.  The WDVV equation for
-        (slot 1, slot n-1; c, c) has exactly that correlator as its J = 0
-        term (<1, n-1, 0> = 4 and <1, n-1, n-1> = 64 against eta^{0,1} = -4,
-        eta^{0,n} = eta^{1,n-1} = 1/4 leave it with weight 1), so the +-1/4
-        terms are 1/4 times that equation for c = a and c = b, again without
-        boundary, and cancel the slot-n correlators.  What is left of the
-        boundary holds the multiples of the target that the caller divides
-        out.
+        Extracts the tau^I coefficient, I the index less one insertion on
+        each of the slots i, a and b.  The J = 0 term of the left side is the
+        target, because multiplying by the degree-one quantum class raises
+        the power index by one, so it is left out; all other terms are
+        strictly smaller in the termination order.
+
+        With primitive insertions, i is the largest ambient index and a, b
+        the largest primitive slot, twice if its exponent is at least 2, else
+        with the next slot.  Without, i is the smallest ambient index and
+        a, b the two largest.  That leaf choice is what makes the recursion
+        terminate: i largest and a, b smallest make ((0,0,5,1,0), 0) at
+        n = 4 require itself.
         """
         n = self.n
-        ga, gb = n + 1 + a, n + 1 + b
-        q = Fraction(1, 4)
-        return self._prim_sum(
-            inner,
-            [
-                (q, (1, n - 1), (ga, ga), 2, 0),
-                (q, (1, n - 1), (gb, gb), 2, 0),
-                (-q, (1, ga), (n - 1, ga), 1, -1),
-                (-q, (1, gb), (n - 1, gb), 1, -1),
-                (-1, (ga, ga), (gb, gb), 2, -2),
-                (1, (ga, gb), (ga, gb), 2, -2),
-            ],
-        )
+        live = [k for k in range(2, n + 1) for _ in range(amb[k])]
+        if any(prim):
+            i, a = live[-1], n + 1
+            b = a if prim[0] >= 2 else a + 1
+        else:
+            i, (b, a) = live[0], live[-2:]
+        vec = list(amb + prim)
+        for s in (i, a, b):
+            vec[s] -= 1
+        specs = [(1, (1, a), (i - 1, b), 0, 0), (-1, (1, i - 1), (a, b), 1, 0)]
+        return self._signed_extracts(vec, specs)
 
-    def _rhs_distinct(self, inner, a, b, c):
-        """Right side of the distinct-slot extraction (slots a, b; c, c).
+    def _primitive_step(self, prim):
+        """Shorten a purely primitive correlator by WDVV for (a, b; c, c).
 
-        As in ``_rhs_two_equal``: the +-1 terms are WDVV for (a, b; c, c)
-        without boundary, and the +-1/4 terms, 1/4 = eta^{0,n} times WDVV for
-        (slot 1, slot n-1; a, b) without boundary, cancel the boundary's
-        correlator at inner + a + b plus a slot-n insertion.
+        The target is the correlator at inner + a + b, where inner is prim
+        less one insertion on each of the primitive slots a and b.  The
+        boundary terms leave the target with the coefficient k - 2 inner[c],
+        k = (2|inner| - 4) / (n - 1), which divides the right side out.
+        Generically a, b, c are ``index_triple``'s slots.  With one nonzero
+        slot they are a = b = 0, c = 1, and the boundary also holds the
+        partner correlator at inner + 2c with the coefficient k - 2 inner[a],
+        moved to the right side.
+        """
+        n = self.n
+        a, b, c = index_triple(prim) if prim[1] else (0, 0, 1)
+        inner = _bump(_bump(prim, a, -1), b, -1)
+        k = Fraction(2 * sum(inner) - 4, n - 1)
+        coeff = k - 2 * inner[c]
+        if not coeff:
+            raise DivisionGuardError("zero coefficient reducing %r" % (prim,))
+        val = self._rhs(inner, a, b, c)
+        if a == b:
+            partner = self._T((0,) * (n + 1), _bump(inner, c, 2))
+            val = padd(val, pscale(2 * inner[a] - k, partner))
+        return pscale(1 / coeff, val)
+
+    def _rhs(self, inner, a, b, c):
+        """Right side of the extraction of WDVV for primitive slots (a, b; c, c).
+
+        The +-1 terms are that equation at inner without its boundary terms,
+        those with a 3- or 4-point factor.  For each side whose two slots
+        are equal, the boundary holds the correlator at inner plus the other
+        side (u, v) plus one slot-n insertion, with weight eta^{0,n} = 1/4,
+        since a degree-0 three-point value <0, p, p> = 1 of a primitive slot
+        p pairs only against slot 0.  The WDVV equation for (slot 1, slot n-1; u, v) has exactly
+        that correlator as its J = 0 term (<1, n-1, 0> = 4 and
+        <1, n-1, n-1> = 64 against eta^{0,1} = -4, eta^{0,n} = eta^{1,n-1} =
+        1/4 leave it with weight 1), so the +-1/4 pair is 1/4 times that
+        equation, again without boundary, and cancels the slot-n correlator.
+        What is left of the boundary holds the multiples of the target that
+        the caller divides out.
         """
         n = self.n
         ga, gb, gc = n + 1 + a, n + 1 + b, n + 1 + c
         q = Fraction(1, 4)
-        return self._prim_sum(
-            inner,
-            [
-                (q, (1, n - 1), (ga, gb), 2, 0),
-                (-q, (1, ga), (n - 1, gb), 1, -1),
-                (-1, (ga, gb), (gc, gc), 2, -2),
-                (1, (ga, gc), (gb, gc), 2, -2),
-            ],
-        )
+        specs = [(-1, (ga, gb), (gc, gc), 2, -2), (1, (ga, gc), (gb, gc), 2, -2)]
+        for (s, t), (u, v) in (((ga, gb), (gc, gc)), ((gc, gc), (ga, gb))):
+            if s == t:
+                specs.append((q, (1, n - 1), (u, v), 2, 0))
+                specs.append((-q, (1, u), (n - 1, v), 1, -1))
+        return self._signed_extracts((0,) * (n + 1) + inner, specs)
 
     # -- public API -----------------------------------------------------------
 
@@ -584,9 +544,8 @@ class CorrelatorEngine:
             if not isinstance(s, int) or not 0 <= s < size:
                 raise ValueError("slot %r is not in range(%d)" % (s, size))
         vec = self._flat(index, min_length=0)
-        left = self._extract(vec, (a, b), (c, d))
-        right = self._extract(vec, (a, c), (b, d))
-        return UniPoly(padd(left, pscale(-1, right)))
+        specs = [(1, (a, b), (c, d), 0, 0), (-1, (a, c), (b, d), 0, 0)]
+        return UniPoly(self._signed_extracts(vec, specs))
 
     def cached_items(self):
         return sorted(self.memo.items())

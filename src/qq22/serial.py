@@ -128,11 +128,6 @@ def _header_int(text):
     return value
 
 
-def header_dimension(fields):
-    """The n of a split header ``<magic> <version> n=<n>``, canonical decimal."""
-    return _header_int(fields[2][2:] if fields[2].startswith("n=") else "")
-
-
 def save_cache(path, n, memo):
     lines = ["%s %d n=%d" % (CACHE_MAGIC, CACHE_VERSION, n)]
     for (amb, prim), poly in sorted(memo.items()):
@@ -166,6 +161,15 @@ def load_cache(path, n):
     exponent, primitive exponents out of canonical (descending) order, or a
     repeated key.
     """
+    return _read_cache(path, n)[1]
+
+
+def _read_cache(path, n=None):
+    """The dimension and the memo of a cache file, checked as by ``load_cache``.
+
+    With n None the header's dimension is accepted.  An empty or
+    whitespace-only file has dimension None.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -176,7 +180,7 @@ def load_cache(path, n):
             "line %d: byte 0x%02x is not ASCII" % (lineno, data[exc.start])
         ) from None
     if not text.strip():
-        return {}
+        return None, {}
     lines = text.splitlines()
     if not text.endswith("\n"):
         raise CacheError("line %d: truncated record" % len(lines))
@@ -184,12 +188,14 @@ def load_cache(path, n):
     if len(header) != 3 or header[0] != CACHE_MAGIC:
         raise CacheError("line 1: not a cache file header")
     version = _header_int(header[1])
-    file_n = header_dimension(header)
+    file_n = _header_int(header[2][2:] if header[2].startswith("n=") else "")
     if " ".join(header) != lines[0]:
         raise CacheError("line 1: malformed header")
     if version != CACHE_VERSION:
         raise CacheError("unsupported cache format version %d" % version)
-    if file_n != n:
+    if n is None:
+        n = file_n
+    elif file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
     memo = {}
     fields = {}  # key fields repeat across records: parse each text once
@@ -218,4 +224,4 @@ def load_cache(path, n):
         if (amb, prim) in memo:
             raise CacheError("line %d: duplicate key" % lineno)
         memo[(amb, prim)] = poly
-    return memo
+    return n, memo

@@ -460,6 +460,32 @@ def test_cache_info(tmp_path, capsys):
     assert doc["entries"] == len(eng.memo)
 
 
+@pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "whitespace"])
+def test_cache_info_reads_empty_file_as_empty_cache(tmp_path, capsys, text):
+    # load_cache and correlator --cache read such a file as an empty cache;
+    # cache-info used to call it "not a cache file" and exit 1
+    path = tmp_path / "memo.cache"
+    info = ["cache-info", "--cache", str(path)]
+    path.write_text(text)
+    assert run_capture(capsys, info) == (0, "empty cache, 0 entries\n", "")
+    rc, out, err = run_capture(capsys, info + ["--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"magic": None, "version": None, "n": None, "entries": 0}
+    # a header with no records is not empty: it names its dimension
+    save_cache(path, 4, {})
+    assert run_capture(capsys, info) == (0, "qq22-cache version 1 n=4, 0 entries\n", "")
+    rc, out, err = run_capture(capsys, info + ["--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"magic": "qq22-cache", "version": "1", "n": "n=4", "entries": 0}
+
+
+def test_cache_info_two_field_header_is_reported_by_line(tmp_path, capsys):
+    path = tmp_path / "memo.cache"
+    path.write_text("qq22-cache 1\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n")
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert (rc, out, err) == (1, "", "error: line 1: not a cache file header\n")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qq22.cli"],

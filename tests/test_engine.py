@@ -9,7 +9,9 @@ import pytest
 
 from qq22.engine import (
     CorrelatorEngine,
+    RecursionCycleError,
     convergence_witness,
+    curve_degree,
     index_triple,
 )
 from qq22.polynomials import PZERO, UniPoly, padd, peval, pscale
@@ -156,6 +158,102 @@ def test_wdvv_extracted_residuals(eng4, eng6):
             for _ in range(rng.randint(0, 4)):
                 index[rng.randrange(size)] += 1
             assert eng.wdvv_extracted_residual(*comps, index).is_zero()
+    # At n = 8 and 10 a plain draw gives equations with both sides zero, so
+    # draw until 25 pass the degree and parity rules.  A term pairs two
+    # correlators, so I + comps carries their degrees like one correlator
+    # with one more slot-2 insertion, and the primitive parities match.
+    for n in (8, 10):
+        eng = CorrelatorEngine(n)
+        size = 2 * n + 4
+        rng = random.Random(321)
+        checked = nonzero = 0
+        while checked < 25:
+            comps = [rng.randrange(size) for _ in range(4)]
+            index = [0] * size
+            for _ in range(rng.randint(4, 8)):
+                index[rng.randrange(size)] += 1
+            full = list(index)
+            for s in comps + [2]:
+                full[s] += 1
+            beta = curve_degree(n, full)
+            if beta is None or beta < 0 or len({v & 1 for v in full[n + 1 :]}) > 1:
+                continue
+            checked += 1
+            nonzero += bool(eng._extract(tuple(index), comps[:2], comps[2:]))
+            assert eng.wdvv_extracted_residual(*comps, index).is_zero()
+        assert nonzero >= 10
+
+
+@pytest.mark.parametrize("n, m, value", [(4, 10, 18), (6, 14, 20400)])
+def test_single_slot_reduction(n, m, value):
+    # f, the quadratic identity and the witness sweeps never reach the
+    # one-slot branch of the primitive move; the residual is its WDVV
+    # equation with every boundary term kept
+    eng = CorrelatorEngine(n)
+    assert eng.correlator_tau(idx(n, prim=[(0, m)])) == value
+    a, b = n + 1, n + 2
+    assert eng.wdvv_extracted_residual(a, a, b, b, idx(n, prim=[(0, m - 2)])).is_zero()
+
+
+def _ambient_step_at(eng, amb, prim, i, a, b):
+    """The engine's ambient move, WDVV for (slot 1, slot i-1; a, b), at given slots."""
+    vec = list(amb + prim)
+    for s in (i, a, b):
+        vec[s] -= 1
+    specs = [(1, (1, a), (i - 1, b), 0, 0), (-1, (1, i - 1), (a, b), 1, 0)]
+    return eng._signed_extracts(vec, specs)
+
+
+class MinFirstEngine(CorrelatorEngine):
+    """Removes the smallest ambient index first also when primitive slots are
+    present, where the engine removes the largest: a second move order."""
+
+    def _ambient_step(self, amb, prim):
+        if not any(prim):
+            return super()._ambient_step(amb, prim)
+        i = min(k for k in range(2, self.n + 1) if amb[k])
+        a = self.n + 1
+        return _ambient_step_at(self, amb, prim, i, a, a if prim[0] >= 2 else a + 1)
+
+
+@pytest.mark.parametrize("n, lmax", [(4, 7), (6, 7), (8, 6)])
+def test_second_move_order_agrees_on_shared_keys(n, lmax):
+    # the reconstruction theorem: a value does not depend on which WDVV
+    # equation reduces it
+    main, alt = CorrelatorEngine(n), MinFirstEngine(n)
+    for eng in (main, alt):
+        eng.f_value()
+        assert eng.conjecture_quadratic().is_zero()
+        convergence_witness(n, lmax, eng)
+    shared = main.memo.keys() & alt.memo.keys()
+    assert len(shared) > len(main.memo) // 2
+    assert [k for k in shared if main.memo[k] != alt.memo[k]] == []
+
+
+F10 = (Fraction(16232959575, 4), Fraction(2467, 2))
+
+
+def test_f10_by_both_move_orders():
+    assert CorrelatorEngine(10).f_value().coeffs == F10
+    alt = MinFirstEngine(10)
+    assert alt.f_value().coeffs == F10
+    assert alt.conjecture_quadratic().is_zero()
+
+
+def test_leaf_move_order_is_what_terminates():
+    # with no primitive insertions the engine takes i smallest and a, b
+    # largest; the opposite choice sends this correlator back to itself
+    class MaxFirstLeafEngine(CorrelatorEngine):
+        def _ambient_step(self, amb, prim):
+            if any(prim):
+                return super()._ambient_step(amb, prim)
+            live = [k for k in range(2, self.n + 1) for _ in range(amb[k])]
+            return _ambient_step_at(self, amb, prim, live[-1], live[0], live[1])
+
+    index = (0, 0, 5, 1, 0) + (0,) * 7
+    assert CorrelatorEngine(4).correlator_tau(index) == 12032
+    with pytest.raises(RecursionCycleError):
+        MaxFirstLeafEngine(4).correlator_tau(index)
 
 
 # sha256 of the cache file written after the quadratic-identity query; any
