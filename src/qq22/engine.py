@@ -31,7 +31,10 @@ polynomials in that unknown x.  All arithmetic is exact.
 Values are memoized per canonical key (ambient exponents verbatim, primitive
 exponents sorted descending); primitive-slot permutation invariance makes the
 sort harmless.  The memo behaves as a write-once map, so concurrent queries
-are safe under CPython and always agree.
+are safe under CPython and always agree.  A contraction's A side, the
+correlators at a + e for every slot e, is looked up once per flat index a and
+kept, in a second write-once map, as the row of its nonzero values; the row
+cache adds no memo key, so the memo is the same with or without it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
 
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
-_GRID = Fraction(1, 4)  # convergence_witness reports C on this grid
+_GRID = 4  # convergence_witness reports C as a multiple of 1/_GRID
 
 
 def _int_exponents(index):
@@ -114,6 +117,7 @@ class CorrelatorEngine:
         self.params = ModelParams(n)
         self.n = n
         self.memo = {}
+        self._rows = {}
         self._eta_rows = eta_inverse(n)
         self._euler = euler_field(n)
         self._t_moves = t_to_tau(n)
@@ -122,7 +126,10 @@ class CorrelatorEngine:
     # -- canonical memoized entry ------------------------------------------
 
     def _T(self, amb, prim):
-        key = (amb, tuple(sorted(prim, reverse=True)))
+        return self._lookup((amb, tuple(sorted(prim, reverse=True))))
+
+    def _lookup(self, key):
+        """The memoized correlator at a canonical key, computed on a miss."""
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -213,16 +220,43 @@ class CorrelatorEngine:
         idx[slot] -= 1
         return val
 
+    def _row(self, a):
+        """The (e, A_e) pairs with A_e, the correlator at a + e, nonzero.
+
+        Built once per flat tuple a, by looking up every slot e in order, so
+        the memo gains the same keys as slot-by-slot lookups; later calls
+        reuse the row.  The primitive part of a is sorted once: one more
+        insertion on a primitive slot with exponent v raises the first v of
+        that descending tuple, which keeps it sorted, so slots with equal
+        exponents share one lookup.
+        """
+        row = self._rows.get(a)
+        if row is not None:
+            return row
+        na = self.n + 1
+        amb = a[:na]
+        prim = sorted(a[na:], reverse=True)
+        sorted_prim = tuple(prim)
+        vals = [self._lookup((_bump(amb, e), sorted_prim)) for e in range(na)]
+        by_exp = {}
+        for v in a[na:]:
+            if v not in by_exp:
+                p = prim.index(v)
+                prim[p] += 1
+                by_exp[v] = self._lookup((amb, tuple(prim)))
+                prim[p] -= 1
+            vals.append(by_exp[v])
+        row = tuple((e, val) for e, val in enumerate(vals) if val)
+        return self._rows.setdefault(a, row)
+
     def _contract(self, a, b):
         """Sum A_e eta^{ef} B_f, with A_e, B_f the correlators at a + e, b + f."""
-        avals = [self._at(a, e) for e in range(len(a))]
         total = PZERO
-        for av, row in zip(avals, self._eta_rows):
-            if av:
-                for f, c in row:
-                    bv = self._at(b, f)
-                    if bv:
-                        total = padd(total, pscale(c, pmul(av, bv)))
+        for e, av in self._row(tuple(a)):
+            for f, c in self._eta_rows[e]:
+                bv = self._at(b, f)
+                if bv:
+                    total = padd(total, pscale(c, pmul(av, bv)))
         return total
 
     def _extract(self, vec, aslots, bslots, lo=0, hi=0):
@@ -585,20 +619,28 @@ def convergence_witness(n, lmax, engine=None):
         v = abs(peval(poly, xval))
         if not v:
             continue
-        k = length - 5
-        # smallest multiple m*_GRID with (m*_GRID)^k >= v / k!
-        target = v / factorial(k)
-        lo, hi = 1, 2
-        while (hi * _GRID) ** k < target:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (mid * _GRID) ** k >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        best = max(best, lo * _GRID)
+        best = max(best, Fraction(_grid_steps(v, length - 5), _GRID))
     return best, count
+
+
+def _grid_steps(v, k):
+    """Smallest integer m >= 1 with (m/_GRID)^k >= v / k!, for a Fraction v >= 0.
+
+    The search compares m^k k! den(v) with _GRID^k num(v): the same
+    inequality, in ints.
+    """
+    scale = factorial(k) * v.denominator
+    target = _GRID**k * v.numerator
+    lo, hi = 1, 2
+    while hi**k * scale < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k * scale >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,11 +10,12 @@ import pytest
 from qq22.engine import (
     CorrelatorEngine,
     RecursionCycleError,
+    _grid_steps,
     convergence_witness,
     curve_degree,
     index_triple,
 )
-from qq22.polynomials import PZERO, UniPoly, padd, peval, pscale
+from qq22.polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
 from qq22.serial import save_cache
 
 X = UniPoly((Fraction(0), Fraction(1)))
@@ -158,12 +159,12 @@ def test_wdvv_extracted_residuals(eng4, eng6):
             for _ in range(rng.randint(0, 4)):
                 index[rng.randrange(size)] += 1
             assert eng.wdvv_extracted_residual(*comps, index).is_zero()
-    # At n = 8 and 10 a plain draw gives equations with both sides zero, so
-    # draw until 25 pass the degree and parity rules.  A term pairs two
+    # Almost every plain draw gives an equation with both sides zero, so
+    # also draw until 25 pass the degree and parity rules.  A term pairs two
     # correlators, so I + comps carries their degrees like one correlator
     # with one more slot-2 insertion, and the primitive parities match.
-    for n in (8, 10):
-        eng = CorrelatorEngine(n)
+    for eng in (eng4, eng6, CorrelatorEngine(8), CorrelatorEngine(10)):
+        n = eng.n
         size = 2 * n + 4
         rng = random.Random(321)
         checked = nonzero = 0
@@ -216,18 +217,66 @@ class MinFirstEngine(CorrelatorEngine):
         return _ambient_step_at(self, amb, prim, i, a, a if prim[0] >= 2 else a + 1)
 
 
-@pytest.mark.parametrize("n, lmax", [(4, 7), (6, 7), (8, 6)])
-def test_second_move_order_agrees_on_shared_keys(n, lmax):
+class PlainContractEngine(CorrelatorEngine):
+    """Contracts by looking up every A-side slot on every call, with no row
+    cache and a sorted key per lookup: the reference for ``_row``."""
+
+    def _contract(self, a, b):
+        avals = [self._at(a, e) for e in range(len(a))]
+        total = PZERO
+        for av, row in zip(avals, self._eta_rows):
+            if av:
+                for f, c in row:
+                    bv = self._at(b, f)
+                    if bv:
+                        total = padd(total, pscale(c, pmul(av, bv)))
+        return total
+
+
+SWEEPS = [(4, 7), (6, 7), (8, 6)]
+
+
+def _swept(cls, n, lmax):
+    """An engine after f, the quadratic identity and a witness sweep."""
+    eng = cls(n)
+    eng.f_value()
+    assert eng.conjecture_quadratic().is_zero()
+    convergence_witness(n, lmax, eng)
+    return eng
+
+
+@pytest.fixture(scope="module")
+def swept_main():
+    engines = {}
+
+    def get(n, lmax):
+        if (n, lmax) not in engines:
+            engines[n, lmax] = _swept(CorrelatorEngine, n, lmax)
+        return engines[n, lmax]
+
+    return get
+
+
+@pytest.mark.parametrize("n, lmax", SWEEPS)
+def test_second_move_order_agrees_on_shared_keys(n, lmax, swept_main):
     # the reconstruction theorem: a value does not depend on which WDVV
     # equation reduces it
-    main, alt = CorrelatorEngine(n), MinFirstEngine(n)
-    for eng in (main, alt):
-        eng.f_value()
-        assert eng.conjecture_quadratic().is_zero()
-        convergence_witness(n, lmax, eng)
+    main, alt = swept_main(n, lmax), _swept(MinFirstEngine, n, lmax)
     shared = main.memo.keys() & alt.memo.keys()
     assert len(shared) > len(main.memo) // 2
     assert [k for k in shared if main.memo[k] != alt.memo[k]] == []
+
+
+@pytest.mark.parametrize("n, lmax", SWEEPS)
+def test_row_cache_matches_plain_contraction(n, lmax, swept_main):
+    # the row cache skips lookups, never adds or drops a memo key, and each
+    # row holds exactly the nonzero A-side values
+    main = swept_main(n, lmax)
+    assert _swept(PlainContractEngine, n, lmax).memo == main.memo
+    assert main._rows
+    for a, row in main._rows.items():
+        full = [(e, main._at(list(a), e)) for e in range(2 * n + 4)]
+        assert row == tuple((e, v) for e, v in full if v)
 
 
 F10 = (Fraction(16232959575, 4), Fraction(2467, 2))
@@ -238,6 +287,12 @@ def test_f10_by_both_move_orders():
     alt = MinFirstEngine(10)
     assert alt.f_value().coeffs == F10
     assert alt.conjecture_quadratic().is_zero()
+
+
+def test_quadratic_identity_n12_by_both_move_orders():
+    lhs = (Fraction(-128), 0, Fraction(512))  # 2^9 (x^2 - 1/4)
+    assert CorrelatorEngine(12).conjecture_quadratic_lhs().coeffs == lhs
+    assert MinFirstEngine(12).conjecture_quadratic_lhs().coeffs == lhs
 
 
 def test_leaf_move_order_is_what_terminates():
@@ -265,14 +320,45 @@ MEMO_CACHE_SHA256 = {
 }
 
 
+# (memo entries, cache bytes, sha256) after the witness sweep that the
+# benchmark counts, and after the window correlator at n = 8
+MEMO_CACHE_SHA256_AFTER = {
+    "convergence_witness(6, 7)": (
+        2304,
+        84530,
+        "3346842b8c48d21eb7eddf108c4bfc457798dacc18bf7ef1cfe39c2ece93171b",
+    ),
+    "f_value(8)": (
+        5422,
+        240575,
+        "44fdf381bcafae7fca82aa8e5ff90d86e8ae2d6f99a4b5658e03b97267a41b9f",
+    ),
+}
+
+
+def _memo_pin(eng, tmp_path):
+    path = tmp_path / "memo.cache"
+    save_cache(path, eng.n, eng.memo)
+    data = path.read_bytes()
+    return len(eng.memo), len(data), hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("n", sorted(MEMO_CACHE_SHA256))
 def test_memo_cache_bytes_pinned(n, tmp_path):
     eng = CorrelatorEngine(n)
     eng.conjecture_quadratic_lhs()
-    path = tmp_path / "memo.cache"
-    save_cache(path, n, eng.memo)
-    data = path.read_bytes()
-    assert (len(data), hashlib.sha256(data).hexdigest()) == MEMO_CACHE_SHA256[n]
+    assert _memo_pin(eng, tmp_path)[1:] == MEMO_CACHE_SHA256[n]
+
+
+@pytest.mark.parametrize("query", sorted(MEMO_CACHE_SHA256_AFTER))
+def test_memo_cache_bytes_pinned_after(query, tmp_path):
+    if query == "f_value(8)":
+        eng = CorrelatorEngine(8)
+        eng.f_value()
+    else:
+        eng = CorrelatorEngine(6)
+        assert convergence_witness(6, 7, eng) == (44040192, 1749)
+    assert _memo_pin(eng, tmp_path) == MEMO_CACHE_SHA256_AFTER[query]
 
 
 def _subindex_sum(eng, vec, aslots, bslots, lo=0, hi=0):
@@ -343,17 +429,18 @@ def test_quadratic_identity_n10():
 
 
 def test_n8_quadratic_makes_few_memo_lookups(monkeypatch):
-    # the plain subindex sum made 1,228,317 _T calls here; the orbit sum
-    # must stay below a fifth of that
+    # the plain subindex sum made 1,228,317 memo lookups here; the orbit sum
+    # must stay below a fifth of that.  Every lookup, through _T or a row
+    # build, passes _lookup.
     calls = 0
-    lookup = CorrelatorEngine._T
+    lookup = CorrelatorEngine._lookup
 
-    def counted(self, amb, prim):
+    def counted(self, key):
         nonlocal calls
         calls += 1
-        return lookup(self, amb, prim)
+        return lookup(self, key)
 
-    monkeypatch.setattr(CorrelatorEngine, "_T", counted)
+    monkeypatch.setattr(CorrelatorEngine, "_lookup", counted)
     assert CorrelatorEngine(8).conjecture_quadratic().is_zero()
     assert calls <= 1228317 // 5
 
@@ -492,6 +579,41 @@ def test_convergence_witness_monotone():
         convergence_witness(4, 4)
     with pytest.raises(ValueError):
         convergence_witness(4, 7, engine=CorrelatorEngine(6))
+
+
+def _fraction_grid_steps(v, k):
+    """Smallest m >= 1 with (m/4)^k >= v / k!, by bisection on Fractions."""
+    target = v / math.factorial(k)
+    lo, hi = 1, 2
+    while (hi * Fraction(1, 4)) ** k < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid * Fraction(1, 4)) ** k >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_witness_grid_search_in_ints():
+    # second route for convergence_witness's integer search; the values on
+    # a grid boundary, v = (m/4)^k k!, must give m itself, and a hair more
+    # must give m + 1
+    rng = random.Random(4217)
+    for k in range(1, 9):
+        values = [Fraction(0), Fraction(1, 10**9)]
+        values += [
+            Fraction(rng.randrange(1, 10**15), rng.randrange(1, 10**6))
+            for _ in range(40)
+        ]
+        for m in [1, 2, 3, 4, 5] + [rng.randrange(6, 10**6) for _ in range(20)]:
+            edge = Fraction(m, 4) ** k * math.factorial(k)
+            assert _grid_steps(edge, k) == m
+            assert _grid_steps(edge + Fraction(1, 10**40), k) == m + 1
+            values += [edge, edge - Fraction(1, 10**40), edge + Fraction(1, 10**40)]
+        for v in values:
+            assert _grid_steps(v, k) == _fraction_grid_steps(v, k)
 
 
 def test_peval():
