@@ -6,13 +6,23 @@ one record per canonical key,
     n|ambient exponents|sorted primitive exponents|polynomial in x
 
 with rationals rendered as num/den, and a newline ending every line.
-Loading refuses a byte that is not ASCII (the writer writes only ASCII),
-a header other than the writer's (single spaces, ``n=``, canonical decimal
-version and n), a different format version or dimension, a blank first
-line ahead of records, a cut last line, negative exponents (in keys and in
-the polynomial), non-canonical or repeated keys, and text the writer never
-produces: a sign, whitespace, '_' or a non-ASCII digit in a key field, and
-a doubled sign or a coefficient not joined to x by '*' in the polynomial.
+
+A file loads only if every record is the writer's own text: each key field
+must read back as ``",".join(map(str, exponents))`` of the exponents it
+parses to, and each polynomial as ``poly_to_str`` of its coefficients, so
+``07``, ``x^1``, ``1*x``, ``2/4`` or ``x^2+1`` (the writer puts terms in
+ascending order) are refused like a sign, whitespace or '_' is.  Loading
+also refuses a byte that is not ASCII, a header other than the writer's
+(single spaces, ``n=``, canonical decimal version and n), a different
+format version or dimension, a blank first line ahead of records, a cut
+last line, negative exponents (in keys and in the polynomial), and
+primitive exponents out of descending order or repeated keys.
+
+Records repeat their texts (most polynomials are ``0``, and a few hundred
+key fields make up thousands of keys), so load and save cost a few dict
+hits per record and do the real work once per distinct text: parsing,
+checking and rendering.  Equal loaded values share one tuple.
+
 Saving writes a temporary file next to the cache and renames it over the
 cache, so a reader sees either the old file or the new one, never a cut one.
 """
@@ -113,6 +123,35 @@ def _exponents(field):
     return tuple(map(int, values))
 
 
+def _key_text(exponents):
+    return ",".join(map(str, exponents))
+
+
+# The writer's text of each exponent below 100: a key field made only of
+# these is nonnegative and canonical, and is parsed without int().
+_SMALL_EXPONENTS = {str(v): v for v in range(100)}
+
+
+def _key_field(text):
+    """The exponents of a key field and its verdicts: nonnegative, sorted
+    descending, and written as ``save_cache`` writes them."""
+    try:
+        values = tuple(map(_SMALL_EXPONENTS.__getitem__, text.split(",")))
+        nonnegative = canonical = True
+    except KeyError:
+        values = _exponents(text)
+        nonnegative = min(values) >= 0
+        canonical = _key_text(values) == text
+    return values, nonnegative, list(values) == sorted(values, reverse=True), canonical
+
+
+def _poly_entry(text):
+    """The coefficients of a polynomial, and whether ``save_cache`` writes
+    them as this text."""
+    poly = poly_from_str(text)
+    return poly, poly_to_str(poly) == text
+
+
 class CacheError(Exception):
     pass
 
@@ -128,18 +167,25 @@ def _header_int(text):
     return value
 
 
+class _Once(dict):
+    """A dict that fills a missing key with ``make(key)``, so each is made once."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def save_cache(path, n, memo):
+    fields = _Once(_key_text)  # key fields and polynomials repeat across
+    polys = _Once(poly_to_str)  # records: render each distinct one once
+    head = "%d|" % n
     lines = ["%s %d n=%d" % (CACHE_MAGIC, CACHE_VERSION, n)]
     for (amb, prim), poly in sorted(memo.items()):
-        lines.append(
-            "%d|%s|%s|%s"
-            % (
-                n,
-                ",".join(str(v) for v in amb),
-                ",".join(str(v) for v in prim),
-                poly_to_str(poly),
-            )
-        )
+        lines.append(head + fields[amb] + "|" + fields[prim] + "|" + polys[poly])
     tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
     try:
         with open(tmp, "w") as fh:
@@ -154,12 +200,15 @@ def save_cache(path, n, memo):
 def load_cache(path, n):
     """Read a cache file written by ``save_cache`` for dimension n.
 
-    An empty or whitespace-only file is an empty cache.  Raises
-    ``CacheError`` naming the line for a byte that is not ASCII, a blank
-    header or one other than ``save_cache`` writes, a malformed record, a
-    record cut short (the writer ends every file with a newline), a negative
-    exponent, primitive exponents out of canonical (descending) order, or a
-    repeated key.
+    A file loads only if every record is the writer's own text.  An empty or
+    whitespace-only file is an empty cache.  Raises ``CacheError`` naming the
+    line for a byte that is not ASCII, a blank header or one other than
+    ``save_cache`` writes, a malformed record, a record cut short (the writer
+    ends every file with a newline), a negative exponent, primitive exponents
+    out of canonical (descending) order, a repeated key, or a key field or
+    polynomial that does not render back to its own text.  Each distinct
+    field or polynomial text is parsed and checked once; a record costs its
+    split and a few dict hits.
     """
     return _read_cache(path, n)[1]
 
@@ -198,30 +247,37 @@ def _read_cache(path, n=None):
     elif file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
     memo = {}
-    fields = {}  # key fields repeat across records: parse each text once
+    fields = _Once(_key_field)  # each distinct text is parsed and checked
+    polys = _Once(_poly_entry)  # once; a record then costs four dict hits
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split("|")
         if len(parts) != 4:
+            if not line.strip():
+                continue
             raise CacheError("line %d: expected 4 fields" % lineno)
         try:
-            for field in parts[:3]:
-                if field not in fields:
-                    fields[field] = _exponents(field)
-            (rec_n,), amb, prim = map(fields.get, parts[:3])
-            poly = poly_from_str(parts[3])
+            n_entry = fields[parts[0]]
+            amb, amb_nonnegative, _, amb_canonical = fields[parts[1]]
+            prim, prim_nonnegative, prim_descending, prim_canonical = fields[parts[2]]
+            (rec_n,) = n_entry[0]
+            poly, poly_canonical = polys[parts[3]]
         except (ValueError, ArithmeticError) as exc:
             raise CacheError("line %d: %s" % (lineno, exc)) from None
         if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
             raise CacheError("line %d: record does not match n=%d" % (lineno, n))
-        if min(amb + prim) < 0:
+        if not (amb_nonnegative and prim_nonnegative):
             raise CacheError("line %d: negative exponent" % lineno)
-        if list(prim) != sorted(prim, reverse=True):
+        if not prim_descending:
             raise CacheError(
                 "line %d: primitive exponents not sorted descending" % lineno
             )
-        if (amb, prim) in memo:
+        key = (amb, prim)
+        if key in memo:
             raise CacheError("line %d: duplicate key" % lineno)
-        memo[(amb, prim)] = poly
+        if not (n_entry[3] and amb_canonical and prim_canonical and poly_canonical):
+            text = next((t for t in parts[:3] if not fields[t][3]), parts[3])
+            raise CacheError(
+                "line %d: %r is not the text save_cache writes" % (lineno, text)
+            )
+        memo[key] = poly
     return n, memo

@@ -335,18 +335,147 @@ def test_negative_polynomial_exponent_is_rejected(tmp_path):
         " 4|0,0,7,0,0|0,0,0,0,0,0,0|3",
         "4|0,0,7,0,0|0,0,0,0,0,0,0|٣",  # non-ASCII digit
         "4|0,0,٧,0,0|0,0,0,0,0,0,0|3",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|x^1",  # text that parses, but the
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|1*x",  # writer renders the value
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|x^0",  # otherwise
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|0*x",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|-0",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|x+x",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|2/4",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|3/1",
+        "4|0,0,7,0,0|0,0,0,0,0,0,0|x^2+1",
+        "4|0,0,07,0,0|0,0,0,0,0,0,0|3",
+        "04|0,0,7,0,0|0,0,0,0,0,0,0|3",
+        "4|0,0,7,0,-0|0,0,0,0,0,0,0|3",
+        "4|0,0,7,0,0|0100,0,0,0,0,0,0|3",
     ],
 )
-def test_cache_record_outside_writer_grammar_is_rejected(tmp_path, record):
+def test_cache_record_outside_writer_grammar_is_rejected(tmp_path, capsys, record):
     # each of these used to load as a value save_cache never writes
     path = tmp_path / "memo.cache"
     path.write_text("qq22-cache 1 n=4\n" + record + "\n", encoding="utf-8")
     with pytest.raises(CacheError) as exc:
         load_cache(path, 4)
     assert str(exc.value).startswith("line 2: ")
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert rc == 1 and out == "" and err.startswith("error: line 2: ")
     good = "4|0,0,7,0,0|0,0,0,0,0,0,0|3\n"
     path.write_text("qq22-cache 1 n=4\n" + good)
     assert load_cache(path, 4) == {((0, 0, 7, 0, 0), (0,) * 7): (Fraction(3),)}
+
+
+def test_writer_text_check_names_the_text(tmp_path):
+    path = tmp_path / "memo.cache"
+    path.write_text("qq22-cache 1 n=4\n4|0,0,07,0,0|0,0,0,0,0,0,0|x^1\n")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line 2: '0,0,07,0,0' is not the text save_cache writes"
+    path.write_text("qq22-cache 1 n=4\n4|0,0,7,0,0|0,0,0,0,0,0,0|x^1\n")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == "line 2: 'x^1' is not the text save_cache writes"
+    # an exponent of 100 or more is written, and read back, like any other
+    path.write_text("qq22-cache 1 n=4\n4|0,0,7,0,0|100,0,0,0,0,0,0|x\n")
+    key = ((0, 0, 7, 0, 0), (100, 0, 0, 0, 0, 0, 0))
+    assert load_cache(path, 4) == {key: (Fraction(0), Fraction(1))}
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        # the primitive text of line 2 comes back as an ambient field
+        (
+            ["4|0,0,7,0,0|0,0,0,0,0,0,0|3", "4|0,0,0,0,0,0,0|0,0,0,0,0,0,0|1"],
+            "line 3: record does not match n=4",
+        ),
+        # too long and negative: the length is reported first
+        (
+            ["4|0,0,7,0,0|0,0,0,0,0,0,0|3", "4|0,0,0,0,0,-1|0,0,0,0,0,0,0|1"],
+            "line 3: record does not match n=4",
+        ),
+        # a new negative ambient field beside a primitive text seen valid
+        (
+            ["4|0,0,7,0,0|0,0,0,0,0,0,0|3", "4|0,0,0,0,-1|0,0,0,0,0,0,0|3"],
+            "line 3: negative exponent",
+        ),
+        # the polynomial of line 3 comes back on a repeated key
+        (
+            [
+                "4|0,0,7,0,0|0,0,0,0,0,0,0|3",
+                "4|0,0,6,0,0|0,0,0,0,0,0,0|5",
+                "4|0,0,7,0,0|0,0,0,0,0,0,0|5",
+            ],
+            "line 4: duplicate key",
+        ),
+        # a known non-writer polynomial on a repeated key: the key is reported
+        (
+            ["4|0,0,7,0,0|0,0,0,0,0,0,0|3", "4|0,0,7,0,0|0,0,0,0,0,0,0|3/1"],
+            "line 3: duplicate key",
+        ),
+        # a field text seen valid, then on a record with a descending fault
+        (
+            ["4|0,0,7,0,0|1,0,0,0,0,0,0|3", "4|0,0,7,0,0|0,1,0,0,0,0,0|3"],
+            "line 3: primitive exponents not sorted descending",
+        ),
+    ],
+    ids=[
+        "length",
+        "length-before-sign",
+        "sign",
+        "duplicate",
+        "duplicate-before-text",
+        "order",
+    ],
+)
+def test_cache_error_precedence_with_reused_texts(tmp_path, capsys, records, message):
+    # each text is parsed once, but every record is still checked in the
+    # same order: the first failing check of the first bad line is reported
+    path = tmp_path / "memo.cache"
+    path.write_text("qq22-cache 1 n=4\n" + "\n".join(records) + "\n")
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == message
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert rc == 1 and out == "" and err == "error: %s\n" % message
+
+
+def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from qq22 import serial
+
+    eng = CorrelatorEngine(6)
+    eng.conjecture_quadratic_lhs()
+    path = tmp_path / "memo.cache"
+    save_cache(path, 6, eng.memo)
+    data = path.read_bytes()
+    records = [line.split("|") for line in data.decode().splitlines()[1:]]
+    fields = {text for record in records for text in record[:3]}
+    polys = {record[3] for record in records}
+    assert len(records) > 4 * len(fields) > 20 * len(polys)
+    calls = Counter()
+    for name in ("_key_field", "_exponents", "poly_from_str", "poly_to_str"):
+
+        def counted(*args, _real=getattr(serial, name), _name=name, **kwargs):
+            calls[_name, args[0]] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(serial, name, counted)
+
+    def made(name):
+        return {arg: k for (called, arg), k in calls.items() if called == name}
+
+    loaded = load_cache(path, 6)
+    assert loaded == eng.memo
+    assert made("_key_field") == dict.fromkeys(fields, 1)
+    assert set(made("_exponents").values()) <= {1} and set(made("_exponents")) <= fields
+    assert made("poly_from_str") == dict.fromkeys(polys, 1)
+    assert len({id(poly) for poly in loaded.values()}) == len(polys)
+    calls.clear()
+    again = tmp_path / "again.cache"
+    save_cache(again, 6, loaded)
+    assert again.read_bytes() == data
+    assert made("poly_to_str") == dict.fromkeys(set(loaded.values()), 1)
 
 
 def test_blank_first_line_is_not_an_empty_cache(tmp_path, capsys):

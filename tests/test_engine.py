@@ -16,7 +16,7 @@ from qq22.engine import (
     index_triple,
 )
 from qq22.polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
-from qq22.serial import save_cache
+from qq22.serial import load_cache, save_cache
 
 X = UniPoly((Fraction(0), Fraction(1)))
 
@@ -340,6 +340,11 @@ def _memo_pin(eng, tmp_path):
     path = tmp_path / "memo.cache"
     save_cache(path, eng.n, eng.memo)
     data = path.read_bytes()
+    # the file loads back to the memo, which saves to the same bytes
+    loaded = load_cache(path, eng.n)
+    assert loaded == eng.memo
+    save_cache(path, eng.n, loaded)
+    assert path.read_bytes() == data
     return len(eng.memo), len(data), hashlib.sha256(data).hexdigest()
 
 
