@@ -35,12 +35,8 @@ from .serial import (
 CACHE_ENV = "QH22_CACHE"
 
 
-def _parse_ints(text):
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_fractions(text):
-    return tuple(Fraction(v) for v in text.split(","))
+def _parse_list(text, kind):
+    return tuple(kind(v) for v in text.split(","))
 
 
 def _engine_with_cache(n, cache_path):
@@ -59,37 +55,48 @@ def _maybe_save(eng, cache_path, loaded):
         save_cache(cache_path, eng.n, eng.memo)
 
 
-def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=False))
+def _report(args, doc, lines, failure=None):
+    """Print doc as JSON or lines as text, per --format.
+
+    With a failure message, print it to stderr and return 1; else return 0.
+    """
+    if args.format == "json":
+        print(json.dumps(doc, indent=2, sort_keys=False))
+    else:
+        for line in lines:
+            print(line)
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
+
+
+def _poly_value(poly):
+    return {"poly": [[rational_str(c), "0"] for c in poly.coeffs]}
 
 
 def cmd_correlator(args):
     cache = args.cache or os.environ.get(CACHE_ENV)
     eng, loaded = _engine_with_cache(args.n, cache)
     if args.tau_index is not None:
-        index = _parse_ints(args.tau_index)
+        index = _parse_list(args.tau_index, int)
         basis = "tau"
         poly = eng.correlator_tau(index)
     else:
-        index = _parse_ints(args.t_index)
+        index = _parse_list(args.t_index, int)
         basis = "t"
         poly = eng.correlator_t(index)
     _maybe_save(eng, cache, loaded)
     # the dimension axiom gives the same degree in either coordinate system
     beta = eng.beta_of_t_index(index)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": args.n,
-                "basis": basis,
-                "index": list(index),
-                "value": {"poly": [[rational_str(c), "0"] for c in poly.coeffs]},
-                "beta": beta,
-            }
-        )
-    else:
-        print(poly_to_str(poly.coeffs, descending=True))
-    return 0
+    doc = {
+        "n": args.n,
+        "basis": basis,
+        "index": list(index),
+        "value": _poly_value(poly),
+        "beta": beta,
+    }
+    return _report(args, doc, [poly_to_str(poly.coeffs, descending=True)])
 
 
 def cmd_special_expr(args):
@@ -98,75 +105,51 @@ def cmd_special_expr(args):
         poly = eng.f_value()
     else:
         poly = eng.conjecture_quadratic()
-    if args.format == "json":
-        _print_json(
-            {
-                "n": args.n,
-                "target": args.target,
-                "value": {"poly": [[rational_str(c), "0"] for c in poly.coeffs]},
-            }
-        )
-    else:
-        print(poly_to_str(poly.coeffs))
-    return 0
+    doc = {"n": args.n, "target": args.target, "value": _poly_value(poly)}
+    return _report(args, doc, [poly_to_str(poly.coeffs)])
 
 
 def cmd_conjecture(args):
     eng = CorrelatorEngine(args.n)
-    lhs = eng.conjecture_quadratic_lhs()
+    lhs = poly_to_str(eng.conjecture_quadratic_lhs().coeffs, descending=True)
     residual = eng.conjecture_quadratic()
     ok = residual.is_zero()
-    if args.format == "json":
-        _print_json(
-            {
-                "n": args.n,
-                "lhs": poly_to_str(lhs.coeffs, descending=True),
-                "residual": poly_to_str(residual.coeffs),
-                "ok": ok,
-            }
-        )
-    else:
-        print("lhs: %s" % poly_to_str(lhs.coeffs, descending=True))
-        print("residual: %s" % poly_to_str(residual.coeffs))
-    if not ok:
-        print("quadratic identity failed", file=sys.stderr)
-        return 1
-    return 0
+    doc = {
+        "n": args.n,
+        "lhs": lhs,
+        "residual": poly_to_str(residual.coeffs),
+        "ok": ok,
+    }
+    lines = ["lhs: %s" % lhs, "residual: %s" % doc["residual"]]
+    return _report(args, doc, lines, None if ok else "quadratic identity failed")
 
 
 def cmd_semisimple(args):
     rows = semisimple.semisimple_scan(args.n, args.samples, args.seed)
     accepted = [r for r in rows if not r.rejected]
     ok = all(r.agrees for r in accepted)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": args.n,
-                "samples": args.samples,
-                "seed": args.seed,
-                "rows": [r.as_dict() for r in rows],
-                "squarefree": sum(1 for r in accepted if r.squarefree),
-                "ok": ok,
-            }
-        )
-    else:
-        for r in rows:
-            flag = "rejected" if r.rejected else (
-                "agree" if r.agrees else "MISMATCH"
-            ) + (" squarefree" if r.squarefree else " repeated-roots")
-            print("%s  %s" % (flag, " ".join(rational_str(v) for v in r.point)))
-        print(
-            "%d/%d squarefree, all agree: %s"
-            % (sum(1 for r in accepted if r.squarefree), len(accepted), ok)
-        )
-    if not ok:
-        print("characteristic polynomial mismatch", file=sys.stderr)
-        return 1
-    return 0
+    squarefree = sum(1 for r in accepted if r.squarefree)
+    doc = {
+        "n": args.n,
+        "samples": args.samples,
+        "seed": args.seed,
+        "rows": [r.as_dict() for r in rows],
+        "squarefree": squarefree,
+        "ok": ok,
+    }
+    lines = []
+    for r in rows:
+        flag = "rejected" if r.rejected else (
+            "agree" if r.agrees else "MISMATCH"
+        ) + (" squarefree" if r.squarefree else " repeated-roots")
+        lines.append("%s  %s" % (flag, " ".join(rational_str(v) for v in r.point)))
+    lines.append("%d/%d squarefree, all agree: %s" % (squarefree, len(accepted), ok))
+    failure = None if ok else "characteristic polynomial mismatch"
+    return _report(args, doc, lines, failure)
 
 
 def cmd_conics(args):
-    lams = _parse_fractions(args.lams)
+    lams = _parse_list(args.lams, Fraction)
     report = geometry.conic_pipeline(lams)
     rigidity = geometry.dual_uniqueness(lams)
     extras = {
@@ -174,37 +157,29 @@ def cmd_conics(args):
         "plane_in_conjectural_quadric": geometry.conic_plane_in_conjectural_quadric(lams),
     }
     ok = report.ok and rigidity.ok and extras["no_conic_on_base_plane"]
-    if args.format == "json":
-        _print_json(
-            {
-                "lams": [rational_str(v) for v in lams],
-                "pipeline": report.as_dict(),
-                "rigidity": rigidity.as_dict(),
-                "extras": extras,
-                "ok": ok,
-            }
-        )
-    else:
-        for stage in report.stages + rigidity.stages:
-            print("%s  %s" % ("ok " if stage.ok else "FAIL", stage.name))
-        for k, v in extras.items():
-            print("%s  %s" % ("ok " if v else "note", k))
-        print("overall: %s" % ("pass" if ok else "fail"))
-    if not ok:
-        print("conic verification mismatch", file=sys.stderr)
-        return 1
-    return 0
+    doc = {
+        "lams": [rational_str(v) for v in lams],
+        "pipeline": report.as_dict(),
+        "rigidity": rigidity.as_dict(),
+        "extras": extras,
+        "ok": ok,
+    }
+    lines = [
+        "%s  %s" % ("ok " if s.ok else "FAIL", s.name)
+        for s in report.stages + rigidity.stages
+    ]
+    lines += ["%s  %s" % ("ok " if v else "note", k) for k, v in extras.items()]
+    lines.append("overall: %s" % ("pass" if ok else "fail"))
+    return _report(args, doc, lines, None if ok else "conic verification mismatch")
 
 
 def cmd_lattice(args):
     n = args.n
     out = {}
     if args.dim:
-        i_set, j_set = args.dim
-        out["dim"] = geometry.intersection_dim(i_set, j_set, n)
+        out["dim"] = geometry.intersection_dim(*args.dim, n)
     if args.number:
-        i_set, j_set = args.number
-        out["number"] = rational_str(geometry.intersection_number(i_set, j_set, n))
+        out["number"] = rational_str(geometry.intersection_number(*args.number, n))
     if args.gram:
         gram = geometry.epsilon_gram(n)
         sign = (-1) ** (n // 2)
@@ -221,13 +196,8 @@ def cmd_lattice(args):
     if not out:
         print("nothing to do; pass --dim/--number/--gram/--unique-plane/--inequality", file=sys.stderr)
         return 2
-    if args.format == "json":
-        _print_json({"n": n, **out})
-    else:
-        for k, v in out.items():
-            print("%s: %s" % (k, v))
-    failed = any(v is False for v in out.values())
-    return 1 if failed else 0
+    _report(args, {"n": n, **out}, ["%s: %s" % kv for kv in out.items()])
+    return 1 if any(v is False for v in out.values()) else 0
 
 
 def cmd_cache_info(args):
@@ -242,15 +212,12 @@ def cmd_cache_info(args):
         return 1
     if n is None:
         magic = version = dim = None
+        line = "empty cache, 0 entries"
     else:
         magic, version, dim = CACHE_MAGIC, str(CACHE_VERSION), "n=%d" % n
-    if args.format == "json":
-        _print_json({"magic": magic, "version": version, "n": dim, "entries": len(memo)})
-    elif n is None:
-        print("empty cache, 0 entries")
-    else:
-        print("%s version %s %s, %d entries" % (magic, version, dim, len(memo)))
-    return 0
+        line = "%s version %s %s, %d entries" % (magic, version, dim, len(memo))
+    doc = {"magic": magic, "version": version, "n": dim, "entries": len(memo)}
+    return _report(args, doc, [line])
 
 
 def _subset(text):
@@ -273,31 +240,21 @@ def build_parser():
     group.add_argument("--tau-index", help="comma separated exponents, 2n+4 entries")
     group.add_argument("--t-index", help="cup-coordinate exponents, 2n+4 entries")
     pc.add_argument("--cache", help="memo file path (default: $%s)" % CACHE_ENV)
-    pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.set_defaults(func=cmd_correlator)
 
     ps = sub.add_parser("special-expr", help="window correlator or quadratic residual")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--target", choices=("f", "quadratic"), required=True)
-    ps.add_argument("--format", choices=("text", "json"), default="text")
-    ps.set_defaults(func=cmd_special_expr)
 
     pj = sub.add_parser("conjecture", help="check the quadratic identity")
     pj.add_argument("--n", type=int, required=True)
-    pj.add_argument("--format", choices=("text", "json"), default="text")
-    pj.set_defaults(func=cmd_conjecture)
 
     pm = sub.add_parser("semisimple", help="characteristic polynomial scan")
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--samples", type=int, default=20)
     pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--format", choices=("text", "json"), default="text")
-    pm.set_defaults(func=cmd_semisimple)
 
     pq = sub.add_parser("conics", help="dimension-4 conic verification")
     pq.add_argument("--lambda", dest="lams", required=True, help="seven comma separated values")
-    pq.add_argument("--format", choices=("text", "json"), default="text")
-    pq.set_defaults(func=cmd_conics)
 
     pl = sub.add_parser("lattice", help="plane intersection calculus")
     pl.add_argument("--n", type=int, required=True)
@@ -306,13 +263,21 @@ def build_parser():
     pl.add_argument("--gram", action="store_true")
     pl.add_argument("--unique-plane", action="store_true")
     pl.add_argument("--inequality", action="store_true")
-    pl.add_argument("--format", choices=("text", "json"), default="text")
-    pl.set_defaults(func=cmd_lattice)
 
     pi = sub.add_parser("cache-info", help="validate a memo file and count its entries")
     pi.add_argument("--cache")
-    pi.add_argument("--format", choices=("text", "json"), default="text")
-    pi.set_defaults(func=cmd_cache_info)
+
+    for p, func in (
+        (pc, cmd_correlator),
+        (ps, cmd_special_expr),
+        (pj, cmd_conjecture),
+        (pm, cmd_semisimple),
+        (pq, cmd_conics),
+        (pl, cmd_lattice),
+        (pi, cmd_cache_info),
+    ):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -46,8 +46,10 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
+from .geometry import window_class_h_eps
 from .model import ModelParams, ambient_3pt_tau, eta_inverse, euler_field, t_to_tau
 from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
+from .scalars import check_rational
 
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
@@ -88,6 +90,21 @@ def _bump(t, pos, k=1):
     out = list(t)
     out[pos] += k
     return tuple(out)
+
+
+def _expand(terms, factors):
+    """Multiply terms, a map from flat indices to coefficients, by each factor.
+
+    A factor is a list of (slot, c) pairs, the linear form sum c e_slot.
+    """
+    for factor in factors:
+        nxt = {}
+        for idx, cf in terms.items():
+            for slot, c in factor:
+                key = _bump(idx, slot)
+                nxt[key] = nxt.get(key, 0) + cf * c
+        terms = nxt
+    return terms
 
 
 def index_triple(exponents):
@@ -424,17 +441,14 @@ class CorrelatorEngine:
         """Correlator in cup-product coordinates, via the coordinate change."""
         na = self.n + 1
         index = self._flat(index)
-        terms = {index: Fraction(1)}
+        # empty the slots the change moves, then multiply their forms back in
+        base = list(index)
+        factors = []
         for j, moves in self._t_moves:
-            for _ in range(index[j]):
-                nxt = {}
-                for idx, coef in terms.items():
-                    for k, c in moves:
-                        key = _bump(_bump(idx, j, -1), k)
-                        nxt[key] = nxt.get(key, 0) + coef * c
-                terms = nxt
+            base[j] = 0
+            factors += [moves] * index[j]
         val = PZERO
-        for idx, coef in terms.items():
+        for idx, coef in _expand({tuple(base): Fraction(1)}, factors).items():
             val = padd(val, pscale(coef, self._T(idx[:na], idx[na:])))
         return UniPoly(val)
 
@@ -452,24 +466,13 @@ class CorrelatorEngine:
         size = 2 * self.n + 4
         if len(classes) < 3:
             raise ValueError("need at least three insertions")
-        acc = {(0,) * size: 1}
         for cls in classes:
             if len(cls) != size:
                 raise ValueError("class vector must have %d entries" % size)
-            for c in cls:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(
-                        "class entry must be int or Fraction, got %r" % (c,)
-                    )
-            support = [(slot, c) for slot, c in enumerate(cls) if c]
-            nxt = {}
-            for idx, cf in acc.items():
-                for slot, c in support:
-                    key = _bump(idx, slot)
-                    nxt[key] = nxt.get(key, 0) + cf * c
-            acc = nxt
+            check_rational(cls, "class entry")
+        supports = [[(slot, c) for slot, c in enumerate(cls) if c] for cls in classes]
         val = PZERO
-        for idx, cf in acc.items():
+        for idx, cf in _expand({(0,) * size: 1}, supports).items():
             if self.beta_of_t_index(idx) == beta:
                 val = padd(val, pscale(cf, self.correlator_t(idx).coeffs))
         return UniPoly(val)
@@ -505,8 +508,6 @@ class CorrelatorEngine:
         phase i^(p |lam|) and the rewrite x = i x' (an i^d on the x^d
         coefficient when n = 2 mod 4) fold into one power of i.
         """
-        from .geometry import window_class_h_eps
-
         n = self.n
         size = n + 3
         twist = n % 4 // 2  # 1 when n = 2 mod 4: phase i^3 and x = i x'

@@ -1,19 +1,18 @@
 """Exact dense linear algebra on plain row lists.
 
-A matrix is a list of equal-length rows.  Every routine copies its input
-and rejects a ragged one.  Rank, nullspace and determinant take ``int`` and
-``Fraction`` entries only (anything else is a TypeError) and eliminate on
-Python ints: each row is scaled by the lcm of its denominators, which
-leaves the row space unchanged.  Rank and nullspace share one integer
-Gauss-Jordan reduction that keeps every row primitive; a ``Fraction`` is
-formed only for a nullspace entry.  The determinant runs Bareiss's
-fraction-free elimination (Math. Comp. 22 (1968) 565-578) with exact
-``//`` and divides by the row scales once, at the end.  The
-characteristic polynomial works over Q and takes ``int`` and ``Fraction``
-entries only, reading ``int`` as ``Fraction``: it reduces to upper
-Hessenberg form and runs the Hessenberg recurrence (Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 2.2.9), O(N^3) rational
-operations.  No float appears.
+A matrix is a list of equal-length rows.  Every routine copies its input,
+rejects a ragged one and takes ``int`` and ``Fraction`` entries only: the
+shared gate in ``scalars`` makes anything else a TypeError.  Rank, nullspace
+and determinant eliminate on Python ints: each row is scaled by the lcm of
+its denominators, which leaves the row space unchanged.  Rank and nullspace
+share one integer Gauss-Jordan reduction that keeps every row primitive; a
+``Fraction`` is formed only for a nullspace entry.  The determinant runs
+Bareiss's fraction-free elimination (Math. Comp. 22 (1968) 565-578) with
+exact ``//`` and divides by the row scales once, at the end.  The
+characteristic polynomial works over Q, reading ``int`` as ``Fraction``: it
+reduces to upper Hessenberg form and runs the Hessenberg recurrence (Cohen,
+A Course in Computational Algebraic Number Theory, Alg. 2.2.9), O(N^3)
+rational operations.  No float appears.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .polynomials import UniPoly, padd, pmul, pscale
+from .scalars import as_fraction, check_rational
 
 
 def _int_rows(a):
@@ -34,9 +34,7 @@ def _int_rows(a):
     rows = []
     scale = 1
     for row in a:
-        for v in row:
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError("matrix entry must be int or Fraction, got %r" % (v,))
+        check_rational(row, "matrix entry")
         den = lcm(*[v.denominator for v in row])
         rows.append([v.numerator * (den // v.denominator) for v in row])
         scale *= den
@@ -135,14 +133,6 @@ def mat_nullspace(a):
     return basis
 
 
-def _fraction_entry(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError("matrix entry must be int or Fraction, got %r" % (v,))
-
-
 def mat_charpoly(a) -> UniPoly:
     """Monic characteristic polynomial det(zI - A) over Q.
 
@@ -152,7 +142,7 @@ def mat_charpoly(a) -> UniPoly:
     p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
     gives p_N = det(zI - A).
     """
-    h = [[_fraction_entry(v) for v in row] for row in a]
+    h = [[as_fraction(v, "matrix entry") for v in row] for row in a]
     n = len(h)
     if any(len(row) != n for row in h):
         raise ValueError("characteristic polynomial of a ragged or non-square matrix")

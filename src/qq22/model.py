@@ -34,9 +34,6 @@ class ModelParams:
     def num_primitive(self) -> int:
         return self.n + 3
 
-    def is_primitive_slot(self, k: int) -> bool:
-        return self.n + 1 <= k <= 2 * self.n + 3
-
 
 @functools.lru_cache(maxsize=None)
 def eta_inverse(n: int):
@@ -61,20 +58,15 @@ def eta_inverse(n: int):
 def eta_pairing(n: int):
     """Dense pairing matrix (a row list): the explicit inverse of eta_inverse.
 
-    Ambient block: eta_{ab} = 4 * 16^((a+b-n)/(n-1)) when that exponent is a
-    nonnegative integer, else 0; primitive block is the identity.
+    Ambient block: eta_{ab} = <1, a, b>, the three-point value
+    ``ambient_3pt_tau(n, 0, a, b)``; primitive block is the identity.
     """
-    p = ModelParams(n)
-    size = p.basis_size
+    size = ModelParams(n).basis_size
     m = [[Fraction(0)] * size for _ in range(size)]
-    for e in range(size):
-        for f in range(size):
-            if e <= n and f <= n:
-                q, r = divmod(e + f - n, n - 1)
-                if r == 0 and q >= 0:
-                    m[e][f] = Fraction(4) * Fraction(16) ** q
-            elif p.is_primitive_slot(e) and e == f:
-                m[e][f] = Fraction(1)
+    for e in range(n + 1):
+        m[e][: n + 1] = [ambient_3pt_tau(n, 0, e, f) for f in range(n + 1)]
+    for e in range(n + 1, size):
+        m[e][e] = Fraction(1)
     return m
 
 

@@ -1,6 +1,7 @@
 """Dense univariate polynomials over Q.
 
-Coefficients are ``int`` or ``Fraction``; division reads an ``int`` leading
+Coefficients are ``int`` or ``Fraction`` (``squarefree`` checks them through
+the shared gate in ``scalars``); division reads an ``int`` leading
 coefficient as a ``Fraction``, so no float appears.  Trailing zeros are
 stripped, so ``degree`` is the index of the last nonzero coefficient and the
 zero polynomial has degree -1.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from .scalars import RATIONAL, check_rational
 
 PZERO = ()
 
@@ -100,7 +103,7 @@ class UniPoly:
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RATIONAL):
             return self == UniPoly.constant(other)
         return NotImplemented
 
@@ -253,9 +256,7 @@ def squarefree(p: UniPoly) -> bool:
     """
     if p.is_zero():
         raise ValueError("squarefree test of the zero polynomial")
-    for c in p.coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError("coefficient must be int or Fraction, got %r" % (c,))
+    check_rational(p.coeffs, "coefficient")
     if p.degree == 0:
         return True
     if _certified_squarefree(p.coeffs):

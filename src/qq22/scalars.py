@@ -1,6 +1,9 @@
-"""Exact scalars: rational serialization and a minimal Gaussian rational.
+"""Exact scalars: the int-or-Fraction gate, serialization and a Gaussian rational.
 
 Every scalar the package computes is an ``int`` or ``fractions.Fraction``.
+``check_rational`` and ``as_fraction`` are the one gate that turns any other
+input into a ``TypeError`` naming what was passed; the matrix,
+polynomial, semisimplicity and engine entry points all go through it.
 ``GaussianRational`` has no caller in the package.  It keeps only the ``+``,
 ``*`` and ``==`` (ints and Fractions coerced) that the tests use and whose
 calls the benchmark tracer counts.
@@ -10,18 +13,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+RATIONAL = (int, Fraction)
 
-def _as_fraction(v):
+
+def check_rational(values, what):
+    """TypeError "<what> must be int or Fraction, got v" at the first v that is not."""
+    for v in values:
+        if not isinstance(v, RATIONAL):
+            raise TypeError("%s must be int or Fraction, got %r" % (what, v))
+
+
+def as_fraction(v, what="value"):
+    """v as a Fraction, checked by ``check_rational``; a Fraction is returned as is."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError("expected int or Fraction, got %r" % (v,))
+    check_rational((v,), what)
+    return Fraction(v)
 
 
 def rational_str(q: Fraction) -> str:
     """Serialize a rational as ``num/den``, omitting ``/den`` when den == 1."""
-    q = _as_fraction(q)
+    q = as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -33,14 +45,14 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        self.re = as_fraction(re)
+        self.im = as_fraction(im)
 
     @staticmethod
     def _coerce(v):
         if isinstance(v, GaussianRational):
             return v
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, RATIONAL):
             return GaussianRational(v)
         return None
 

@@ -11,8 +11,8 @@ The cutoff's nonzero entries are five families, set block by block in
 ``cutoff_matrix``: the ambient superdiagonal n-1, the ambient diagonal -s/2
 (s the sum of the squared primitive coordinates), three ambient corners, the
 primitive rows and columns linear in the coordinates, and the primitive
-block tau_j tau_k.  Coordinates are ``int`` or ``Fraction``; anything else is
-a TypeError.
+block tau_j tau_k.  Coordinates are ``int`` or ``Fraction``; the shared gate
+in ``scalars`` makes anything else a TypeError.
 """
 
 from __future__ import annotations
@@ -25,19 +25,13 @@ from fractions import Fraction
 from .matrices import mat_charpoly
 from .model import ModelParams
 from .polynomials import UniPoly, squarefree
-from .scalars import rational_str
-
-
-def _rational(v, what):
-    if not isinstance(v, (int, Fraction)):
-        raise TypeError("%s must be int or Fraction, got %r" % (what, v))
-    return Fraction(v)
+from .scalars import as_fraction, rational_str
 
 
 def _point(n, taus):
     """Check n and the n+3 primitive coordinates; return them and s = sum tau_i^2."""
     p = ModelParams(n)
-    taus = [_rational(v, "primitive coordinate") for v in taus]
+    taus = [as_fraction(v, "primitive coordinate") for v in taus]
     if len(taus) != p.num_primitive:
         raise ValueError("need %d primitive coordinates" % p.num_primitive)
     return taus, sum(v * v for v in taus)
@@ -125,7 +119,7 @@ def zn_minus_az_plus_1_squarefree(n, a) -> bool:
     """Simple-roots test for z^n - a z + 1 with rational a (true for n >= 3)."""
     if n < 3:
         raise ValueError("degree must be at least 3")
-    a = _rational(a, "a")
+    a = as_fraction(a, "a")
     return squarefree(UniPoly([Fraction(1), -a] + [Fraction(0)] * (n - 2) + [Fraction(1)]))
 
 

@@ -571,6 +571,110 @@ def test_semisimple_output_is_pinned(capsys, fmt, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+T4 = "0,0,0,2,1,0,0,0,0,0,0,0"
+TAU4 = "0,0,7,0,0,0,0,0,0,0,0,0"
+WARM4 = "0,0,5,0,0,2,0,0,0,0,0,0"
+LATTICE4 = ["--dim", "-", "0,1", "--number", "0", "1"]
+LATTICE4 += ["--gram", "--unique-plane", "--inequality"]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, size, digest",
+    [
+        (["correlator", "--n", "4", "--tau-index", TAU4], "text", 6,
+         "91ca0b4c4418d678795ea44f5f09feb56fccdedb7b4e119e8e77275f910ebf45"),
+        (["correlator", "--n", "4", "--tau-index", TAU4], "json", 228,
+         "dacd6adbd6b6d605ed6317efd4e522cab01b41fa611b0c6764e4e92a0940dcc5"),
+        (["correlator", "--n", "4", "--t-index", T4], "text", 4,
+         "49d7ac459790bd263dec212b9b71f59c0b5d55947c3c9593127ccfe8dadeff08"),
+        (["correlator", "--n", "4", "--t-index", T4], "json", 224,
+         "76d9f195c21a6e0d97d61d2963f295136ae4cc4a4f37c255e9292c8ca925307f"),
+        (["special-expr", "--n", "4", "--target", "f"], "text", 12,
+         "ee25c2be5eddceaadfcd1ccddde7207d9ee180ce33f7689d29854a6c7ef1c716"),
+        (["special-expr", "--n", "4", "--target", "f"], "json", 157,
+         "f5c5f4557f983baf0366d0c693060462ef339bd443f780c91b09e02230d1aed1"),
+        (["special-expr", "--n", "4", "--target", "quadratic"], "text", 2,
+         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        (["special-expr", "--n", "4", "--target", "quadratic"], "json", 71,
+         "43a936f16fa9712609a0751fbb97b0c0e96d8a6956d449b913c327959f719d4c"),
+        (["conjecture", "--n", "4"], "text", 27,
+         "a18e5adc4674c8d5a52a96f91ad90139bccd9c1ea729cf9a06afbfebd97633d4"),
+        (["conjecture", "--n", "4"], "json", 68,
+         "9f1d03cefa9e260d317344778ce34d80140a7a9c1417042948ba8dd1aeb338cb"),
+        (["lattice", "--n", "4"] + LATTICE4, "text", 115,
+         "c087c6862256096953920587906c0bc5573597b2fedb201143011051b0ffad97"),
+        (["lattice", "--n", "4"] + LATTICE4, "json", 155,
+         "0a550ed4bdb76ddebea4407bc290ce2a3d1b8310d884d36459b80e12b6c10bf8"),
+    ],
+    ids=[
+        "%s-%s" % (name, fmt)
+        for name in ("tau-index", "t-index", "f", "quadratic", "conjecture", "lattice")
+        for fmt in ("text", "json")
+    ],
+)
+def test_cli_output_is_pinned(capsys, argv, fmt, size, digest):
+    rc, out, err = run_capture(capsys, argv + ["--format", fmt])
+    assert rc == 0 and err == ""
+    data = out.encode("ascii")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, size, digest, info, empty",
+    [
+        (
+            "text",
+            5,
+            "156e3b7cc8f7a985d29b861eea09e4ac7651ab79e5d336565a9f09560a4f24bd",
+            "qq22-cache version 1 n=4, 92 entries\n",
+            "empty cache, 0 entries\n",
+        ),
+        (
+            "json",
+            225,
+            "f5e963ec9872bb51367ee4bf61e028433dd52191f2dd6e6cdedd4833ba3c0748",
+            '{\n  "magic": "qq22-cache",\n  "version": "1",\n  "n": "n=4",\n'
+            '  "entries": 92\n}\n',
+            '{\n  "magic": null,\n  "version": null,\n  "n": null,\n  "entries": 0\n}\n',
+        ),
+    ],
+    ids=["text", "json"],
+)
+def test_cached_query_and_cache_info_are_pinned(
+    tmp_path, capsys, fmt, size, digest, info, empty
+):
+    cache = str(tmp_path / "memo.cache")
+    query = ["correlator", "--n", "4", "--t-index", WARM4, "--format", fmt, "--cache", cache]
+    for _ in ("cold", "warm"):
+        rc, out, err = run_capture(capsys, query)
+        assert rc == 0 and err == ""
+        data = out.encode("ascii")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+    cache_info = ["cache-info", "--format", fmt, "--cache"]
+    assert run_capture(capsys, cache_info + [cache]) == (0, info, "")
+    (tmp_path / "empty.cache").write_text("")
+    assert run_capture(capsys, cache_info + [str(tmp_path / "empty.cache")]) == (0, empty, "")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["lattice", "--n", "4"],
+         "nothing to do; pass --dim/--number/--gram/--unique-plane/--inequality\n"),
+        (["cache-info"], "no cache path given\n"),
+        (["conics", "--lambda", "1,2,3,4,5,6,8"],
+         "error: pipeline verification data exists only for (1,...,7)\n"),
+    ],
+    ids=["lattice", "cache-info", "conics"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_usage_failure_is_pinned(capsys, monkeypatch, argv, err, fmt):
+    monkeypatch.delenv("QH22_CACHE", raising=False)
+    assert run_capture(capsys, argv + ["--format", fmt]) == (2, "", err)
+
+
 def test_conics_rejects_degenerate_parameters(capsys):
     rc, _, err = run_capture(capsys, ["conics", "--lambda", "1,1,3,4,5,6,7"])
     assert rc == 2

@@ -6,6 +6,7 @@ import pytest
 
 from qq22 import geometry as geo
 from qq22.matrices import mat_nullspace, mat_rank
+from qq22.polynomials import UniPoly
 
 
 def test_flip_set_combinatorics():
@@ -214,6 +215,23 @@ def test_conic_pipeline_all_stages():
     failures = [s.name for s in report.stages if not s.ok]
     assert report.ok, failures
     assert len(report.stages) >= 30
+
+
+def test_pipeline_coprime_summary_fails_with_its_pair(monkeypatch):
+    # a common factor reported for one pair fails that pair's stage and the
+    # summary stage, not only the former
+    exact_gcd = geo.poly_gcd
+    calls = []
+
+    def one_shared_factor(p, q):
+        calls.append((p, q))
+        return UniPoly.x() if len(calls) == 3 else exact_gcd(p, q)
+
+    monkeypatch.setattr(geo, "poly_gcd", one_shared_factor)
+    report = geo.conic_pipeline()
+    failed = [s.name for s in report.stages if not s.ok]
+    assert failed == ["components 0,3 coprime", "components pairwise coprime"]
+    assert not report.ok
 
 
 def test_pipeline_rejects_other_parameters():

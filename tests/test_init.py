@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -6,7 +7,9 @@ import qq22
 from qq22.engine import CorrelatorEngine
 from qq22.scalars import GaussianRational
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SOURCES = sorted((ROOT / "src" / "qq22").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -30,3 +33,36 @@ def test_benchmark_tracer_targets_resolve():
     missing += [m for m in tracer.ENGINE_METHODS if m not in vars(CorrelatorEngine)]
     missing += [m for m in tracer.GAUSSIAN_OPS if m not in vars(GaussianRational)]
     assert missing == []
+
+
+def _nodes(tree, test):
+    return [node for node in ast.walk(tree) if test(node)]
+
+
+def _is_rational_tuple(node):
+    names = sorted(getattr(e, "id", "") for e in getattr(node, "elts", ()))
+    return isinstance(node, ast.Tuple) and names == ["Fraction", "int"]
+
+
+def _is_format_read(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "format"
+        and getattr(node.value, "id", None) == "args"
+    )
+
+
+def test_each_rule_has_one_home():
+    # the int-or-Fraction test lives in qq22.scalars (RATIONAL, check_rational,
+    # as_fraction) and the --format choice in cli._report; a second copy of
+    # either fails here
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    tuples = [name for name, tree in trees.items() for _ in _nodes(tree, _is_rational_tuple)]
+    assert tuples == ["scalars.py"]
+    reads = sum(len(_nodes(tree, _is_format_read)) for tree in trees.values())
+    (report,) = [
+        node
+        for node in _nodes(trees["cli.py"], lambda n: isinstance(n, ast.FunctionDef))
+        if node.name == "_report"
+    ]
+    assert reads == len(_nodes(report, _is_format_read)) == 1

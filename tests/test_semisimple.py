@@ -7,7 +7,7 @@ import pytest
 
 from qq22 import polynomials
 from qq22.engine import CorrelatorEngine
-from qq22.matrices import mat_charpoly
+from qq22.matrices import mat_charpoly, mat_det, mat_nullspace, mat_rank
 from qq22.model import eta_inverse, euler_field
 from qq22.polynomials import UniPoly, squarefree
 from qq22.semisimple import (
@@ -201,17 +201,43 @@ def test_squarefree_scan_runs_no_euclid(monkeypatch):
 
 @pytest.mark.parametrize("value", [0.5, "1/2", 1j], ids=["float", "str", "complex"])
 @pytest.mark.parametrize(
-    "call",
+    "what, call",
     [
-        lambda v: cutoff_matrix(4, [Fraction(1, 2)] * 6 + [v]),
-        lambda v: closed_form_charpoly(4, [Fraction(1, 2)] * 6 + [v]),
-        lambda v: zn_minus_az_plus_1_squarefree(5, v),
+        (
+            "primitive coordinate",
+            lambda v: cutoff_matrix(4, [Fraction(1, 2)] * 6 + [v]),
+        ),
+        (
+            "primitive coordinate",
+            lambda v: closed_form_charpoly(4, [Fraction(1, 2)] * 6 + [v]),
+        ),
+        ("a", lambda v: zn_minus_az_plus_1_squarefree(5, v)),
+        ("matrix entry", lambda v: mat_rank([[1, v]])),
+        ("matrix entry", lambda v: mat_det([[1, 0], [0, v]])),
+        ("matrix entry", lambda v: mat_nullspace([[1, v]])),
+        ("matrix entry", lambda v: mat_charpoly([[1, 0], [0, v]])),
+        ("coefficient", lambda v: squarefree(UniPoly([1, v]))),
+        (
+            "class entry",
+            lambda v: CorrelatorEngine(4).correlator_classes([[v] + [0] * 11] * 3, 0),
+        ),
     ],
-    ids=["cutoff_matrix", "closed_form_charpoly", "zn_minus_az_plus_1_squarefree"],
+    ids=[
+        "cutoff_matrix",
+        "closed_form_charpoly",
+        "zn_minus_az_plus_1_squarefree",
+        "mat_rank",
+        "mat_det",
+        "mat_nullspace",
+        "mat_charpoly",
+        "squarefree",
+        "correlator_classes",
+    ],
 )
-def test_non_rational_input_is_rejected(call, value):
-    # Fraction() would read 0.5 as a binary fraction and parse '1/2'
-    with pytest.raises(TypeError, match="must be int or Fraction, got"):
+def test_non_rational_input_is_rejected(what, call, value):
+    # every entry point goes through the one gate in qq22.scalars; Fraction()
+    # would read 0.5 as a binary fraction and parse '1/2'
+    with pytest.raises(TypeError, match="^%s must be int or Fraction, got " % what):
         call(value)
 
 
