@@ -8,7 +8,10 @@ scan, ``conics`` replays the dimension-4 verification, ``lattice`` exposes
 the plane calculus, and ``cache-info`` validates a memo file and counts its
 entries.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error.  A cache
+file that fails validation is a mismatch for ``cache-info``, whose check is
+that validation, so it exits 1; ``correlator --cache`` reads the same file
+as bad input and exits 2.
 """
 
 from __future__ import annotations
@@ -196,8 +199,9 @@ def cmd_lattice(args):
     if not out:
         print("nothing to do; pass --dim/--number/--gram/--unique-plane/--inequality", file=sys.stderr)
         return 2
-    _report(args, {"n": n, **out}, ["%s: %s" % kv for kv in out.items()])
-    return 1 if any(v is False for v in out.values()) else 0
+    false = [k for k, v in out.items() if v is False]
+    failure = "lattice check failed: %s" % ", ".join(false) if false else None
+    return _report(args, {"n": n, **out}, ["%s: %s" % kv for kv in out.items()], failure)
 
 
 def cmd_cache_info(args):

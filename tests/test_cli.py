@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qq22 import geometry
 from qq22.cli import run
 from qq22.serial import (
     CacheError,
@@ -124,6 +125,26 @@ def test_lattice_command(capsys):
     for argv in (["--dim", "0,99", "-"], ["--number", "0,-3", "0"]):
         rc, out, err = run_capture(capsys, ["lattice", "--n", "4"] + argv)
         assert rc == 2 and out == "" and "out of range" in err
+
+
+def test_lattice_failure_names_false_checks(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "window_sum_inequality", lambda n: False)
+    rc, out, err = run_capture(capsys, ["lattice", "--n", "4", "--inequality"])
+    assert (rc, out) == (1, "window_sum_inequality: False\n")
+    assert err == "lattice check failed: window_sum_inequality\n"
+    monkeypatch.setattr(geometry, "only_base_plane_meets_all_windows", lambda n: False)
+    rc, out, err = run_capture(
+        capsys, ["lattice", "--n", "4", "--gram", "--unique-plane", "--inequality"]
+    )
+    assert rc == 1
+    assert out == (
+        "gram_is_signed_identity: True\n"
+        "only_base_plane_meets_all_windows: False\n"
+        "window_sum_inequality: False\n"
+    )
+    assert err == (
+        "lattice check failed: only_base_plane_meets_all_windows, window_sum_inequality\n"
+    )
 
 
 def test_poly_round_trip():
@@ -717,6 +738,18 @@ def test_cache_info_two_field_header_is_reported_by_line(tmp_path, capsys):
     path.write_text("qq22-cache 1\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n")
     rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
     assert (rc, out, err) == (1, "", "error: line 1: not a cache file header\n")
+
+
+def test_corrupt_cache_exit_codes(tmp_path, capsys):
+    # validation is cache-info's check, so a file that fails it is a
+    # mismatch (1); to a query it is bad input (2)
+    path = tmp_path / "bad.cache"
+    path.write_text("qq22-cache 1\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n")
+    message = "error: line 1: not a cache file header\n"
+    info = ["cache-info", "--cache", str(path)]
+    query = ["correlator", "--n", "4", "--tau-index", "0,0,7,0,0,0,0,0,0,0,0,0", "--cache", str(path)]
+    assert run_capture(capsys, info) == (1, "", message)
+    assert run_capture(capsys, query) == (2, "", message)
 
 
 def test_console_entry_point():

@@ -1,3 +1,5 @@
+import collections
+import math
 import random
 from fractions import Fraction
 
@@ -5,16 +7,18 @@ import pytest
 
 from qq22 import geometry as geo
 from qq22.matrices import mat_charpoly, mat_det, mat_nullspace, mat_rank
-from qq22.polynomials import UniPoly
+from qq22.polynomials import UniPoly, padd, pmul, pscale
 from qq22.scalars import GaussianRational
+from qq22.semisimple import cutoff_matrix, sample_point
 
 
 def rand_matrix(rng, rows, cols, span=5):
     return [[Fraction(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
 
 
-# Second route: Gauss-Jordan and Bareiss over Q on Fraction entries, the
-# field elimination the integer routines replaced.
+# Second route: Gauss-Jordan, Bareiss and the Hessenberg characteristic
+# polynomial over Q on Fraction entries, the field elimination the integer
+# routines replaced.
 
 def field_rref(a):
     """Reduced row echelon form over Q; returns (rows, pivot columns)."""
@@ -69,6 +73,46 @@ def field_det(a):
                 m[i][j] = (m[r][r] * m[i][j] - m[i][r] * m[r][j]) / prev
         prev = m[r][r]
     return sign * prev
+
+
+def field_charpoly(a):
+    """Hessenberg reduction by similarity, then the Hessenberg recurrence
+    p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    h = [[Fraction(v) for v in row] for row in a]
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        hm = h[m]
+        for i in range(m + 1, n):
+            hi = h[i]
+            if not hi[m - 1]:
+                continue
+            u = hi[m - 1] / hm[m - 1]
+            # row_i -= u row_m, then col_m += u col_i keeps the similarity
+            for j in range(m - 1, n):
+                if hm[j]:
+                    hi[j] -= u * hm[j]
+            for row in h:
+                if row[i]:
+                    row[m] += u * row[i]
+    polys = [(Fraction(1),)]
+    for m in range(n):
+        p = pmul((-h[m][m], Fraction(1)), polys[m])
+        prod = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            prod = prod * h[i + 1][i]
+            if not prod:
+                break
+            p = padd(p, pscale(-h[i][m] * prod, polys[i]))
+        polys.append(p)
+    return UniPoly(polys[n])
 
 
 def assert_matches_field_route(m):
@@ -220,8 +264,9 @@ def test_cayley_hamilton_random():
 
 
 def test_charpoly_matches_det_on_sparse_matrices():
-    # det(z0 I - A) by Bareiss is an independent route to p(z0); zeroed
-    # subdiagonals make the Hessenberg pivot search skip and swap rows
+    # det(z0 I - A) by Bareiss is an independent route to p(z0); the sparse
+    # entries and zeroed subdiagonals give Berkowitz's recurrence zero
+    # columns C and powers B^k C that vanish early
     rng = random.Random(33)
     for size in range(1, 13):
         for _ in range(3):
@@ -303,3 +348,106 @@ def test_rigidity_stack_matches_field_route():
     kernel = mat_nullspace(stack)
     assert mat_rank(stack) == 34 and len(kernel) == 1
     assert kernel == field_nullspace(stack)
+
+
+def assert_charpoly_matches_field_route(m):
+    p, q = mat_charpoly(m), field_charpoly(m)
+    assert p.coeffs == q.coeffs
+    assert [type(c) for c in p.coeffs] == [type(c) for c in q.coeffs]
+    return p
+
+
+def charpoly_draw(rng, size):
+    """A seeded size x size rational matrix and the structures it has.
+
+    With probability 0.3 it is a triangular matrix with a repeated nonzero diagonal
+    entry lam, moved by elementary similarities (row_i += c row_j, then
+    col_j -= c col_i).  Otherwise its entries are sparse, each row with its
+    own denominators and some numerators near 3**40, and it may get a zero
+    row, a zero column and a zeroed subdiagonal.
+    """
+    lam = None
+    if size >= 2 and rng.random() < 0.3:
+        lam = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))
+        diag = [lam, lam] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size - 2)]
+        rng.shuffle(diag)
+        m = [
+            [
+                diag[i] if i == j else Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * (j > i)
+                for j in range(size)
+            ]
+            for i in range(size)
+        ]
+        for _ in range(2 * size):
+            i, j = rng.sample(range(size), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[j] -= c * row[i]
+    else:
+        big = rng.random() < 0.3
+        m = []
+        for _ in range(size):
+            den = rng.choice((1, 2, 3, 4, 5, 7, 9, 3**20 if big else 8))
+            m.append(
+                [
+                    Fraction(
+                        rng.randint(-6, 6) + (3**40 if big and rng.random() < 0.5 else 0),
+                        den * rng.choice((1, 1, 2)),
+                    )
+                    if rng.random() < 0.6
+                    else 0
+                    for _ in range(size)
+                ]
+            )
+        if size >= 3 and rng.random() < 0.3:
+            for i in range(size - 1):
+                m[i + 1][i] = 0
+        if size >= 2 and rng.random() < 0.3:
+            m[rng.randrange(size)] = [0] * size
+        if size >= 2 and rng.random() < 0.3:
+            c = rng.randrange(size)
+            for row in m:
+                row[c] = 0
+    kinds = {
+        "row denominators": len({math.lcm(*[v.denominator for v in row]) for row in m}) > 1,
+        "zero row": any(not any(row) for row in m),
+        "zero column": size > 0 and any(not any(col) for col in zip(*m)),
+        "zero subdiagonal": size >= 3 and not any(m[i + 1][i] for i in range(size - 1)),
+        "big numerators": any(abs(v.numerator) > 3**39 for row in m for v in row),
+    }
+    return m, lam, {k for k, v in kinds.items() if v}
+
+
+def test_charpoly_matches_field_route():
+    rng = random.Random(1984)
+    seen = collections.Counter()
+    for size in range(13):
+        for _ in range(10):
+            m, lam, kinds = charpoly_draw(rng, size)
+            p = assert_charpoly_matches_field_route(m)
+            if lam is not None:
+                assert p(lam) == 0 and p.derivative()(lam) == 0
+                kinds.add("repeated eigenvalue")
+            seen.update(kinds)
+            seen["draws"] += 1
+    # each kind of structure must reach the comparison often enough that a
+    # wrong scale, sign or convolution index shows
+    assert seen["draws"] == 130
+    for kind in (
+        "row denominators",
+        "zero row",
+        "zero column",
+        "zero subdiagonal",
+        "big numerators",
+        "repeated eigenvalue",
+    ):
+        assert seen[kind] >= 15, (kind, seen)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_cutoff_charpoly_matches_field_route(n):
+    # tau_i = i, then seeded draws of the scan's sampler, degenerate or not
+    rng = random.Random(n)
+    for taus in [tuple(range(1, n + 4))] + [sample_point(n, rng) for _ in range(2)]:
+        assert assert_charpoly_matches_field_route(cutoff_matrix(n, taus)).degree == 2 * n + 4

@@ -132,6 +132,17 @@ def test_agreement_at_random_points():
         assert all(r.degree == 2 * n + 4 for r in accepted)
 
 
+def test_semisimplicity_witness_at_integer_point():
+    # a fixed point with distinct |tau_i|, tau_i = i, at every even n up to
+    # 12: the direct characteristic polynomial equals the closed form and
+    # has simple roots, so the cutoff has 2n+4 distinct eigenvalues there
+    for n in range(4, 13, 2):
+        taus = range(1, n + 4)
+        direct = mat_charpoly(cutoff_matrix(n, taus))
+        assert direct == closed_form_charpoly(n, taus)
+        assert direct.degree == 2 * n + 4 and squarefree(direct)
+
+
 def test_branch_structure_at_zero_cluster():
     # the n+5 branches leaving the zero eigenvalue along the symmetric
     # sampling ray have first-order Puiseux coefficients solving
