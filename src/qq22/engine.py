@@ -131,7 +131,7 @@ class CorrelatorEngine:
     """Memoized correlator evaluator for a fixed even dimension n >= 4."""
 
     def __init__(self, n: int):
-        self.params = ModelParams(n)
+        ModelParams(n)
         self.n = n
         self.memo = {}
         self._rows = {}
@@ -722,19 +722,12 @@ def _even_moments(alpha, moves):
 
 def _ambient_exponents(n, total):
     """Exponent vectors over ambient slots 2..n with weight <= total."""
-    slots = list(range(2, n + 1))
-
-    def rec(pos, left):
-        if pos == len(slots):
-            yield ()
-            return
-        for v in range(left + 1):
-            for rest in rec(pos + 1, left - v):
-                yield (v,) + rest
-
-    for combo in rec(0, total):
-        vec = [0, 0] + list(combo)
-        yield tuple(vec)
+    for k in range(total + 1):
+        for combo in itertools.combinations_with_replacement(range(2, n + 1), k):
+            vec = [0] * (n + 1)
+            for slot in combo:
+                vec[slot] += 1
+            yield tuple(vec)
 
 
 def _prim_partitions(n, total):

@@ -70,17 +70,15 @@ def window(i, n):
 def only_base_plane_meets_all_windows(n):
     """Check by enumeration that only the unflipped plane meets every window.
 
-    Iterates the 2^{n+2} canonical flip subsets; returns True when the empty
-    set is the sole survivor.
+    Iterates the canonical flip subsets, those of at most (n+3)/2 slots
+    from 1..n+2; returns True when the empty set is the sole survivor.
     """
     wins = [window(i, n) for i in range(n + 3)]
     survivors = []
     universe = list(range(1, n + 3))
-    for r in range(n + 3):
+    for r in range((n + 3) // 2 + 1):
         for tail in itertools.combinations(universe, r):
             subset = frozenset(tail)
-            if len(subset) > (n + 3) // 2:
-                continue
             if all(intersection_dim(subset, w, n) >= 0 for w in wins):
                 survivors.append(subset)
     return survivors == [frozenset()]
@@ -150,16 +148,10 @@ TRIPLE_POS = {t: k for k, t in enumerate(TRIPLES)}
 
 def _sort_sign(idx):
     """Parity sign of sorting an index tuple; 0 on repeats."""
-    idx = list(idx)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] == idx[j + 1]:
-                return 0, ()
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return sign, tuple(idx)
+    if len(set(idx)) < len(idx):
+        return 0, ()
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
 
 
 @functools.cache

@@ -78,41 +78,39 @@ def cutoff_matrix(n, taus):
 def closed_form_charpoly(n, taus) -> UniPoly:
     """The closed-form characteristic polynomial of the cutoff.
 
-    Assembles ((n-1)^{n-1}(-(n-1)(n-2)^2 s^2/4 + 2(n-1)(n-4) s z
-    - 4(n-5) z^2) - z^2 (z+s/2)^{n-1}) * H + (4(n-1)^n s z
-    - 16(n-1)^{n-1} z^2 + z^2 (z+s/2)^{n-1}) * G, where G is the product of
-    the linear factors z - s/2 + tau_i^2 and H = sum tau_i^2 G/(z - s/2 +
-    tau_i^2) clears the rational-function sum against G; each quotient is
-    an exact division.
+    With s = sum tau_i^2, G the product of the linear factors
+    f_i = z - s/2 + tau_i^2 and H = sum tau_i^2 G/f_i (the rational-function
+    sum cleared against G), the polynomial is A H + B G, where
+
+        A = (n-1)^{n-1}(-(n-1)(n-2)^2 s^2/4 + 2(n-1)(n-4) s z - 4(n-5) z^2)
+            - z^2 (z+s/2)^{n-1},
+        B = 4(n-1)^n s z - 16(n-1)^{n-1} z^2 + z^2 (z+s/2)^{n-1}.
+
+    Two identities assemble it with no polynomial division and one power.
+    The product rule gives G' = sum G/f_i, and tau_i^2 = f_i - (z - s/2), so
+    H = (n+3) G - (z - s/2) G'.  Folding the shared term gives
+    A H + B G = (n-1)^{n-1} (a H + b G) + z^2 (z+s/2)^{n-1} (G - H), with a
+    and b the brackets of A and B without that term, over (n-1)^{n-1}.
     """
     taus, s = _point(n, taus)
     z = UniPoly.x()
-    factors = [z + (v * v - s / 2) for v in taus]
-    g = math.prod(factors, start=UniPoly.constant(Fraction(1)))
-    h = sum((g.divmod(f)[0] * (v * v) for v, f in zip(taus, factors) if v), UniPoly.zero())
-    pw = (z + s / 2) ** (n - 1)
-    c = Fraction((n - 1) ** (n - 1))
-    abracket = (
-        UniPoly.constant(c * Fraction(-(n - 1) * (n - 2) ** 2, 4) * s * s)
-        + z * (c * 2 * (n - 1) * (n - 4) * s)
-        + z * z * (c * Fraction(-4 * (n - 5)))
-        - z * z * pw
+    shift = z - s / 2
+    g = math.prod((shift + v * v for v in taus), start=UniPoly.constant(Fraction(1)))
+    h = g * (n + 3) - shift * g.derivative()
+    a = (
+        UniPoly.constant(Fraction(-(n - 1) * (n - 2) ** 2, 4) * s * s)
+        + z * (2 * (n - 1) * (n - 4) * s)
+        + z * z * (-4 * (n - 5))
     )
-    bbracket = (
-        z * Fraction(4 * (n - 1) ** n) * s
-        - z * z * Fraction(16 * (n - 1) ** (n - 1))
-        + z * z * pw
-    )
-    return abracket * h + bbracket * g
+    b = z * (4 * (n - 1) * s) - z * z * 16
+    fold = z * z * (z + s / 2) ** (n - 1)
+    return (a * h + b * g) * (n - 1) ** (n - 1) + fold * (g - h)
 
 
 def branch_discriminant(n) -> Fraction:
     """Discriminant 64(n-1)(n+2)(n+3)^2 of the order-one branch equation."""
     ModelParams(n)
-    val = Fraction(64 * (n - 1) * (n + 2) * (n + 3) ** 2)
-    if val <= 0:
-        raise ArithmeticError("branch discriminant must be positive")
-    return val
+    return Fraction(64 * (n - 1) * (n + 2) * (n + 3) ** 2)
 
 
 def zn_minus_az_plus_1_squarefree(n, a) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -121,6 +122,62 @@ def test_closed_form_at_zero():
     p4 = closed_form_charpoly(4, [0] * 7)
     z = UniPoly.x()
     assert p4 == z**9 * (z**3 - 432)
+
+
+def division_closed_form(n, taus):
+    """The closed form with H = sum tau_i^2 G/f_i from n+3 exact divisions.
+
+    The second route for closed_form_charpoly, which builds H from G' with
+    no division; same brackets, assembled as A H + B G.
+    """
+    taus = [Fraction(v) for v in taus]
+    s = sum(v * v for v in taus)
+    z = UniPoly.x()
+    factors = [z + (v * v - s / 2) for v in taus]
+    g = math.prod(factors, start=UniPoly.constant(Fraction(1)))
+    h = sum((g.divmod(f)[0] * (v * v) for v, f in zip(taus, factors) if v), UniPoly.zero())
+    pw = (z + s / 2) ** (n - 1)
+    c = Fraction((n - 1) ** (n - 1))
+    abracket = (
+        UniPoly.constant(c * Fraction(-(n - 1) * (n - 2) ** 2, 4) * s * s)
+        + z * (c * 2 * (n - 1) * (n - 4) * s)
+        + z * z * (c * Fraction(-4 * (n - 5)))
+        - z * z * pw
+    )
+    bbracket = (
+        z * Fraction(4 * (n - 1) ** n) * s
+        - z * z * Fraction(16 * (n - 1) ** (n - 1))
+        + z * z * pw
+    )
+    return abracket * h + bbracket * g
+
+
+def _closed_form_points(n, rng):
+    """The zero point, repeated squares, tau_i = i and seeded draws.
+
+    Up to n = 12 every kind and two sample_points; above that, to stay fast,
+    the zero point, one of the other three kinds in turn and one draw wider
+    than the sampler's.
+    """
+    m = n + 3
+    pairs = [Fraction(sign * (k // 2 + 1), 3) for k, sign in zip(range(m), [1, -1] * m)]
+    special = ([1] * m, pairs, range(1, m + 1))
+    if n <= 12:
+        return [[0] * m, *special, sample_point(n, rng), sample_point(n, rng)]
+    wide = [Fraction(rng.randint(-99, 99), rng.randint(1, 6)) for _ in range(m)]
+    return [[0] * m, special[n // 2 % 3], wide]
+
+
+def test_closed_form_matches_division_route():
+    # G' replaces the n+3 divisions; the two routes must give the same
+    # coefficient tuple with the same element types
+    rng = random.Random(18)
+    for n in range(4, 31, 2):
+        for taus in _closed_form_points(n, rng):
+            got = closed_form_charpoly(n, taus).coeffs
+            want = division_closed_form(n, taus).coeffs
+            assert got == want, (n, taus)
+            assert {type(c) for c in got + want} == {Fraction}
 
 
 def test_agreement_at_random_points():
