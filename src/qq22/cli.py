@@ -293,6 +293,9 @@ def run(argv=None) -> int:
     except (ValueError, ArithmeticError, CacheError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: correlator too deep for the recursion limit", file=sys.stderr)
+        return 2
 
 
 def main():

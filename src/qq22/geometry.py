@@ -9,6 +9,9 @@ sign-flip planes: the linear system on Plucker coordinates, its
 seven-dimensional solution space, the two plane solutions, the conic through
 the seven marked points, its parametrization, the two quadric containment
 identities, the freeness determinant and the first-order rigidity check.
+Plucker vectors use one convention, the cutting one (the coordinate at a
+triple is the 4x4 minor of the cutting forms on the other four columns); the
+meeting system and the unflipped plane's vector are Vandermonde closed forms.
 Matrices are plain row lists, as in ``matrices``.
 """
 
@@ -21,7 +24,9 @@ import operator
 from fractions import Fraction
 
 from .matrices import mat_det, mat_nullspace, mat_rank
+from .model import ModelParams
 from .polynomials import UniPoly, poly_gcd
+from .scalars import as_fraction
 
 # ---------------------------------------------------------------------------
 # plane lattice combinatorics
@@ -32,6 +37,7 @@ def flip_mismatch_count(i_set, j_set, n):
     Flip indices are the integer coordinates 0..n+2; a non-integer or any
     other index is a ValueError.
     """
+    ModelParams(n)
     i_set, j_set = frozenset(i_set), frozenset(j_set)
     for v in i_set | j_set:
         try:
@@ -64,6 +70,7 @@ def intersection_number(i_set, j_set, n):
 
 def window(i, n):
     """The consecutive flip set of length n/2 starting at position i."""
+    ModelParams(n)
     return frozenset((i + k) % (n + 3) for k in range(n // 2))
 
 
@@ -73,6 +80,7 @@ def only_base_plane_meets_all_windows(n):
     Iterates the canonical flip subsets, those of at most (n+3)/2 slots
     from 1..n+2; returns True when the empty set is the sole survivor.
     """
+    ModelParams(n)
     wins = [window(i, n) for i in range(n + 3)]
     survivors = []
     universe = list(range(1, n + 3))
@@ -111,6 +119,7 @@ def _orthobasis_vectors(n):
 
 def epsilon_gram(n):
     """Gram matrix of the orthogonal middle-degree basis; (-1)^{n/2} Id."""
+    ModelParams(n)
     pairing = _pairing_matrix(n)
     vecs = _orthobasis_vectors(n)
     rows = []
@@ -126,6 +135,7 @@ def window_class_h_eps(start, n):
     h-coefficient 1/4; the orthogonal coefficient at slot j is
     (-1)^{n/2} (1/2 - [j in window positions]).
     """
+    ModelParams(n)
     if not 0 <= start <= n + 2:
         raise ValueError("window start out of range")
     sgn = (-1) ** (n // 2)
@@ -195,42 +205,11 @@ def relation_gradient(rel, v):
     return grad
 
 
-def cutting_pluckers(b):
-    """Plucker vector of the plane cut out by a 4x7 matrix of linear forms.
-
-    The coordinate at triple I is the 4x4 minor on the complementary
-    columns.
-    """
-    if len(b) != 4 or any(len(row) != 7 for row in b):
-        raise ValueError("cutting matrix must be 4 x 7")
-    out = []
-    for tri in TRIPLES:
-        cols = [c for c in range(7) if c not in tri]
-        out.append(mat_det([[row[c] for c in cols] for row in b]))
-    return out
-
-
-def spanning_pluckers(m):
-    """Plucker vector of the row space of a 3x7 matrix, cutting convention.
-
-    Converts the spanning-convention minors with the duality sign
-    (-1)^{sum(I)+1} so the result matches ``cutting_pluckers`` of any matrix
-    annihilating the rows.
-    """
-    if len(m) != 3 or any(len(row) != 7 for row in m):
-        raise ValueError("spanning matrix must be 3 x 7")
-    out = []
-    for tri in TRIPLES:
-        sub = [[row[c] for c in tri] for row in m]
-        out.append(Fraction((-1) ** (sum(tri) + 1)) * mat_det(sub))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the linear system forcing a plane to meet the seven flipped planes
 
 def _check_lams(lams):
-    lams = [Fraction(v) for v in lams]
+    lams = [as_fraction(v, "parameter") for v in lams]
     if len(lams) != 7:
         raise ValueError("need seven parameters")
     if len(set(lams)) != 7:
@@ -238,39 +217,49 @@ def _check_lams(lams):
     return lams
 
 
-def _cut_matrix(lams, flip=frozenset()):
-    lams = _check_lams(lams)
-    return [
-        [(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)
-    ]
-
-
-def base_plane_cut_matrix(lams):
-    """Power-sum equations (exponents 0..3) cutting the unflipped plane."""
-    return _cut_matrix(lams)
+def _vandermonde(values):
+    """prod_{p<q} (v_q - v_p) over the values in the given order."""
+    return math.prod(v - u for u, v in itertools.combinations(values, 2))
 
 
 def flipped_cut_matrix(lams, j):
-    """Same equations with signs flipped on coordinates j, j+1 (mod 7)."""
-    return _cut_matrix(lams, {j % 7, (j + 1) % 7})
+    """Power-sum equations (exponents 0..3) with signs flipped on j, j+1 (mod 7)."""
+    lams = _check_lams(lams)
+    flip = {j % 7, (j + 1) % 7}
+    return [[(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)]
+
+
+def base_plane_pluckers(lams):
+    """Plucker vector of the unflipped plane, cutting convention.
+
+    The coordinate at triple S is the 4x4 minor of the power-sum equations
+    (exponents 0..3) on the four columns not in S: the Vandermonde product
+    prod_{p<q} (lam_q - lam_p) over those columns.
+    """
+    lams = _check_lams(lams)
+    return [_vandermonde([v for c, v in enumerate(lams) if c not in tri]) for tri in TRIPLES]
 
 
 def plane_meeting_system(lams):
     """28 x 35 system: a plane meets all seven flipped planes.
 
     Block j (rows 4j..4j+3) demands rank <= 6 of the flipped cut equations
-    stacked over the unknown plane's own cut equations; row k drops power
-    3-k, and the Plucker coordinate at triple S carries the Laplace sign
-    (-1)^{3+sum(S)} times the complementary 3x3 minor.  That is the
-    ``spanning_pluckers`` vector of the three remaining equations.
+    stacked over the unknown plane's own cut equations.  Row k drops power
+    3-k, and the Laplace sign (-1)^{s1+s2+s3+1} at S = (s1, s2, s3) times the
+    3x3 minor of the other powers on S gives the entry.  With (a, b, c) the
+    parameters on S that minor is a Vandermonde product times e_k:
+    (-1)^{|S & {j, j+1 mod 7}|} (b-a)(c-a)(c-b) e_k(a, b, c).
     """
     lams = _check_lams(lams)
-    rows = []
-    for j in range(7):
-        nj = flipped_cut_matrix(lams, j)
-        for k in range(4):
-            kept = [nj[p] for p in range(4) if p != 3 - k]
-            rows.append(spanning_pluckers(kept))
+    rows = [[] for _ in range(28)]
+    for tri in TRIPLES:
+        a, b, c = (lams[i] for i in tri)
+        elem = (1, a + b + c, a * b + a * c + b * c, a * b * c)
+        vdm = (-1) ** (sum(tri) + 1) * _vandermonde((a, b, c))
+        for j in range(7):
+            flips = len({j, (j + 1) % 7}.intersection(tri))
+            for k in range(4):
+                rows[4 * j + k].append((-1) ** flips * vdm * elem[k])
     return rows
 
 
@@ -329,15 +318,15 @@ CONIC_COEFFS = (
     Fraction(-512, 40977),
 )
 
-# degree-2 parametrization of the conic, coefficients (t^2, t, 1)
+# degree-2 parametrization of the conic, coefficients (1, t, t^2)
 PARAM_WS = (
-    (5545734, 3809960, -4214784),
-    (-18460312, -31751328, 0),
-    (19410069, 77945952, 96377904),
-    (-3596236, -94256288, -185309376),
-    (2704496, 16828728, 156262176),
-    (-532380, 33837888, -64266048),
-    (1063751, -12587344, 11851728),
+    (-4214784, 3809960, 5545734),
+    (0, -31751328, -18460312),
+    (96377904, 77945952, 19410069),
+    (-185309376, -94256288, -3596236),
+    (156262176, 16828728, 2704496),
+    (-64266048, 33837888, -532380),
+    (11851728, -12587344, 1063751),
 )
 
 # the two quadric forms in the rescaled coordinates, up to overall scale
@@ -396,14 +385,9 @@ _H_TERMS = (
 
 
 def quadric_seed_poly(lams):
-    lams = [Fraction(v) for v in lams]
-    total = Fraction(0)
-    for sign, exps in _H_TERMS:
-        term = Fraction(sign)
-        for v, e in zip(lams, exps):
-            term *= v**e
-        total += term
-    return total
+    """The seed polynomial ``_H_TERMS`` at seven parameters."""
+    lams = _check_lams(lams)
+    return sum(sign * math.prod(v**e for v, e in zip(lams, exps)) for sign, exps in _H_TERMS)
 
 
 def conjectural_quadric_coeffs(lams):
@@ -515,16 +499,16 @@ def extend_to_plane(chart, w012):
 def freeness_matrix(ws, lams):
     """8x8 coefficient matrix of the normal-bundle surjectivity check.
 
+    ws are the seven ``UniPoly`` components, read as quadratics in (t, u).
     Rows pair t- and u-multiples of the four plane forms with the two
     quadric differentials (weights 2 and 2 lam_i); columns list cubic
     coefficients (u^3, t u^2, t^2 u, t^3) for each differential.
     """
     rows = []
     for i in range(3, 7):
-        w = ws[i]
-        c = (w[2], w[1], w[0])  # (t^2, t, 1) -> ascending (1, t, t^2)
-        tmul = (0, c[0], c[1], c[2])  # u^3, t u^2, t^2 u, t^3
-        umul = (c[0], c[1], c[2], 0)
+        c = (ws[i][0], ws[i][1], ws[i][2])  # (1, t, t^2)
+        tmul = (0, *c)  # u^3, t u^2, t^2 u, t^3
+        umul = (*c, 0)
         for vec in (tmul, umul):
             row = [2 * v for v in vec] + [2 * lams[i] * v for v in vec]
             rows.append([Fraction(x) for x in row])
@@ -582,8 +566,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
         rep.check("table %s solves the meeting system" % label, not resid, [], resid[:3])
         rep.check("table %s satisfies all exchange relations" % label, not bad, [], bad[:3])
 
-    base = cutting_pluckers(base_plane_cut_matrix(lams))
-    ok = _proportional(base, PLANE_SOLUTION_BASE)
+    ok = _proportional(base_plane_pluckers(lams), PLANE_SOLUTION_BASE)
     rep.check("base table is the unflipped plane", ok, "proportional", "mismatch")
 
     chart = chart_matrix_from_pluckers(PLANE_SOLUTION_MAIN)
@@ -621,13 +604,12 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
 
     # frozen parametrization: check it satisfies the conic, the plane and
     # both quadrics identically
-    ws = [UniPoly(reversed(c)) for c in PARAM_WS]
+    ws = [UniPoly(c) for c in PARAM_WS]
     conic_val = _conic_value(conic, ws)
     rep.check("parametrization lies on the conic", conic_val.is_zero(), 0, conic_val.coeffs)
+    on_plane = extend_to_plane(chart, ws[:3])
     for r in range(4):
-        resid = ws[3 + r] + sum(
-            UniPoly.constant(chart[r][c]) * ws[c] for c in range(3)
-        )
+        resid = ws[3 + r] - on_plane[3 + r]
         rep.check("parametrization satisfies plane form %d" % r, resid.is_zero(), 0, resid.coeffs)
     for label, qc, scaled in (("first", q1, QUADRIC_1_SCALED), ("second", q2, QUADRIC_2_SCALED)):
         ok = _proportional(qc, scaled)
@@ -653,7 +635,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     rep.check("derived parametrization is a genuine conic", nontrivial, True, False)
     check_quadrics(own_full, "derived parametrization")
 
-    fm = freeness_matrix(PARAM_WS, lams)
+    fm = freeness_matrix(ws, lams)
     rep.check(
         "freeness matrix matches",
         fm == [list(r) for r in FREENESS_MATRIX],
@@ -733,6 +715,7 @@ def conic_plane_in_conjectural_quadric(lams=CASE_LAMS) -> bool:
 
 def window_sum_inequality(n) -> bool:
     """Exact check of sum_{k=2}^{n-2} n(n-1)/(k(k-1)(n-k)(n-k-1)) < 4."""
+    ModelParams(n)
     total = Fraction(0)
     for k in range(2, n - 1):
         total += Fraction(n * (n - 1), k * (k - 1) * (n - k) * (n - k - 1))

@@ -109,11 +109,14 @@ def euler_field(n: int):
 
     Returns (d_1 constant, diagonal weights, moves): the weight of slot i is
     the coefficient of tau^i d_i, and the moves are the two off-diagonal
-    linear terms as (tau slot, d slot, coefficient).
+    linear terms as (tau slot, d slot, coefficient).  The field is diagonal
+    in the cup coordinates, so each move comes from ``t_to_tau``: with
+    tau^k = t^k + c t^j the term w_k t^k d_k becomes
+    w_k tau^k d_k - c (w_k - w_j) tau^j d_k.
     """
     p = ModelParams(n)
     diag = tuple(
         Fraction(1 - i) if i <= n else Fraction(2 - n, 2) for i in range(p.basis_size)
     )
-    moves = ((n - 1, 0, Fraction(4 * n - 4)), (n, 1, Fraction(12 * n - 12)))
+    moves = tuple((j, k, -c * (diag[k] - diag[j])) for j, (_, (k, c)) in t_to_tau(n))
     return Fraction(n - 1), diag, moves

@@ -127,6 +127,29 @@ def test_lattice_command(capsys):
         assert rc == 2 and out == "" and "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "n, flag", [("5", "--gram"), ("2", "--gram"), ("0", "--inequality"), ("-4", "--unique-plane")]
+)
+def test_lattice_rejects_bad_dimension(capsys, n, flag):
+    # no variety exists there, so it is a usage error and not a failed check
+    for fmt in ("text", "json"):
+        rc, out, err = run_capture(capsys, ["lattice", "--n", n, flag, "--format", fmt])
+        assert (rc, out) == (2, "")
+        assert err == "error: dimension must be even and >= 4, got %s\n" % n
+
+
+@pytest.mark.parametrize("depth", ["250", "400"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_deep_correlator_is_a_usage_error(tmp_path, capsys, depth, fmt):
+    cache = tmp_path / "memo.cache"
+    index = ",".join(["0"] * 5 + [depth] + ["0"] * 6)
+    argv = ["correlator", "--n", "4", "--tau-index", index, "--format", fmt]
+    rc, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    assert (rc, out) == (2, "")
+    assert err == "error: correlator too deep for the recursion limit\n"
+    assert not cache.exists()
+
+
 def test_lattice_failure_names_false_checks(capsys, monkeypatch):
     monkeypatch.setattr(geometry, "window_sum_inequality", lambda n: False)
     rc, out, err = run_capture(capsys, ["lattice", "--n", "4", "--inequality"])

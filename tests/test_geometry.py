@@ -5,8 +5,57 @@ from fractions import Fraction
 import pytest
 
 from qq22 import geometry as geo
-from qq22.matrices import mat_nullspace, mat_rank
+from qq22.matrices import mat_det, mat_nullspace, mat_rank
 from qq22.polynomials import UniPoly
+
+
+# A second route to the Plucker objects, by generic minors: the package
+# builds the meeting system and the unflipped plane's vector from closed
+# forms, and these helpers recompute both the long way.
+
+def cutting_pluckers(b):
+    """Plucker vector of the plane cut out by a 4x7 matrix of linear forms.
+
+    The coordinate at triple I is the 4x4 minor on the complementary
+    columns.
+    """
+    assert len(b) == 4 and all(len(row) == 7 for row in b)
+    out = []
+    for tri in geo.TRIPLES:
+        cols = [c for c in range(7) if c not in tri]
+        out.append(mat_det([[row[c] for c in cols] for row in b]))
+    return out
+
+
+def spanning_pluckers(m):
+    """Plucker vector of the row space of a 3x7 matrix, cutting convention.
+
+    Converts the spanning-convention minors with the duality sign
+    (-1)^{sum(I)+1} so the result matches ``cutting_pluckers`` of any matrix
+    annihilating the rows.
+    """
+    assert len(m) == 3 and all(len(row) == 7 for row in m)
+    out = []
+    for tri in geo.TRIPLES:
+        sub = [[row[c] for c in tri] for row in m]
+        out.append(Fraction((-1) ** (sum(tri) + 1)) * mat_det(sub))
+    return out
+
+
+def base_plane_cut_matrix(lams):
+    """Power-sum equations (exponents 0..3) cutting the unflipped plane."""
+    return [[Fraction(v) ** p for v in lams] for p in range(4)]
+
+
+def minor_meeting_system(lams):
+    """The 28 x 35 meeting system from 3x3 minors: block j, row k is the
+    ``spanning_pluckers`` vector of the flipped equations without power 3-k."""
+    rows = []
+    for j in range(7):
+        nj = geo.flipped_cut_matrix(lams, j)
+        for k in range(4):
+            rows.append(spanning_pluckers([nj[p] for p in range(4) if p != 3 - k]))
+    return rows
 
 
 def test_flip_set_combinatorics():
@@ -115,7 +164,7 @@ def test_plucker_relations_on_spanning_planes():
         m = [[Fraction(rng.randint(-4, 4)) for _ in range(7)] for _ in range(3)]
         if mat_rank(m) < 3:
             continue
-        p = geo.spanning_pluckers(m)
+        p = spanning_pluckers(m)
         assert all(geo.evaluate_relation(r, p) == 0 for r in rels)
 
 
@@ -129,8 +178,8 @@ def test_spanning_and_cutting_conventions_agree():
         # the four linear forms vanishing on the rows of m
         ann = mat_nullspace(m)
         assert len(ann) == 4
-        p_cut = geo.cutting_pluckers(ann)
-        p_span = geo.spanning_pluckers(m)
+        p_cut = cutting_pluckers(ann)
+        p_span = spanning_pluckers(m)
         scale = None
         for u, v in zip(p_cut, p_span):
             if (u == 0) != (v == 0):
@@ -142,6 +191,67 @@ def test_spanning_and_cutting_conventions_agree():
                 assert r == scale
         checked += 1
     assert checked
+
+
+def _closed_form_sample_lams():
+    """(1..7), then seeded draws: ints with 0 and negatives, Fractions, a mix."""
+    rng = random.Random(19)
+    sets = [list(range(1, 8)), [0, -1, 2, -3, 4, -5, 6]]
+    while len(sets) < 26:
+        kind = len(sets) % 3
+        if kind == 0:
+            vals = rng.sample(range(-9, 10), 7)
+        else:
+            vals = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(7)]
+            if kind == 2:
+                vals[:3] = rng.sample(range(-9, 10), 3)
+        if len(set(vals)) == 7:
+            sets.append(vals)
+    return sets
+
+
+def test_closed_forms_match_minors():
+    # the closed forms equal the generic minors exactly, element type included
+    for lams in _closed_form_sample_lams():
+        for got, want in (
+            (geo.plane_meeting_system(lams), minor_meeting_system(lams)),
+            ([geo.base_plane_pluckers(lams)], [cutting_pluckers(base_plane_cut_matrix(lams))]),
+        ):
+            assert got == want
+            assert all(type(v) is Fraction for row in got + want for v in row)
+
+
+def test_parameters_pass_the_exact_scalar_gate():
+    for bad in (1.0, 0.5, "1/2"):
+        lams = [bad, 2, 3, 4, 5, 6, 7]
+        for f in (
+            geo.conic_pipeline,
+            geo.dual_uniqueness,
+            geo.no_conic_through_meeting_points,
+            geo.conic_plane_in_conjectural_quadric,
+            geo.plane_meeting_system,
+            geo.base_plane_pluckers,
+        ):
+            with pytest.raises(TypeError, match="parameter must be int or Fraction"):
+                f(lams)
+    assert geo.no_conic_through_meeting_points([Fraction(1, 2), 2, 3, 4, 5, 6, 7])
+
+
+def test_lattice_functions_check_the_dimension():
+    for n in (5, 2, 0, -4):
+        calls = (
+            lambda: geo.flip_mismatch_count(set(), set(), n),
+            lambda: geo.intersection_dim(set(), {0}, n),
+            lambda: geo.intersection_number({0}, {0}, n),
+            lambda: geo.epsilon_gram(n),
+            lambda: geo.only_base_plane_meets_all_windows(n),
+            lambda: geo.window(0, n),
+            lambda: geo.window_class_h_eps(0, n),
+            lambda: geo.window_sum_inequality(n),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="dimension must be even and >= 4"):
+                call()
 
 
 def test_meeting_system_shape_and_solutions():
@@ -203,7 +313,7 @@ def test_integral_tables_hold_ints():
 
 
 def test_base_table_is_base_plane():
-    base = geo.cutting_pluckers(geo.base_plane_cut_matrix(range(1, 8)))
+    base = cutting_pluckers(base_plane_cut_matrix(range(1, 8)))
     scale = Fraction(base[0]) / geo.PLANE_SOLUTION_BASE[0]
     assert scale != 0
     for u, v in zip(base, geo.PLANE_SOLUTION_BASE):

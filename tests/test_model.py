@@ -82,3 +82,13 @@ def test_euler_coefficients():
         assert diag[n - 1] == 2 - n
         # the engine divides by const: an int there would give a float
         assert all(type(v) is Fraction for v in (const, *diag))
+
+
+def test_euler_moves_follow_from_t_to_tau():
+    # the moves are derived from t_to_tau and the diagonal weights; they keep
+    # the values and reprs of the literal tuples they replaced
+    for n in range(4, 31, 2):
+        moves = euler_field(n)[2]
+        literal = ((n - 1, 0, Fraction(4 * n - 4)), (n, 1, Fraction(12 * n - 12)))
+        assert moves == literal
+        assert repr(moves) == repr(literal)
