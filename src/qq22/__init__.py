@@ -28,8 +28,8 @@ from .geometry import (
 )
 from .matrices import mat_charpoly, mat_det, mat_nullspace, mat_rank
 from .model import (
-    ModelParams,
     ambient_3pt_tau,
+    check_dimension,
     eta_inverse,
     eta_pairing,
     euler_field,
@@ -49,10 +49,10 @@ __all__ = [
     "CorrelatorEngine",
     "DivisionGuardError",
     "GaussianRational",
-    "ModelParams",
     "UniPoly",
     "ambient_3pt_tau",
     "branch_discriminant",
+    "check_dimension",
     "closed_form_charpoly",
     "conic_pipeline",
     "conic_plane_in_conjectural_quadric",

@@ -41,28 +41,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import threading
 from fractions import Fraction
 from math import comb, factorial
 
 from .geometry import window_class_h_eps
-from .model import ModelParams, ambient_3pt_tau, eta_inverse, euler_field, t_to_tau
+from .model import ambient_3pt_tau, check_dimension, eta_inverse, euler_field, t_to_tau
 from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
-from .scalars import check_rational
+from .scalars import as_ints, check_rational
 
 PONE = (Fraction(1),)
 PX = (Fraction(0), Fraction(1))
 _GRID = 4  # convergence_witness reports C as a multiple of 1/_GRID
-
-
-def _int_exponents(index):
-    """The entries of an index as a tuple of ints; a non-integer is a ValueError."""
-    index = tuple(index)
-    try:
-        return tuple(map(operator.index, index))
-    except TypeError:
-        raise ValueError("exponents must be integers") from None
 
 
 def curve_degree(n, index):
@@ -131,8 +121,7 @@ class CorrelatorEngine:
     """Memoized correlator evaluator for a fixed even dimension n >= 4."""
 
     def __init__(self, n: int):
-        ModelParams(n)
-        self.n = n
+        self.n = check_dimension(n)
         self.memo = {}
         self._rows = {}
         self._eta_rows = eta_inverse(n)
@@ -417,7 +406,7 @@ class CorrelatorEngine:
 
     def _flat(self, index, min_length=3):
         n = self.n
-        index = _int_exponents(index)
+        index = as_ints(index, "exponents")
         if len(index) != 2 * n + 4:
             raise ValueError(
                 "index must have %d entries, got %d" % (2 * n + 4, len(index))
@@ -596,9 +585,10 @@ def convergence_witness(n, lmax, engine=None):
     excluded).  Returns (C, number of indices inspected).  A given ``engine``
     must be for dimension n.
     """
+    (lmax,) = as_ints((lmax,), "correlator lengths")
     if lmax < 5:
         raise ValueError("lmax must be at least 5")
-    if engine is not None and engine.n != n:
+    if engine is not None and engine.n != check_dimension(n):
         raise ValueError("engine is for n=%d, requested n=%d" % (engine.n, n))
     eng = engine if engine is not None else CorrelatorEngine(n)
     for total in range(5, lmax + 1):

@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
+from collections import namedtuple
 from fractions import Fraction
 
 from .matrices import mat_det, mat_nullspace, mat_rank
-from .model import ModelParams
+from .model import check_dimension
 from .polynomials import UniPoly, poly_gcd
-from .scalars import as_fraction
+from .scalars import as_fraction, as_ints
 
 # ---------------------------------------------------------------------------
 # plane lattice combinatorics
@@ -37,14 +37,10 @@ def flip_mismatch_count(i_set, j_set, n):
     Flip indices are the integer coordinates 0..n+2; a non-integer or any
     other index is a ValueError.
     """
-    ModelParams(n)
+    check_dimension(n)
     i_set, j_set = frozenset(i_set), frozenset(j_set)
-    for v in i_set | j_set:
-        try:
-            k = operator.index(v)
-        except TypeError:
-            raise ValueError("flip index %r is not an integer" % (v,)) from None
-        if not 0 <= k <= n + 2:
+    for v in as_ints(i_set | j_set, "flip indices"):
+        if not 0 <= v <= n + 2:
             raise ValueError("flip index %r out of range 0..%d" % (v, n + 2))
     return len(i_set ^ j_set)
 
@@ -70,7 +66,8 @@ def intersection_number(i_set, j_set, n):
 
 def window(i, n):
     """The consecutive flip set of length n/2 starting at position i."""
-    ModelParams(n)
+    check_dimension(n)
+    (i,) = as_ints((i,), "window starts")
     return frozenset((i + k) % (n + 3) for k in range(n // 2))
 
 
@@ -80,7 +77,7 @@ def only_base_plane_meets_all_windows(n):
     Iterates the canonical flip subsets, those of at most (n+3)/2 slots
     from 1..n+2; returns True when the empty set is the sole survivor.
     """
-    ModelParams(n)
+    check_dimension(n)
     wins = [window(i, n) for i in range(n + 3)]
     survivors = []
     universe = list(range(1, n + 3))
@@ -119,7 +116,7 @@ def _orthobasis_vectors(n):
 
 def epsilon_gram(n):
     """Gram matrix of the orthogonal middle-degree basis; (-1)^{n/2} Id."""
-    ModelParams(n)
+    check_dimension(n)
     pairing = _pairing_matrix(n)
     vecs = _orthobasis_vectors(n)
     rows = []
@@ -135,11 +132,10 @@ def window_class_h_eps(start, n):
     h-coefficient 1/4; the orthogonal coefficient at slot j is
     (-1)^{n/2} (1/2 - [j in window positions]).
     """
-    ModelParams(n)
+    hit = window(start, n)
     if not 0 <= start <= n + 2:
         raise ValueError("window start out of range")
     sgn = (-1) ** (n // 2)
-    hit = {(start + k) % (n + 3) for k in range(n // 2)}
     eps = [
         Fraction(sgn) * (Fraction(1, 2) - (1 if j in hit else 0))
         for j in range(n + 3)
@@ -515,12 +511,10 @@ def freeness_matrix(ws, lams):
     return rows
 
 
-class Stage:
-    def __init__(self, name, ok, expected=None, got=None):
-        self.name = name
-        self.ok = bool(ok)
-        self.expected = expected
-        self.got = got
+class Stage(namedtuple("Stage", "name ok expected got", defaults=(None, None))):
+    """A report's named check; a failed one's ``as_dict`` adds expected and got."""
+
+    __slots__ = ()
 
     def as_dict(self):
         d = {"stage": self.name, "ok": self.ok}
@@ -535,7 +529,7 @@ class VerificationReport:
         self.stages = []
 
     def check(self, name, ok, expected=None, got=None):
-        self.stages.append(Stage(name, ok, expected, got))
+        self.stages.append(Stage(name, bool(ok), expected, got))
         return ok
 
     @property
@@ -715,7 +709,7 @@ def conic_plane_in_conjectural_quadric(lams=CASE_LAMS) -> bool:
 
 def window_sum_inequality(n) -> bool:
     """Exact check of sum_{k=2}^{n-2} n(n-1)/(k(k-1)(n-k)(n-k-1)) < 4."""
-    ModelParams(n)
+    check_dimension(n)
     total = Fraction(0)
     for k in range(2, n - 1):
         total += Fraction(n * (n - 1), k * (k - 1) * (n - k) * (n - k - 1))

@@ -1,5 +1,7 @@
 """Fixed data of an even-dimensional intersection of two quadrics.
 
+Every public entry point that takes the dimension n passes it through
+``check_dimension``, the one gate that refuses all but an even int n >= 4.
 Cohomology basis layout used everywhere: slots 0..n are the ambient classes
 (1 and the n hyperplane powers, either cup powers h_i or small-quantum powers
 ht_i depending on the coordinate system), slots n+1..2n+3 the orthonormal
@@ -12,27 +14,16 @@ engine reads; ``eta_pairing`` is the dense pairing they are checked against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .scalars import as_ints
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Dimension n plus the derived index bookkeeping."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 4 or self.n % 2:
-            raise ValueError("dimension must be even and >= 4, got %r" % (self.n,))
-
-    @property
-    def basis_size(self) -> int:
-        return 2 * self.n + 4
-
-    @property
-    def num_primitive(self) -> int:
-        return self.n + 3
+def check_dimension(n):
+    """n when it is an even int >= 4 (so never a bool); a ValueError otherwise."""
+    if not isinstance(n, int) or n < 4 or n % 2:
+        raise ValueError("dimension must be even and >= 4, got %r" % (n,))
+    return n
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,9 +34,9 @@ def eta_inverse(n: int):
     -4 when e+f = 1, 1/4 on the ambient antidiagonal e+f = n, 1 on the
     primitive diagonal.
     """
-    p = ModelParams(n)
+    check_dimension(n)
     rows = []
-    for e in range(p.basis_size):
+    for e in range(2 * n + 4):
         if e > n:
             rows.append(((e, Fraction(1)),))
         elif e <= 1:
@@ -61,7 +52,7 @@ def eta_pairing(n: int):
     Ambient block: eta_{ab} = <1, a, b>, the three-point value
     ``ambient_3pt_tau(n, 0, a, b)``; primitive block is the identity.
     """
-    size = ModelParams(n).basis_size
+    size = 2 * check_dimension(n) + 4
     m = [[Fraction(0)] * size for _ in range(size)]
     for e in range(n + 1):
         m[e][: n + 1] = [ambient_3pt_tau(n, 0, e, f) for f in range(n + 1)]
@@ -77,7 +68,7 @@ def t_to_tau(n: int):
     Returns ((j, ((k, c), ...)), ...) with d/dt^j = sum c d/dtau^k, for the
     two slots j = n-1 and j = n; every other d/dt^j is d/dtau^j.
     """
-    ModelParams(n)
+    check_dimension(n)
     return (
         (n - 1, ((n - 1, Fraction(1)), (0, Fraction(-4)))),
         (n, ((n, Fraction(1)), (1, Fraction(-12)))),
@@ -90,8 +81,8 @@ def ambient_3pt_tau(n: int, a: int, b: int, c: int) -> Fraction:
     4 * 16^((a+b+c-n)/(n-1)) when the exponent is a nonnegative integer,
     zero otherwise.  Totally symmetric in (a, b, c).
     """
-    ModelParams(n)
-    for v in (a, b, c):
+    check_dimension(n)
+    for v in as_ints((a, b, c), "ambient indices"):
         if not 0 <= v <= n:
             raise ValueError("ambient index out of range: %r" % (v,))
     q, r = divmod(a + b + c - n, n - 1)
@@ -114,9 +105,9 @@ def euler_field(n: int):
     tau^k = t^k + c t^j the term w_k t^k d_k becomes
     w_k tau^k d_k - c (w_k - w_j) tau^j d_k.
     """
-    p = ModelParams(n)
+    check_dimension(n)
     diag = tuple(
-        Fraction(1 - i) if i <= n else Fraction(2 - n, 2) for i in range(p.basis_size)
+        Fraction(1 - i) if i <= n else Fraction(2 - n, 2) for i in range(2 * n + 4)
     )
     moves = tuple((j, k, -c * (diag[k] - diag[j])) for j, (_, (k, c)) in t_to_tau(n))
     return Fraction(n - 1), diag, moves

@@ -1,9 +1,11 @@
-"""Exact scalars: the int-or-Fraction gate, serialization and a Gaussian rational.
+"""Exact scalars: the rational and integer gates, serialization, a Gaussian rational.
 
 Every scalar the package computes is an ``int`` or ``fractions.Fraction``.
 ``check_rational`` and ``as_fraction`` are the one gate that turns any other
 input into a ``TypeError`` naming what was passed; the matrix,
 polynomial, semisimplicity and engine entry points all go through it.
+``as_ints`` is the one integer gate: an exponent, index, count or length
+that is not an integer is a ``ValueError`` naming the input.
 ``GaussianRational`` has no caller in the package.  It keeps only the ``+``,
 ``*`` and ``==`` (ints and Fractions coerced) that the tests use and whose
 calls the benchmark tracer counts.
@@ -11,6 +13,7 @@ calls the benchmark tracer counts.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 RATIONAL = (int, Fraction)
@@ -21,6 +24,18 @@ def check_rational(values, what):
     for v in values:
         if not isinstance(v, RATIONAL):
             raise TypeError("%s must be int or Fraction, got %r" % (what, v))
+
+
+def as_ints(values, what):
+    """The values as a tuple of ints; ValueError "<what> must be integers, got v"
+    at the first v that ``operator.index`` refuses (4.0, Fraction(4), "4")."""
+    out = []
+    for v in values:
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise ValueError("%s must be integers, got %r" % (what, v)) from None
+    return tuple(out)
 
 
 def as_fraction(v, what="value"):

@@ -19,21 +19,21 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .matrices import mat_charpoly
-from .model import ModelParams
+from .model import check_dimension
 from .polynomials import UniPoly, squarefree
-from .scalars import as_fraction, rational_str
+from .scalars import as_fraction, as_ints, rational_str
 
 
 def _point(n, taus):
     """Check n and the n+3 primitive coordinates; return them and s = sum tau_i^2."""
-    p = ModelParams(n)
+    check_dimension(n)
     taus = [as_fraction(v, "primitive coordinate") for v in taus]
-    if len(taus) != p.num_primitive:
-        raise ValueError("need %d primitive coordinates" % p.num_primitive)
+    if len(taus) != n + 3:
+        raise ValueError("need %d primitive coordinates" % (n + 3))
     return taus, sum(v * v for v in taus)
 
 
@@ -109,34 +109,28 @@ def closed_form_charpoly(n, taus) -> UniPoly:
 
 def branch_discriminant(n) -> Fraction:
     """Discriminant 64(n-1)(n+2)(n+3)^2 of the order-one branch equation."""
-    ModelParams(n)
+    check_dimension(n)
     return Fraction(64 * (n - 1) * (n + 2) * (n + 3) ** 2)
 
 
 def zn_minus_az_plus_1_squarefree(n, a) -> bool:
     """Simple-roots test for z^n - a z + 1 with rational a (true for n >= 3)."""
+    (n,) = as_ints((n,), "degrees")
     if n < 3:
         raise ValueError("degree must be at least 3")
     a = as_fraction(a, "a")
     return squarefree(UniPoly([Fraction(1), -a] + [Fraction(0)] * (n - 2) + [Fraction(1)]))
 
 
-@dataclass
-class ScanRow:
-    point: tuple
-    agrees: bool
-    squarefree: bool
-    degree: int
-    rejected: bool = False
+class ScanRow(
+    namedtuple("ScanRow", "point agrees squarefree degree rejected", defaults=(False,))
+):
+    """One scan point and its verdicts; a rejected point reads False, False, -1."""
+
+    __slots__ = ()
 
     def as_dict(self):
-        return {
-            "point": [rational_str(v) for v in self.point],
-            "agrees": self.agrees,
-            "squarefree": self.squarefree,
-            "degree": self.degree,
-            "rejected": self.rejected,
-        }
+        return {**self._asdict(), "point": [rational_str(v) for v in self.point]}
 
 
 # sample_point draws num/den with |num| <= _NUM_MAX and 1 <= den <= _DEN_MAX
@@ -171,7 +165,8 @@ def semisimple_scan(n, samples, seed):
     sampler can draw, every point is degenerate, so that is a ValueError; so
     is samples < 1, since an empty scan checks nothing.
     """
-    ModelParams(n)
+    check_dimension(n)
+    (samples,) = as_ints((samples,), "samples")
     if samples < 1:
         raise ValueError("samples must be at least 1, got %r" % (samples,))
     if n + 3 > _DISTINCT_ABS:

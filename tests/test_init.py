@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import qq22
 from qq22.engine import CorrelatorEngine
@@ -52,10 +55,29 @@ def _is_format_read(node):
     )
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 10 ms of
+    # every process that imports qq22
+    code = "import sys, qq22; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+def _imported(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module]
+    return []
+
+
 def test_each_rule_has_one_home():
     # the int-or-Fraction test lives in qq22.scalars (RATIONAL, check_rational,
-    # as_fraction) and the --format choice in cli._report; a second copy of
-    # either fails here
+    # as_fraction), the --format choice in cli._report and the dimension rule
+    # in model.check_dimension; a second copy of any fails here
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     tuples = [name for name, tree in trees.items() for _ in _nodes(tree, _is_rational_tuple)]
     assert tuples == ["scalars.py"]
@@ -66,3 +88,12 @@ def test_each_rule_has_one_home():
         if node.name == "_report"
     ]
     assert reads == len(_nodes(report, _is_format_read)) == 1
+    imports = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if "dataclasses" in _imported(node)
+    ]
+    assert imports == []
+    homes = [path.name for path in SOURCES if "dimension must be even and >= 4" in path.read_text()]
+    assert homes == ["model.py"]

@@ -1,11 +1,24 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from qq22 import (
+    CorrelatorEngine,
+    branch_discriminant,
+    closed_form_charpoly,
+    convergence_witness,
+    cutoff_matrix,
+    epsilon_gram,
+    intersection_dim,
+    only_base_plane_meets_all_windows,
+    semisimple_scan,
+    window_sum_inequality,
+)
 from qq22.model import (
-    ModelParams,
     ambient_3pt_tau,
+    check_dimension,
     eta_inverse,
     eta_pairing,
     euler_field,
@@ -15,12 +28,45 @@ from qq22.model import (
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ModelParams(5)
+        check_dimension(5)
     with pytest.raises(ValueError):
-        ModelParams(2)
-    p = ModelParams(6)
-    assert p.basis_size == 16
-    assert p.num_primitive == 9
+        check_dimension(2)
+    assert check_dimension(6) == 6
+    # at n = 6 the basis has 16 slots, 9 of them primitive
+    assert len(eta_inverse(6)) == len(euler_field(6)[1]) == 16
+    assert len(cutoff_matrix(6, [0] * 9)) == 16
+    with pytest.raises(ValueError, match="need 9 primitive coordinates"):
+        cutoff_matrix(6, [0] * 8)
+
+
+# every public entry point that takes a dimension, called with n
+GATED = {
+    "CorrelatorEngine": CorrelatorEngine,
+    "eta_inverse": eta_inverse,
+    "eta_pairing": eta_pairing,
+    "t_to_tau": t_to_tau,
+    "euler_field": euler_field,
+    "ambient_3pt_tau": lambda n: ambient_3pt_tau(n, 0, 1, 3),
+    "intersection_dim": lambda n: intersection_dim({0}, {1}, n),
+    "epsilon_gram": epsilon_gram,
+    "only_base_plane_meets_all_windows": only_base_plane_meets_all_windows,
+    "window_sum_inequality": window_sum_inequality,
+    "cutoff_matrix": lambda n: cutoff_matrix(n, [0] * 7),
+    "closed_form_charpoly": lambda n: closed_form_charpoly(n, [0] * 7),
+    "semisimple_scan": lambda n: semisimple_scan(n, 1, 0),
+    "branch_discriminant": branch_discriminant,
+    "convergence_witness": lambda n: convergence_witness(n, 6),
+}
+
+
+@pytest.mark.parametrize("call", GATED.values(), ids=GATED.keys())
+def test_every_entry_point_checks_the_dimension(call):
+    # 4.0, Fraction(4), "4" and True compare or convert to 4 but are no
+    # dimension; before the gate 4.0 ran and returned floats
+    for n in (4.0, Fraction(4), "4", True, 5, 2, 0, -4):
+        text = "dimension must be even and >= 4, got %r" % (n,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(text)):
+            call(n)
 
 
 def test_eta_inverse_entries_n4():
