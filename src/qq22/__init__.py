@@ -11,7 +11,6 @@ from .engine import (
     CorrelatorEngine,
     DivisionGuardError,
     convergence_witness,
-    index_triple,
 )
 from .geometry import (
     conic_pipeline,
@@ -63,7 +62,6 @@ __all__ = [
     "eta_inverse",
     "eta_pairing",
     "euler_field",
-    "index_triple",
     "intersection_dim",
     "intersection_number",
     "mat_charpoly",

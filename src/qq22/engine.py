@@ -26,7 +26,15 @@ dimension.
 
 The one value the moves cannot determine, the length-(n+3) correlator with
 one insertion on every primitive slot, stays symbolic: results are
-polynomials in that unknown x.  All arithmetic is exact.
+polynomials in that unknown x.  All arithmetic is exact, and it runs on
+Python ints: a memo coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise, and ``_lookup`` brings each value to that form once,
+when it stores it.  The inputs are ints (the base values, the Euler weights
+and moves, which are integral for even n, and 4 eta^{ef} in {-16, 1, 4}), and
+each division is exact where it divides (``_divide``): the contraction takes
+its quarter once, the Euler step its 1/(n-1), and the primitive step its one
+scale.  The public queries return ``UniPoly``s with ``Fraction``
+coefficients.
 
 Values are memoized per canonical key (ambient exponents verbatim, primitive
 exponents sorted descending); primitive-slot permutation invariance makes the
@@ -50,8 +58,8 @@ from .model import ambient_3pt_tau, check_dimension, eta_inverse, euler_field, t
 from .polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
 from .scalars import as_ints, check_rational
 
-PONE = (Fraction(1),)
-PX = (Fraction(0), Fraction(1))
+PONE = (1,)
+PX = (0, 1)
 _GRID = 4  # convergence_witness reports C as a multiple of 1/_GRID
 
 
@@ -97,7 +105,24 @@ def _expand(terms, factors):
     return terms
 
 
-def index_triple(exponents):
+def _divide(p, d):
+    """p / d for a nonzero int d: an int where d divides it, else a Fraction."""
+    return tuple(c // d if type(c) is int and not c % d else Fraction(c, d) for c in p)
+
+
+def _integral(p):
+    """The memo form of p: each integral coefficient as an int."""
+    return tuple(
+        c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in p
+    )
+
+
+def _public(p):
+    """The UniPoly of p with Fraction coefficients, as the public API returns."""
+    return UniPoly(map(Fraction, p))
+
+
+def _index_triple(exponents):
     """Slots used by the generic primitive reduction step.
 
     Returns (a, b, c): a, b carry the two largest components, c the smallest
@@ -124,8 +149,16 @@ class CorrelatorEngine:
         self.n = check_dimension(n)
         self.memo = {}
         self._rows = {}
-        self._eta_rows = eta_inverse(n)
-        self._euler = euler_field(n)
+        # 4 eta^{ef} in {-16, 1, 4}: _contract takes the quarter once
+        self._eta4_rows = tuple(
+            tuple((f, int(4 * c)) for f, c in row) for row in eta_inverse(n)
+        )
+        const, diag, moves = euler_field(n)  # integral for even n
+        self._euler = (
+            int(const),
+            tuple(map(int, diag)),
+            tuple((j, k, int(c)) for j, k, c in moves),
+        )
         self._t_moves = t_to_tau(n)
         self._local = threading.local()
 
@@ -149,7 +182,7 @@ class CorrelatorEngine:
             val = self._compute(key[0], key[1])
         finally:
             active.discard(key)
-        return self.memo.setdefault(key, val)
+        return self.memo.setdefault(key, _integral(val))
 
     # -- the reduction ------------------------------------------------------
 
@@ -214,7 +247,7 @@ class CorrelatorEngine:
                 moved = list(flat)
                 moved[s] -= 1
                 val = padd(val, pscale(-c * flat[s], self._at(moved, d)))
-        return pscale(1 / const, val)
+        return _divide(val, const)
 
     # -- WDVV machinery ------------------------------------------------------
 
@@ -256,14 +289,24 @@ class CorrelatorEngine:
         return self._rows.setdefault(a, row)
 
     def _contract(self, a, b):
-        """Sum A_e eta^{ef} B_f, with A_e, B_f the correlators at a + e, b + f."""
+        """Sum A_e eta^{ef} B_f, with A_e, B_f the correlators at a + e, b + f.
+
+        The sum runs over 4 eta, an int, and is divided by 4 once; the
+        constant terms, almost all of them, skip the polynomial product.
+        """
+        const = 0
         total = PZERO
         for e, av in self._row(tuple(a)):
-            for f, c in self._eta_rows[e]:
+            for f, c in self._eta4_rows[e]:
                 bv = self._at(b, f)
                 if bv:
-                    total = padd(total, pscale(c, pmul(av, bv)))
-        return total
+                    if len(av) == 1 == len(bv):
+                        const += c * av[0] * bv[0]
+                    else:
+                        total = padd(total, pscale(c, pmul(av, bv)))
+        if const:
+            total = padd((const,), total)
+        return _divide(total, 4)
 
     def _extract(self, vec, aslots, bslots, lo=0, hi=0):
         """WDVV coefficient extraction at the flat index vec.
@@ -358,26 +401,28 @@ class CorrelatorEngine:
         less one insertion on each of the primitive slots a and b.  The
         boundary terms leave the target with the coefficient k - 2 inner[c],
         k = (2|inner| - 4) / (n - 1), which divides the right side out.
-        Generically a, b, c are ``index_triple``'s slots.  With one nonzero
+        Generically a, b, c are ``_index_triple``'s slots.  With one nonzero
         slot they are a = b = 0, c = 1, and the boundary also holds the
         partner correlator at inner + 2c with the coefficient k - 2 inner[a],
-        moved to the right side.
+        moved to the right side.  Everything is scaled by 4 (n - 1), which
+        makes each coefficient an int, and the scale is divided out once.
         """
         n = self.n
-        a, b, c = index_triple(prim) if prim[1] else (0, 0, 1)
+        a, b, c = _index_triple(prim) if prim[1] else (0, 0, 1)
         inner = _bump(_bump(prim, a, -1), b, -1)
-        k = Fraction(2 * sum(inner) - 4, n - 1)
-        coeff = k - 2 * inner[c]
+        m = 2 * sum(inner) - 4  # (n - 1) k
+        coeff = m - 2 * (n - 1) * inner[c]
         if not coeff:
             raise DivisionGuardError("zero coefficient reducing %r" % (prim,))
-        val = self._rhs(inner, a, b, c)
+        val = pscale(n - 1, self._rhs4(inner, a, b, c))
         if a == b:
             partner = self._T((0,) * (n + 1), _bump(inner, c, 2))
-            val = padd(val, pscale(2 * inner[a] - k, partner))
-        return pscale(1 / coeff, val)
+            val = padd(val, pscale(4 * (2 * (n - 1) * inner[a] - m), partner))
+        return _divide(val, 4 * coeff)
 
-    def _rhs(self, inner, a, b, c):
-        """Right side of the extraction of WDVV for primitive slots (a, b; c, c).
+    def _rhs4(self, inner, a, b, c):
+        """Four times the right side of the extraction of WDVV for primitive
+        slots (a, b; c, c).
 
         The +-1 terms are that equation at inner without its boundary terms,
         those with a 3- or 4-point factor.  For each side whose two slots
@@ -394,12 +439,11 @@ class CorrelatorEngine:
         """
         n = self.n
         ga, gb, gc = n + 1 + a, n + 1 + b, n + 1 + c
-        q = Fraction(1, 4)
-        specs = [(-1, (ga, gb), (gc, gc), 2, -2), (1, (ga, gc), (gb, gc), 2, -2)]
+        specs = [(-4, (ga, gb), (gc, gc), 2, -2), (4, (ga, gc), (gb, gc), 2, -2)]
         for (s, t), (u, v) in (((ga, gb), (gc, gc)), ((gc, gc), (ga, gb))):
             if s == t:
-                specs.append((q, (1, n - 1), (u, v), 2, 0))
-                specs.append((-q, (1, u), (n - 1, v), 1, -1))
+                specs.append((1, (1, n - 1), (u, v), 2, 0))
+                specs.append((-1, (1, u), (n - 1, v), 1, -1))
         return self._signed_extracts((0,) * (n + 1) + inner, specs)
 
     # -- public API -----------------------------------------------------------
@@ -424,7 +468,7 @@ class CorrelatorEngine:
     def correlator_tau(self, index) -> UniPoly:
         """Correlator in small-quantum coordinates, as a polynomial in x."""
         amb, prim = self._split(index)
-        return UniPoly(self._T(amb, prim))
+        return _public(self._T(amb, prim))
 
     def correlator_t(self, index) -> UniPoly:
         """Correlator in cup-product coordinates, via the coordinate change."""
@@ -439,7 +483,7 @@ class CorrelatorEngine:
         val = PZERO
         for idx, coef in _expand({tuple(base): Fraction(1)}, factors).items():
             val = padd(val, pscale(coef, self._T(idx[:na], idx[na:])))
-        return UniPoly(val)
+        return _public(val)
 
     def beta_of_t_index(self, index):
         """Curve degree forced by the dimension axiom, or None; see curve_degree."""
@@ -544,7 +588,7 @@ class CorrelatorEngine:
         """The squares-on-n+1-slots correlator of length 2n+2."""
         n = self.n
         prim = (2,) * (n + 1) + (0, 0)
-        return UniPoly(self._T((0,) * (n + 1), prim))
+        return _public(self._T((0,) * (n + 1), prim))
 
     def conjecture_quadratic(self) -> UniPoly:
         """Residual of the quadratic identity; zero means the identity holds."""
@@ -564,12 +608,13 @@ class CorrelatorEngine:
         is a basis slot, an int in range(2n+4); anything else is a ValueError.
         """
         size = 2 * self.n + 4
+        a, b, c, d = as_ints((a, b, c, d), "slots")
         for s in (a, b, c, d):
-            if not isinstance(s, int) or not 0 <= s < size:
+            if not 0 <= s < size:
                 raise ValueError("slot %r is not in range(%d)" % (s, size))
         vec = self._flat(index, min_length=0)
         specs = [(1, (a, b), (c, d), 0, 0), (-1, (a, c), (b, d), 0, 0)]
-        return UniPoly(self._signed_extracts(vec, specs))
+        return _public(self._signed_extracts(vec, specs))
 
     def cached_items(self):
         return sorted(self.memo.items())

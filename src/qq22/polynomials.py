@@ -7,8 +7,10 @@ stripped, so ``degree`` is the index of the last nonzero coefficient and the
 zero polynomial has degree -1.
 
 The arithmetic itself is done by ``padd``, ``pscale``, ``pmul`` and ``peval``
-on plain coefficient tuples; the correlator engine uses them directly on its
-memo values, and ``UniPoly`` wraps them.
+on plain coefficient tuples; ``UniPoly`` wraps them.  The correlator engine
+uses them directly on its memo values, which are mostly ``int``s: ``padd``
+and ``pscale`` keep ints as ints, while ``pmul`` and ``peval`` start from a
+``Fraction`` zero, so their results are ``Fraction``s.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Every scalar the package computes is an ``int`` or ``fractions.Fraction``.
 input into a ``TypeError`` naming what was passed; the matrix,
 polynomial, semisimplicity and engine entry points all go through it.
 ``as_ints`` is the one integer gate: an exponent, index, count or length
-that is not an integer is a ``ValueError`` naming the input.
+that is not an integer, or is a bool, is a ``ValueError`` naming the input.
 ``GaussianRational`` has no caller in the package.  It keeps only the ``+``,
 ``*`` and ``==`` (ints and Fractions coerced) that the tests use and whose
 calls the benchmark tracer counts.
@@ -28,13 +28,17 @@ def check_rational(values, what):
 
 def as_ints(values, what):
     """The values as a tuple of ints; ValueError "<what> must be integers, got v"
-    at the first v that ``operator.index`` refuses (4.0, Fraction(4), "4")."""
+    at the first v that is a bool or that ``operator.index`` refuses (4.0,
+    Fraction(4), "4")."""
     out = []
     for v in values:
-        try:
-            out.append(operator.index(v))
-        except TypeError:
-            raise ValueError("%s must be integers, got %r" % (what, v)) from None
+        if not isinstance(v, bool):
+            try:
+                out.append(operator.index(v))
+                continue
+            except TypeError:
+                pass
+        raise ValueError("%s must be integers, got %r" % (what, v))
     return tuple(out)
 
 

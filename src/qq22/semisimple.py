@@ -75,6 +75,11 @@ def cutoff_matrix(n, taus):
     return m
 
 
+def _times_linear(p, c):
+    """The coefficients, lowest degree first, of p(w) (w + c)."""
+    return [c * a + b for a, b in zip(p + [0], [0] + p)]
+
+
 def closed_form_charpoly(n, taus) -> UniPoly:
     """The closed-form characteristic polynomial of the cutoff.
 
@@ -91,20 +96,38 @@ def closed_form_charpoly(n, taus) -> UniPoly:
     H = (n+3) G - (z - s/2) G'.  Folding the shared term gives
     A H + B G = (n-1)^{n-1} (a H + b G) + z^2 (z+s/2)^{n-1} (G - H), with a
     and b the brackets of A and B without that term, over (n-1)^{n-1}.
+
+    Everything is computed on ints.  With D a common denominator of the
+    tau_i^2 and u = 2D, the variable w = u z makes u f_i = w - S + 2 t_i,
+    with the ints S = D s and t_i = D tau_i^2.  So g = u^{n+3} G and
+    h = u^{n+3} H are integer polynomials in w, as are u^2 a, u^2 b and
+    u^{n+1} z^2 (z+s/2)^{n-1} = w^2 (w+S)^{n-1}, and the result is
+    P(u z) / u^{2n+4} for one integer polynomial P: the coefficient of z^k is
+    P_k / u^{2n+4-k}, as in ``mat_charpoly``.
     """
     taus, s = _point(n, taus)
-    z = UniPoly.x()
-    shift = z - s / 2
-    g = math.prod((shift + v * v for v in taus), start=UniPoly.constant(Fraction(1)))
-    h = g * (n + 3) - shift * g.derivative()
-    a = (
-        UniPoly.constant(Fraction(-(n - 1) * (n - 2) ** 2, 4) * s * s)
-        + z * (2 * (n - 1) * (n - 4) * s)
-        + z * z * (-4 * (n - 5))
-    )
-    b = z * (4 * (n - 1) * s) - z * z * 16
-    fold = z * z * (z + s / 2) ** (n - 1)
-    return (a * h + b * g) * (n - 1) ** (n - 1) + fold * (g - h)
+    d = math.lcm(*[v.denominator for v in taus]) ** 2
+    u = 2 * d
+    big_s = (s * d).numerator
+    g = [1]
+    for v in taus:
+        g = _times_linear(g, 2 * (v * v * d).numerator - big_s)
+    dg = _times_linear([k * c for k, c in enumerate(g)][1:], -big_s)
+    h = [(n + 3) * a - b for a, b in zip(g, dg)]
+    scale = (n - 1) ** (n - 1) * u ** (n - 1)
+    a = (-(n - 1) * (n - 2) ** 2 * big_s * big_s, 4 * (n - 1) * (n - 4) * big_s, -4 * (n - 5))
+    b = (0, 8 * (n - 1) * big_s, -16)
+    p = [0] * (2 * n + 5)
+    for j, (x, y) in enumerate(zip(a, b)):
+        for k, (hk, gk) in enumerate(zip(h, g)):
+            p[j + k] += scale * (x * hk + y * gk)
+    fold = [x - y for x, y in zip(g, h)]
+    for _ in range(n - 1):
+        fold = _times_linear(fold, big_s)
+    for k, c in enumerate(fold, start=2):
+        p[k] += c
+    top = 2 * n + 4
+    return UniPoly(Fraction(c, u ** (top - k)) for k, c in enumerate(p))
 
 
 def branch_discriminant(n) -> Fraction:

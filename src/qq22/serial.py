@@ -61,12 +61,18 @@ def poly_to_str(coeffs, descending=False) -> str:
     return "".join(parts)
 
 
+def _coefficient(text):
+    """An unsigned coefficient: an int when it has no '/', else a Fraction."""
+    return int(text) if text.isdigit() else Fraction(text)
+
+
 def poly_from_str(s: str):
     """Parse the output of poly_to_str back into a coefficient tuple.
 
     Only that grammar is read: ASCII digits, terms joined by one sign (the
     first term signed only by '-'), a coefficient joined to x by '*', and no
-    whitespace, '_' or other text.
+    whitespace, '_' or other text.  A coefficient written without '/' is an
+    int and one with '/' a Fraction, the engine's memo form of each value.
     """
     if not s:
         raise ValueError("empty polynomial")
@@ -89,21 +95,21 @@ def poly_from_str(s: str):
             raise ValueError("bad sign in %r" % chunk)
         head, var, tail = body.partition("x")
         if not var:
-            coef, k = Fraction(head), 0
+            coef, k = _coefficient(head), 0
         else:
             if tail.startswith("^-"):
                 raise ValueError("negative exponent in %r" % chunk)
             if head and not head.endswith("*"):
                 raise ValueError("coefficient without '*' in %r" % chunk)
-            coef = Fraction(head[:-1]) if head else Fraction(1)
+            coef = _coefficient(head[:-1]) if head else 1
             if not tail:
                 k = 1
             elif tail[0] == "^" and tail[1:].isdigit():
                 k = int(tail[1:])
             else:
                 raise ValueError("bad polynomial term %r" % chunk)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coef
-    out = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)]
+        coeffs[k] = coeffs.get(k, 0) + sign * coef
+    out = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
     while out and not out[-1]:
         out.pop()
     return tuple(out)

@@ -11,10 +11,11 @@ from qq22.engine import (
     CorrelatorEngine,
     RecursionCycleError,
     _grid_steps,
+    _index_triple,
     convergence_witness,
     curve_degree,
-    index_triple,
 )
+from qq22.model import eta_inverse
 from qq22.polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
 from qq22.serial import load_cache, save_cache
 
@@ -226,7 +227,7 @@ class PlainContractEngine(CorrelatorEngine):
     def _contract(self, a, b):
         avals = [self._at(a, e) for e in range(len(a))]
         total = PZERO
-        for av, row in zip(avals, self._eta_rows):
+        for av, row in zip(avals, eta_inverse(self.n)):
             if av:
                 for f, c in row:
                     bv = self._at(b, f)
@@ -279,6 +280,30 @@ def test_row_cache_matches_plain_contraction(n, lmax, swept_main):
     for a, row in main._rows.items():
         full = [(e, main._at(list(a), e)) for e in range(2 * n + 4)]
         assert row == tuple((e, v) for e, v in full if v)
+
+
+@pytest.mark.parametrize("n, lmax", SWEEPS)
+def test_memo_coefficient_is_int_exactly_when_integral(n, lmax, swept_main):
+    # the kernel runs on ints and keeps a Fraction only for a non-integral
+    # value; at n = 4 the window correlator stores some of those
+    coeffs = [c for value in swept_main(n, lmax).memo.values() for c in value]
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in coeffs)
+    if n == 4:
+        assert any(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("n, lmax", SWEEPS)
+def test_public_returns_have_fraction_coefficients(n, lmax, swept_main):
+    # seeded nonzero memo keys, read back through the public queries; the
+    # quadratic residual and the WDVV residuals are zero, so carry no type
+    eng = swept_main(n, lmax)
+    rng = random.Random(2111 + n)
+    keys = sorted(key for key, value in eng.memo.items() if value)
+    polys = [eng.f_value(), eng.conjecture_quadratic_lhs()]
+    for amb, prim in rng.sample(keys, 20):
+        polys += [eng.correlator_tau(amb + prim), eng.correlator_t(amb + prim)]
+    assert all(not p.is_zero() for p in polys[:2] + polys[2::2])
+    assert {type(c) for p in polys for c in p.coeffs} == {Fraction}
 
 
 F10 = (Fraction(16232959575, 4), Fraction(2467, 2))
@@ -345,6 +370,11 @@ def _memo_pin(eng, tmp_path):
     # the file loads back to the memo, which saves to the same bytes
     loaded = load_cache(path, eng.n)
     assert loaded == eng.memo
+    # with the same element type at every coefficient, so a warm engine
+    # that extends a loaded memo stays on ints
+    assert {k: tuple(map(type, v)) for k, v in loaded.items()} == {
+        k: tuple(map(type, v)) for k, v in eng.memo.items()
+    }
     save_cache(path, eng.n, loaded)
     assert path.read_bytes() == data
     return len(eng.memo), len(data), hashlib.sha256(data).hexdigest()
@@ -453,18 +483,18 @@ def test_n8_quadratic_makes_few_memo_lookups(monkeypatch):
 
 
 def test_index_triple_examples():
-    assert index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
-    a, b, c = index_triple((2, 2, 2, 2, 2, 0, 0))
+    assert _index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
+    a, b, c = _index_triple((2, 2, 2, 2, 2, 0, 0))
     assert {a, b} <= {0, 1, 2, 3, 4} and c in (5, 6)
-    a, b, c = index_triple((2,) * 7)
+    a, b, c = _index_triple((2,) * 7)
     assert len({a, b, c}) == 3
     # nonzero reduction coefficient for the all-equal case, n = 4
     inner_size = 14 - 2
     assert Fraction(2 * inner_size - 4, 3) - 2 * 2 != 0
     with pytest.raises(ValueError):
-        index_triple((5, 0, 0, 0, 0, 0, 0))
+        _index_triple((5, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
-        index_triple((1,) * 7)
+        _index_triple((1,) * 7)
 
 
 def test_quadratic_conjecture_small():
@@ -627,7 +657,7 @@ def test_peval():
     assert peval((Fraction(1), Fraction(2)), Fraction(1, 2)) == 2
 
 
-@pytest.mark.parametrize("bad", [7.5, "7"])
+@pytest.mark.parametrize("bad", [7.5, "7", True])
 def test_non_integer_exponents_are_rejected(eng4, bad):
     index = [0, 0, bad, 0, 0, 0, 0, 0, 0, 0, 0, 0]
     for query in (eng4.correlator_tau, eng4.correlator_t, eng4.beta_of_t_index):
@@ -649,9 +679,10 @@ def test_engine_input_validation(eng4):
     assert eng4.beta_of_t_index(idx(4, amb=[(3, 2), (4, 1)])) == 2
 
 
-@pytest.mark.parametrize("slot", [-1, 12, 1.0, "0"])
+@pytest.mark.parametrize("slot", [-1, 12, 1.0, "0", True])
 def test_wdvv_residual_slots_are_checked(eng4, slot):
-    # slot -1 used to alias slot 11, and slot 12 raised IndexError
+    # slot -1 used to alias slot 11, slot 12 raised IndexError, and True
+    # was read as slot 1
     index = [0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0]
     with pytest.raises(ValueError, match="slot"):
         eng4.wdvv_extracted_residual(slot, 5, 6, 2, index)

@@ -27,7 +27,7 @@ def test_rational_serialization():
 def test_integer_gate():
     assert as_ints([3, 0, -2], "exponents") == (3, 0, -2)
     assert as_ints((), "exponents") == ()
-    for bad in (4.0, Fraction(4), "4", None):
+    for bad in (4.0, Fraction(4), "4", None, True, False):
         text = "exponents must be integers, got %r" % (bad,)
         with pytest.raises(ValueError, match="^%s$" % re.escape(text)):
             as_ints([1, bad], "exponents")

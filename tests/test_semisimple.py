@@ -157,7 +157,9 @@ def _closed_form_points(n, rng):
 
     Up to n = 12 every kind and two sample_points; above that, to stay fast,
     the zero point, one of the other three kinds in turn and one draw wider
-    than the sampler's.
+    than the sampler's.  At n = 30 one more draw has numerators to +-999 over
+    denominators 997..999, whose lcm is about 10^9 (wider denominators make
+    the division route take seconds).
     """
     m = n + 3
     pairs = [Fraction(sign * (k // 2 + 1), 3) for k, sign in zip(range(m), [1, -1] * m)]
@@ -165,7 +167,12 @@ def _closed_form_points(n, rng):
     if n <= 12:
         return [[0] * m, *special, sample_point(n, rng), sample_point(n, rng)]
     wide = [Fraction(rng.randint(-99, 99), rng.randint(1, 6)) for _ in range(m)]
-    return [[0] * m, special[n // 2 % 3], wide]
+    points = [[0] * m, special[n // 2 % 3], wide]
+    if n == 30:
+        points.append(
+            [Fraction(rng.randint(-999, 999), rng.randint(997, 999)) for _ in range(m)]
+        )
+    return points
 
 
 def test_closed_form_matches_division_route():
