@@ -40,9 +40,14 @@ Values are memoized per canonical key (ambient exponents verbatim, primitive
 exponents sorted descending); primitive-slot permutation invariance makes the
 sort harmless.  The memo behaves as a write-once map, so concurrent queries
 are safe under CPython and always agree.  A contraction's A side, the
-correlators at a + e for every slot e, is looked up once per flat index a and
-kept, in a second write-once map, as the row of its nonzero values; the row
-cache adds no memo key, so the memo is the same with or without it.
+correlators at a + e for every slot e, depends on a only through its
+canonical base (ambient part, primitive part sorted): ``_base_row`` looks
+those values up once per base, and ``_row`` assembles the row of nonzero
+values once per flat index a from it.  Both caches are write-once maps too.
+The dimension axiom leaves at most two ambient slots, and either every
+primitive slot or none, with an integral curve degree (``_excess``); every
+other slot's key is written as zero without a lookup.  The caches add and
+drop no memo key, so the memo is the same with or without them.
 """
 
 from __future__ import annotations
@@ -63,16 +68,25 @@ PX = (0, 1)
 _GRID = 4  # convergence_witness reports C as a multiple of 1/_GRID
 
 
+def _excess(n, amb, room):
+    """(n - 1) times the curve degree the dimension axiom forces on a flat
+    index with ambient part amb and room primitive insertions.
+
+    The degree is an integer exactly when this is 0 mod n - 1.  One more
+    insertion on a slot of degree d, which is k for ambient slot k and n/2
+    for a primitive slot, adds d - 1, so one residue per index decides every
+    slot; a primitive slot has the degree of ambient slot n/2.
+    """
+    return sum((k - 1) * v for k, v in enumerate(amb)) + (n // 2 - 1) * room - (n - 3)
+
+
 def curve_degree(n, index):
     """Curve degree the dimension axiom forces on a flat index, or None.
 
     None means the degree is not an integer; a negative degree is returned as
     is.  The two coordinate systems give the same degree.
     """
-    weighted = sum(k * v for k, v in enumerate(index[: n + 1])) + (n // 2) * sum(
-        index[n + 1 :]
-    )
-    beta, rem = divmod(weighted - (n - 3 + sum(index)), n - 1)
+    beta, rem = divmod(_excess(n, index[: n + 1], sum(index[n + 1 :])), n - 1)
     return None if rem else beta
 
 
@@ -149,6 +163,7 @@ class CorrelatorEngine:
         self.n = check_dimension(n)
         self.memo = {}
         self._rows = {}
+        self._bases = {}
         # 4 eta^{ef} in {-16, 1, 4}: _contract takes the quarter once
         self._eta4_rows = tuple(
             tuple((f, int(4 * c)) for f, c in row) for row in eta_inverse(n)
@@ -262,31 +277,65 @@ class CorrelatorEngine:
     def _row(self, a):
         """The (e, A_e) pairs with A_e, the correlator at a + e, nonzero.
 
-        Built once per flat tuple a, by looking up every slot e in order, so
-        the memo gains the same keys as slot-by-slot lookups; later calls
-        reuse the row.  The primitive part of a is sorted once: one more
-        insertion on a primitive slot with exponent v raises the first v of
-        that descending tuple, which keeps it sorted, so slots with equal
-        exponents share one lookup.
+        Built once per flat tuple a from its canonical base (amb, prim), the
+        ambient part and the primitive part sorted descending, which fixes
+        every A_e: an ambient slot gives the base with that slot raised, and
+        a primitive slot with exponent v the base with the first v of prim
+        raised, which keeps it sorted.  So ``_base_row`` looks each value up
+        once per base, and the flat row is assembled from it.
         """
         row = self._rows.get(a)
         if row is not None:
             return row
         na = self.n + 1
-        amb = a[:na]
-        prim = sorted(a[na:], reverse=True)
-        sorted_prim = tuple(prim)
-        vals = [self._lookup((_bump(amb, e), sorted_prim)) for e in range(na)]
-        by_exp = {}
-        for v in a[na:]:
-            if v not in by_exp:
-                p = prim.index(v)
-                prim[p] += 1
-                by_exp[v] = self._lookup((amb, tuple(prim)))
-                prim[p] -= 1
-            vals.append(by_exp[v])
-        row = tuple((e, val) for e, val in enumerate(vals) if val)
+        prim = a[na:]
+        base = (a[:na], tuple(sorted(prim, reverse=True)))
+        cached = self._bases.get(base)
+        if cached is None:
+            cached = self._bases.setdefault(base, self._base_row(*base))
+        row, by_exp = cached
+        if by_exp:
+            row += tuple((s, by_exp[v]) for s, v in enumerate(prim, na) if v in by_exp)
         return self._rows.setdefault(a, row)
+
+    def _base_row(self, amb, prim):
+        """The nonzero (e, A_e) over ambient slots e, and the nonzero A by
+        primitive exponent, for the canonical base (amb, prim).
+
+        The memo gains the same keys and values as slot-by-slot lookups.  A
+        key whose curve degree is not an integer (see ``_excess``) is written
+        as zero directly, without a lookup: at most two ambient slots, and
+        either every primitive slot or none, survive that test.
+        """
+        n = self.n
+        m = n - 1
+        r = _excess(n, amb, sum(prim)) - 1
+        memo = self.memo
+        pairs = []
+        for e in range(n + 1):
+            key = (_bump(amb, e), prim)
+            if (r + e) % m:
+                memo.setdefault(key, PZERO)
+            else:
+                val = self._lookup(key)
+                if val:
+                    pairs.append((e, val))
+        dead = (r + n // 2) % m
+        raised = list(prim)
+        by_exp = {}
+        for p, v in enumerate(prim):
+            if p and v == prim[p - 1]:
+                continue  # prim is sorted: the first v is the one to raise
+            raised[p] += 1
+            key = (amb, tuple(raised))
+            raised[p] -= 1
+            if dead:
+                memo.setdefault(key, PZERO)
+            else:
+                val = self._lookup(key)
+                if val:
+                    by_exp[v] = val
+        return tuple(pairs), by_exp
 
     def _contract(self, a, b):
         """Sum A_e eta^{ef} B_f, with A_e, B_f the correlators at a + e, b + f.
@@ -639,23 +688,27 @@ def convergence_witness(n, lmax, engine=None):
     for total in range(5, lmax + 1):
         for amb in _ambient_exponents(n, total):
             room = total - sum(amb)
+            # the degree sees the primitive part only through its size
+            if _excess(n, amb, room) % (n - 1):
+                continue
             for prim in _prim_partitions(n, room):
-                full = amb + prim
-                if curve_degree(n, full) is None:
-                    continue
                 eng._T(amb, prim)
     xval = Fraction((-1) ** (n // 2), 2)
     best = Fraction(1)
     count = 0
-    for (amb, prim), poly in eng.cached_items():
+    # a snapshot, unsorted: neither the count nor the max depends on order
+    for (amb, prim), poly in list(eng.memo.items()):
         length = sum(amb) + sum(prim)
         if not 6 <= length <= lmax:
             continue
         count += 1
-        v = abs(peval(poly, xval))
-        if not v:
+        if not poly:
             continue
-        best = max(best, Fraction(_grid_steps(v, length - 5), _GRID))
+        k = length - 5
+        v = abs(peval(poly, xval))
+        # at v <= best^k k! the grid step is at most best: skipping is exact
+        if v > best**k * factorial(k):
+            best = Fraction(_grid_steps(v, k), _GRID)
     return best, count
 
 

@@ -10,8 +10,11 @@ import pytest
 from qq22.engine import (
     CorrelatorEngine,
     RecursionCycleError,
+    _ambient_exponents,
+    _excess,
     _grid_steps,
     _index_triple,
+    _prim_partitions,
     convergence_witness,
     curve_degree,
 )
@@ -282,6 +285,25 @@ def test_row_cache_matches_plain_contraction(n, lmax, swept_main):
         assert row == tuple((e, v) for e, v in full if v)
 
 
+@pytest.mark.parametrize("n", range(4, 16, 2))
+def test_residue_rule_marks_dead_slots(n):
+    # the rule by which _base_row writes a key as zero without a lookup:
+    # slot e of degree d is dead at a exactly when a + e has no integral
+    # curve degree
+    rng = random.Random(1500 + n)
+    size = 2 * n + 4
+    for _ in range(40):
+        a = [0] * size
+        for _ in range(rng.randint(0, 2 * n)):
+            a[rng.randrange(size)] += 1
+        r = _excess(n, a[: n + 1], sum(a[n + 1 :])) - 1
+        for e in range(size):
+            dead = (r + (e if e <= n else n // 2)) % (n - 1) != 0
+            a[e] += 1
+            assert dead == (curve_degree(n, a) is None)
+            a[e] -= 1
+
+
 @pytest.mark.parametrize("n, lmax", SWEEPS)
 def test_memo_coefficient_is_int_exactly_when_integral(n, lmax, swept_main):
     # the kernel runs on ints and keeps a Fraction only for a non-integral
@@ -344,6 +366,7 @@ MEMO_CACHE_SHA256 = {
     4: (14874, "770980d61ae3ffcd1b7b76c2d71b926ae24d8c0b8bad3178c09581a8a77c8caa"),
     6: (76671, "bbcfaf4704175f27c1c144ed5a2d34ba6b7d69844125769611b84577c83f62ec"),
     8: (297723, "a8aa2471b4335fba35c517921cc0a7955c2a9017da16035256804dcb499e617d"),
+    10: (994693, "57c656126f493357ce8e82e9b48c0725709e6287e72f2ef7592a31d3e95cb6a0"),
 }
 
 
@@ -616,6 +639,36 @@ def test_convergence_witness_monotone():
         convergence_witness(4, 4)
     with pytest.raises(ValueError):
         convergence_witness(4, 7, engine=CorrelatorEngine(6))
+
+
+def _plain_witness(eng, lmax):
+    """convergence_witness by the plain route: curve_degree on every
+    candidate, a sorted scan, and the grid search on every nonzero value."""
+    n = eng.n
+    for total in range(5, lmax + 1):
+        for amb in _ambient_exponents(n, total):
+            for prim in _prim_partitions(n, total - sum(amb)):
+                if curve_degree(n, amb + prim) is not None:
+                    eng._T(amb, prim)
+    xval = Fraction((-1) ** (n // 2), 2)
+    best, count = Fraction(1), 0
+    for (amb, prim), poly in sorted(eng.memo.items()):
+        length = sum(amb) + sum(prim)
+        if 6 <= length <= lmax:
+            count += 1
+            v = abs(peval(poly, xval))
+            if v:
+                best = max(best, Fraction(_grid_steps(v, length - 5), 4))
+    return best, count
+
+
+@pytest.mark.parametrize("n, lmax", [(4, 8), (6, 7), (8, 6)])
+def test_witness_matches_plain_route(n, lmax):
+    plain = CorrelatorEngine(n)
+    expected = _plain_witness(plain, lmax)
+    eng = CorrelatorEngine(n)
+    assert convergence_witness(n, lmax, eng) == expected
+    assert eng.memo == plain.memo
 
 
 def _fraction_grid_steps(v, k):
