@@ -17,6 +17,7 @@ as bad input and exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,7 @@ def _engine_with_cache(n, cache_path):
     loaded (None when there was no file to load)."""
     eng = CorrelatorEngine(n)
     if cache_path and os.path.exists(cache_path):
-        eng.memo.update(load_cache(cache_path, n))
+        eng.memo = load_cache(cache_path, n)
         return eng, len(eng.memo)
     return eng, None
 
@@ -231,6 +232,7 @@ def _subset(text):
     return frozenset(int(v) for v in text.split(","))
 
 
+@functools.lru_cache(maxsize=None)  # fixed prog, stateless callbacks: build once
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qq22",

@@ -384,26 +384,56 @@ class CorrelatorEngine:
                 groups.setdefault(key, []).append(s)
         members = list(groups.values())
         factors = [_orbit_choices(vec[m[0]], len(m)) for m in members]
-        abase = [0] * len(vec)
+        a = [0] * len(vec)
         for s in aslots:
-            abase[s] += 1
-        bbase = list(vec)
+            a[s] += 1
+        b = list(vec)
         for s in bslots:
-            bbase[s] += 1
+            b[s] += 1
         top = sum(vec) + hi
+        last = len(members) - 1
+        if last < 0:
+            return self._contract(a, b) if lo <= 0 <= top else PZERO
+        # room[d]: the most |J| that the groups after d can add
+        room = [0] * (last + 1)
+        for d in range(last, 0, -1):
+            room[d - 1] = room[d] + factors[d][-1][2]
+        # a depth-first walk of the product of the groups' choices, in the
+        # order of itertools.product: depth d holds its choice's slot changes
+        # in a and b, and size[d], weight[d] the running |J| and weight of the
+        # groups before it; a choice that leaves [lo, top] is skipped
+        size = [0] * (last + 1)
+        weight = [1] * (last + 1)
+        taken = [None] * (last + 1)
+        choices = [iter(factors[0])]
         total = PZERO
-        for combo in itertools.product(*factors):
-            if not lo <= sum(choice[2] for choice in combo) <= top:
+        d = 0
+        while d >= 0:
+            slots = members[d]
+            if taken[d] is not None:
+                for s, j in zip(slots, taken[d]):
+                    a[s] -= j
+                    b[s] += j
+                taken[d] = None
+            for js, cw, js_size in choices[d]:
+                k = size[d] + js_size
+                if k <= top and k + room[d] >= lo:
+                    break
+            else:
+                d -= 1
+                choices.pop()
                 continue
-            w = 1
-            a = abase[:]
-            b = bbase[:]
-            for slots, (js, cw, _) in zip(members, combo):
-                w *= cw
-                for s, j in zip(slots, js):
-                    a[s] += j
-                    b[s] -= j
-            total = padd(total, pscale(w, self._contract(a, b)))
+            for s, j in zip(slots, js):
+                a[s] += j
+                b[s] -= j
+            taken[d] = js
+            if d == last:
+                total = padd(total, pscale(weight[d] * cw, self._contract(a, b)))
+            else:
+                d += 1
+                size[d] = k
+                weight[d] = weight[d - 1] * cw
+                choices.append(iter(factors[d]))
         return total
 
     def _signed_extracts(self, vec, specs):

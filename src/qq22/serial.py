@@ -14,14 +14,19 @@ parses to, and each polynomial as ``poly_to_str`` of its coefficients, so
 ascending order) are refused like a sign, whitespace or '_' is.  Loading
 also refuses a byte that is not ASCII, a header other than the writer's
 (single spaces, ``n=``, canonical decimal version and n), a different
-format version or dimension, a blank first line ahead of records, a cut
-last line, negative exponents (in keys and in the polynomial), and
-primitive exponents out of descending order or repeated keys.
+format version or dimension, a blank or whitespace-only line, a line break
+other than ``"\\n"`` (so a CRLF file is refused), a cut last line,
+negative exponents (in keys and in the polynomial), and primitive exponents
+out of descending order or repeated keys.
 
 Records repeat their texts (most polynomials are ``0``, and a few hundred
-key fields make up thousands of keys), so load and save cost a few dict
-hits per record and do the real work once per distinct text: parsing,
-checking and rendering.  Equal loaded values share one tuple.
+key fields make up thousands of keys), so load and save do the real work
+once per distinct text: parsing, checking and rendering.  A load cuts the
+body into four columns with one split (``"\\n"`` is the only record break),
+judges each distinct text of a column once, and builds the memo with one
+``dict(zip(...))``.  Only a file that this bulk check refuses goes through a
+record-by-record loop, which names the first bad line.  Equal loaded values
+share one tuple.
 
 Saving writes a temporary file next to the cache and renames it over the
 cache, so a reader sees either the old file or the new one, never a cut one.
@@ -39,10 +44,13 @@ from .scalars import rational_str
 CACHE_MAGIC = "qq22-cache"
 CACHE_VERSION = 1
 _POLY_CHARS = frozenset("0123456789+-*/^x")
+_PARSE_ERRORS = (ValueError, ArithmeticError)  # what a bad field or polynomial raises
 
 
 def poly_to_str(coeffs, descending=False) -> str:
     """Render a rational coefficient tuple as a polynomial in x."""
+    if len(coeffs) == 1 and type(coeffs[0]) is int:
+        return str(coeffs[0])  # a constant, as most cached values are
     terms = [(k, c) for k, c in enumerate(coeffs) if c]
     if not terms:
         return "0"
@@ -78,8 +86,10 @@ def poly_from_str(s: str):
         raise ValueError("empty polynomial")
     if not _POLY_CHARS.issuperset(s):
         raise ValueError("bad character in polynomial %r" % s)
-    if s == "0":
-        return ()
+    digits = s[1:] if s[0] == "-" else s
+    if digits.isdigit():  # a constant, as most cached values are
+        value = int(digits)
+        return ((-value if s[0] == "-" else value),) if value else ()
     chunks = []
     start = 0
     for k, ch in enumerate(s):
@@ -173,6 +183,7 @@ def _header_int(text):
     return value
 
 
+
 class _Once(dict):
     """A dict that fills a missing key with ``make(key)``, so each is made once."""
 
@@ -209,12 +220,13 @@ def load_cache(path, n):
     A file loads only if every record is the writer's own text.  An empty or
     whitespace-only file is an empty cache.  Raises ``CacheError`` naming the
     line for a byte that is not ASCII, a blank header or one other than
-    ``save_cache`` writes, a malformed record, a record cut short (the writer
-    ends every file with a newline), a negative exponent, primitive exponents
-    out of canonical (descending) order, a repeated key, or a key field or
-    polynomial that does not render back to its own text.  Each distinct
-    field or polynomial text is parsed and checked once; a record costs its
-    split and a few dict hits.
+    ``save_cache`` writes, a malformed or blank record (``"\\n"`` is the only
+    line break), a record cut short (the writer ends every file with a
+    newline), a negative exponent, primitive exponents out of canonical
+    (descending) order, a repeated key, or a key field or polynomial that
+    does not render back to its own text.  The records are checked in bulk,
+    each distinct field or polynomial text once; only a refused file is
+    walked line by line to name its first bad line.
     """
     return _read_cache(path, n)[1]
 
@@ -236,15 +248,15 @@ def _read_cache(path, n=None):
         ) from None
     if not text.strip():
         return None, {}
-    lines = text.splitlines()
     if not text.endswith("\n"):
-        raise CacheError("line %d: truncated record" % len(lines))
-    header = lines[0].split()
+        raise CacheError("line %d: truncated record" % (text.count("\n") + 1))
+    first, _, body = text.partition("\n")
+    header = first.split()
     if len(header) != 3 or header[0] != CACHE_MAGIC:
         raise CacheError("line 1: not a cache file header")
     version = _header_int(header[1])
     file_n = _header_int(header[2][2:] if header[2].startswith("n=") else "")
-    if " ".join(header) != lines[0]:
+    if " ".join(header) != first:
         raise CacheError("line 1: malformed header")
     if version != CACHE_VERSION:
         raise CacheError("unsupported cache format version %d" % version)
@@ -252,14 +264,15 @@ def _read_cache(path, n=None):
         n = file_n
     elif file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
-    memo = {}
     fields = _Once(_key_field)  # each distinct text is parsed and checked
-    polys = _Once(_poly_entry)  # once; a record then costs four dict hits
-    for lineno, line in enumerate(lines[1:], start=2):
+    polys = _Once(_poly_entry)  # once, by whichever phase meets it first
+    memo = _bulk_records(body, n, fields, polys)
+    if memo is not None:
+        return n, memo
+    memo = {}  # the bulk check refused the file: name its first bad line
+    for lineno, line in enumerate(body.split("\n")[:-1], start=2):
         parts = line.split("|")
         if len(parts) != 4:
-            if not line.strip():
-                continue
             raise CacheError("line %d: expected 4 fields" % lineno)
         try:
             n_entry = fields[parts[0]]
@@ -267,7 +280,7 @@ def _read_cache(path, n=None):
             prim, prim_nonnegative, prim_descending, prim_canonical = fields[parts[2]]
             (rec_n,) = n_entry[0]
             poly, poly_canonical = polys[parts[3]]
-        except (ValueError, ArithmeticError) as exc:
+        except _PARSE_ERRORS as exc:
             raise CacheError("line %d: %s" % (lineno, exc)) from None
         if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
             raise CacheError("line %d: record does not match n=%d" % (lineno, n))
@@ -287,3 +300,35 @@ def _read_cache(path, n=None):
             )
         memo[key] = poly
     return n, memo
+
+
+def _bulk_records(body, n, fields, polys):
+    """The memo of the records in body, or None if the record loop of
+    ``_read_cache`` would refuse them: one split cuts four columns, and each
+    distinct text of a column takes the checks the loop makes per record."""
+    count = body.count("\n")
+    cells = body.replace("\n", "|\n|").split("|")
+    if len(cells) != 5 * count + 1 or cells[4::5].count("\n") != count:
+        return None  # some record has not exactly three '|'
+    ns, ambs, prims, texts = (cells[k:-1:5] for k in range(4))
+    judged = []  # per column, {text: value} over its distinct texts
+    try:
+        for column, table, accept in (
+            (ns, fields, lambda v, pos, desc, ok: v == (n,) and ok),
+            (ambs, fields, lambda v, pos, desc, ok: len(v) == n + 1 and pos and ok),
+            (prims, fields, lambda v, *ok: len(v) == n + 3 and all(ok)),
+            (texts, polys, lambda poly, ok: ok),
+        ):
+            values = {}
+            for text in set(column):
+                entry = table[text]
+                if not accept(*entry):
+                    return None
+                values[text] = entry[0]
+            judged.append(values)
+    except _PARSE_ERRORS:
+        return None
+    _, amb_of, prim_of, poly_of = judged
+    keys = zip(map(amb_of.__getitem__, ambs), map(prim_of.__getitem__, prims))
+    memo = dict(zip(keys, map(poly_of.__getitem__, texts)))
+    return memo if len(memo) == count else None  # else a repeated key

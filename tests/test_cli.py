@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -187,6 +189,25 @@ def test_poly_round_trip():
     assert poly_to_str((Fraction(0), Fraction(1))) == "x"
     assert poly_to_str(()) == "0"
 
+
+
+@pytest.mark.parametrize(
+    "text, coeffs",
+    [("0", ()), ("64", (64,)), ("-624", (-624,)), ("-0", ()), ("007", (7,)), ("-007", (-7,))],
+)
+def test_constant_polynomials_read_as_ints(text, coeffs):
+    # constants take a shortcut in both directions; the values, their int
+    # type and the writer's text are those of the general route
+    got = poly_from_str(text)
+    assert got == coeffs and all(type(c) is int for c in got)
+    assert poly_to_str(got) == str(sum(coeffs))
+    assert poly_to_str((Fraction(sum(coeffs)),)) == poly_to_str(got)
+    assert poly_to_str((True,)) == "1"  # bool goes through the scalar gate
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        poly_to_str((1.5,))
+    for bad in ("-", "--3", "-+3", "3-", "3 "):
+        with pytest.raises(ValueError):
+            poly_from_str(bad)
 
 def test_cache_round_trip(tmp_path):
     eng = CorrelatorEngine(4)
@@ -522,6 +543,298 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
     assert made("poly_to_str") == dict.fromkeys(set(loaded.values()), 1)
 
 
+def _line_by_line_read(path, n):
+    """The loader before the bulk phase: every record checked in its own
+    pass, lines broken by ``str.splitlines`` and blank lines skipped."""
+    from qq22 import serial
+
+    data = open(path, "rb").read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CacheError(
+            "line %d: byte 0x%02x is not ASCII" % (lineno, data[exc.start])
+        ) from None
+    if not text.strip():
+        return {}
+    lines = text.splitlines()
+    if not text.endswith("\n"):
+        raise CacheError("line %d: truncated record" % len(lines))
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != serial.CACHE_MAGIC:
+        raise CacheError("line 1: not a cache file header")
+    version = serial._header_int(header[1])
+    file_n = serial._header_int(header[2][2:] if header[2].startswith("n=") else "")
+    if " ".join(header) != lines[0]:
+        raise CacheError("line 1: malformed header")
+    if version != serial.CACHE_VERSION:
+        raise CacheError("unsupported cache format version %d" % version)
+    if file_n != n:
+        raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
+    memo = {}
+    fields = serial._Once(serial._key_field)
+    polys = serial._Once(serial._poly_entry)
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split("|")
+        if len(parts) != 4:
+            if not line.strip():
+                continue
+            raise CacheError("line %d: expected 4 fields" % lineno)
+        try:
+            n_entry = fields[parts[0]]
+            amb, amb_nonnegative, _, amb_canonical = fields[parts[1]]
+            prim, prim_nonnegative, prim_descending, prim_canonical = fields[parts[2]]
+            (rec_n,) = n_entry[0]
+            poly, poly_canonical = polys[parts[3]]
+        except (ValueError, ArithmeticError) as exc:
+            raise CacheError("line %d: %s" % (lineno, exc)) from None
+        if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
+            raise CacheError("line %d: record does not match n=%d" % (lineno, n))
+        if not (amb_nonnegative and prim_nonnegative):
+            raise CacheError("line %d: negative exponent" % lineno)
+        if not prim_descending:
+            raise CacheError("line %d: primitive exponents not sorted descending" % lineno)
+        key = (amb, prim)
+        if key in memo:
+            raise CacheError("line %d: duplicate key" % lineno)
+        if not (n_entry[3] and amb_canonical and prim_canonical and poly_canonical):
+            text = next((t for t in parts[:3] if not fields[t][3]), parts[3])
+            raise CacheError("line %d: %r is not the text save_cache writes" % (lineno, text))
+        memo[key] = poly
+    return memo
+
+
+def _load_outcome(load, path, n):
+    """What a loader makes of a file: its CacheError text, or the memo's
+    items in order, the type of every coefficient, and which values share
+    one tuple (each value's position is that of the first value it is)."""
+    try:
+        memo = load(path, n)
+    except CacheError as exc:
+        return "error", str(exc)
+    first = {}
+    shared = [first.setdefault(id(v), k) for k, v in enumerate(memo.values())]
+    types = [tuple(map(type, v)) for v in memo.values()]
+    return "memo", list(memo.items()), types, shared
+
+
+@pytest.fixture(scope="module")
+def saved_caches(tmp_path_factory):
+    """The cache text saved after the quadratic identity, by n."""
+    texts = {}
+    for n in (4, 6, 8):
+        eng = CorrelatorEngine(n)
+        eng.conjecture_quadratic()
+        path = tmp_path_factory.mktemp("caches") / ("memo%d.cache" % n)
+        save_cache(path, n, eng.memo)
+        texts[n] = path.read_text()
+    return texts
+
+
+def _text(lines, sep="\n"):
+    return "".join(line + sep for line in lines)
+
+
+def _edit_line(make, lineno=None):
+    """Replace one line, the header for lineno 0, else a drawn record."""
+
+    def mutate(lines, rng):
+        k = rng.randrange(1, len(lines)) if lineno is None else lineno
+        lines[k] = make(lines[k], rng)
+        return _text(lines)
+
+    return mutate
+
+
+def _edit_field(kinds, make):
+    """Replace one field of a drawn record, its kind drawn from kinds."""
+
+    def edit(record, rng):
+        parts = record.split("|")
+        k = rng.choice(kinds)
+        parts[k] = make(parts[k], rng)
+        return "|".join(parts)
+
+    return _edit_line(edit)
+
+
+def _set_exponent(value):
+    def make(field, rng):
+        values = field.split(",")
+        values[rng.randrange(len(values))] = value
+        return ",".join(values)
+
+    return make
+
+
+def _ascending(field, rng):
+    values = field.split(",")
+    if len(set(values)) == 1:
+        return ",".join(values[:-1] + ["1"])
+    return ",".join(sorted(values, key=int))
+
+
+def _cut(lines, rng):
+    text = _text(lines)
+    return text[: rng.randrange(len(lines[0]) + 1, len(text) - 1)]
+
+
+def _realign(lines, rng):
+    # "n|A|P|V", "n|B|Q|W" -> "n|A|P", "V|n|B|Q|W": the same cells in order
+    k = rng.randrange(1, len(lines) - 1)
+    head, _, value = lines[k].rpartition("|")
+    lines[k : k + 2] = [head, value + "|" + lines[k + 1]]
+    return _text(lines)
+
+
+def _duplicate(lines, rng):
+    k = rng.randrange(1, len(lines))
+    lines.insert(rng.randrange(k + 1, len(lines) + 1), lines[k])
+    return _text(lines)
+
+
+def _reused_texts(lines, rng):
+    # a primitive text seen valid on an earlier line comes back as an ambient
+    # field, beside that line's polynomial
+    k = rng.randrange(1, len(lines) - 1)
+    prim, value = lines[k].split("|")[2:]
+    j = rng.randrange(k + 1, len(lines))
+    parts = lines[j].split("|")
+    lines[j] = "|".join([parts[0], prim, parts[2], value])
+    return _text(lines)
+
+
+def _join_records(sep):
+    def mutate(lines, rng):
+        k = rng.randrange(1, len(lines) - 1)
+        lines[k : k + 2] = [lines[k] + sep + lines[k + 1]]
+        return _text(lines)
+
+    return mutate
+
+
+def _insert_line(line):
+    def mutate(lines, rng):
+        lines.insert(rng.randrange(2, len(lines)), line)
+        return _text(lines)
+
+    return mutate
+
+
+# Each mutation makes a file's text from the lines of a saved cache (a list
+# it may change) and a seeded rng that draws the line and field it edits.
+LOAD_MUTATIONS = {
+    "header-only": lambda lines, rng: _text(lines[:1]),
+    "prefix": lambda lines, rng: _text(lines[: rng.randrange(1, len(lines))]),
+    "fraction-value": _edit_field((3,), lambda f, rng: "-1/2+3/4*x^2"),
+    "cut": _cut,
+    "header-version": _edit_line(lambda h, rng: h.replace(" 1 ", " 2 "), 0),
+    "header-n": _edit_line(lambda h, rng: h[:-1] + str(int(h[-1]) + 2), 0),
+    "header-spacing": _edit_line(lambda h, rng: h.replace(" ", "  ", 1), 0),
+    "non-ascii": _edit_line(lambda r, rng: r[:2] + "\xe9" + r[2:]),
+    "extra-field": _edit_line(lambda r, rng: r + "|0"),
+    "missing-field": _edit_line(lambda r, rng: r.rpartition("|")[0]),
+    "realign": _realign,
+    "record-n": _edit_field((0,), lambda f, rng: f + "0"),
+    "n-twice": _edit_field((0,), lambda f, rng: f + "," + f),
+    "amb-length": _edit_field((1,), lambda f, rng: f[2:]),
+    "prim-length": _edit_field((2,), lambda f, rng: "0," + f),
+    "negative": _edit_field((1, 2), _set_exponent("-1")),
+    "unsorted": _edit_field((2,), _ascending),
+    "bad-exponent": _edit_field((0, 1, 2), _set_exponent("a")),
+    "leading-zero": _edit_field((1, 2), lambda f, rng: "0" + f),
+    "duplicate": _duplicate,
+    "reused-texts": _reused_texts,
+    "poly-not-canonical": _edit_field((3,), lambda f, rng: f + "+0*x"),
+    "poly-zero-division": _edit_field((3,), lambda f, rng: "1/0"),
+    "poly-negative-power": _edit_field((3,), lambda f, rng: "x^-1"),
+    "poly-sign": _edit_field((3,), lambda f, rng: "--" + f),
+    # line breaks and lines save_cache never writes (see LOAD_REFUSED_NOW)
+    "crlf": lambda lines, rng: _text(lines, "\r\n"),
+    "vertical-tab": _join_records("\x0b"),
+    "form-feed": _join_records("\x0c\n"),
+    "blank-line": _insert_line(""),
+    "whitespace-line": _insert_line(" \t"),
+}
+
+# The mutations that the line-by-line loader read as records (splitlines
+# breaks lines at "\r\n", "\x0b" and "\x0c" too, and blank lines were
+# skipped) and load_cache now refuses, with the message it gives.
+LOAD_REFUSED_NOW = {
+    "crlf": r"line 1: malformed header",
+    "vertical-tab": r"line \d+: expected 4 fields",
+    "form-feed": r"line \d+: bad character in polynomial '.*\\x0c'",
+    "blank-line": r"line \d+: expected 4 fields",
+    "whitespace-line": r"line \d+: expected 4 fields",
+}
+LOADABLE = {"header-only", "prefix", "fraction-value"}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_MUTATIONS))
+@pytest.mark.parametrize("n", [4, 6])
+def test_bulk_load_matches_line_by_line_load(saved_caches, tmp_path, n, name):
+    # load_cache checks the records in bulk and falls back to its own line
+    # loop only to name a fault; the result must be the line-by-line
+    # loader's, save for the line breaks and lines LOAD_REFUSED_NOW lists
+    lines = saved_caches[n].split("\n")[:-1]
+    path = tmp_path / "memo.cache"
+    for seed in range(3):
+        rng = random.Random("%s %d %d" % (name, n, seed))
+        path.write_bytes(LOAD_MUTATIONS[name](list(lines), rng).encode("latin-1"))
+        old = _load_outcome(_line_by_line_read, path, n)
+        new = _load_outcome(load_cache, path, n)
+        if name in LOAD_REFUSED_NOW:
+            assert old[0] == "memo"
+            assert new[0] == "error" and re.fullmatch(LOAD_REFUSED_NOW[name], new[1])
+        else:
+            assert (old[0] == "memo") == (name in LOADABLE)
+            assert new == old
+            if name == "fraction-value":
+                assert {int, Fraction} <= {t for types in new[2] for t in types}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_bulk_load_of_saved_cache_matches_line_by_line_load(saved_caches, tmp_path, n):
+    path = tmp_path / "memo.cache"
+    path.write_text(saved_caches[n])
+    outcome = _load_outcome(load_cache, path, n)
+    assert outcome == _load_outcome(_line_by_line_read, path, n)
+    assert outcome[0] == "memo" and len(outcome[1]) == saved_caches[n].count("\n") - 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qq22-cache 1 n=4\r\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\r\n", "line 1: malformed header"),
+        (
+            "qq22-cache 1 n=4\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\x0b4|0,0,6,0,0|0,0,0,0,0,0,0|3\n",
+            "line 2: expected 4 fields",
+        ),
+        (
+            "qq22-cache 1 n=4\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\x0c\n",
+            "line 2: bad character in polynomial '3\\x0c'",
+        ),
+        ("qq22-cache 1 n=4\n\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n", "line 2: expected 4 fields"),
+        ("qq22-cache 1 n=4\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n \n", "line 3: expected 4 fields"),
+    ],
+    ids=["crlf", "vertical-tab", "form-feed", "blank-line", "whitespace-line"],
+)
+def test_only_newline_breaks_records(tmp_path, capsys, text, message):
+    # str.splitlines used to break these lines, and blank lines were skipped
+    path = tmp_path / "memo.cache"
+    path.write_text(text, newline="")
+    assert _load_outcome(_line_by_line_read, path, 4)[0] == "memo"
+    with pytest.raises(CacheError) as exc:
+        load_cache(path, 4)
+    assert str(exc.value) == message
+    assert run_capture(capsys, ["cache-info", "--cache", str(path)]) == (
+        1,
+        "",
+        "error: %s\n" % message,
+    )
+
+
 def test_blank_first_line_is_not_an_empty_cache(tmp_path, capsys):
     index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
     path = tmp_path / "memo.cache"
@@ -718,6 +1031,43 @@ def test_cli_usage_failure_is_pinned(capsys, monkeypatch, argv, err, fmt):
     monkeypatch.delenv("QH22_CACHE", raising=False)
     assert run_capture(capsys, argv + ["--format", fmt]) == (2, "", err)
 
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # run() keeps one argparse tree per process; each call on it, a usage
+    # error among them, prints what a call on a fresh tree prints
+    from qq22 import cli
+
+    monkeypatch.delenv("QH22_CACHE", raising=False)
+    cache = tmp_path / "memo.cache"
+    eng = CorrelatorEngine(4)
+    eng.correlator_tau([0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+    save_cache(cache, 4, eng.memo)
+    calls = [
+        ["correlator", "--n", "4", "--tau-index", TAU4, "--format", "json"],
+        ["correlator", "--n", "4", "--tau-index", TAU4],
+        ["correlator", "--n", "4", "--format", "json"],
+        ["conics", "--lambda", "1,2,3,4,5,6,7"],
+        ["cache-info", "--cache", str(cache)],
+    ]
+
+    def outcome(argv):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = "exit %s" % exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli.build_parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in fresh] == [0, 0, "exit 2", 0, 0]
+    assert fresh[2][2].startswith("usage: qq22 correlator")
 
 def test_conics_rejects_degenerate_parameters(capsys):
     rc, _, err = run_capture(capsys, ["conics", "--lambda", "1,1,3,4,5,6,7"])
