@@ -16,17 +16,19 @@ also refuses a byte that is not ASCII, a header other than the writer's
 (single spaces, ``n=``, canonical decimal version and n), a different
 format version or dimension, a blank or whitespace-only line, a line break
 other than ``"\\n"`` (so a CRLF file is refused), a cut last line,
-negative exponents (in keys and in the polynomial), and primitive exponents
-out of descending order or repeated keys.
+negative exponents (in keys and in the polynomial), a power of x above
+``MAX_EXPONENT``, and primitive exponents out of descending order or
+repeated keys.
 
 Records repeat their texts (most polynomials are ``0``, and a few hundred
 key fields make up thousands of keys), so load and save do the real work
 once per distinct text: parsing, checking and rendering.  A load cuts the
-body into four columns with one split (``"\\n"`` is the only record break),
-judges each distinct text of a column once, and builds the memo with one
-``dict(zip(...))``.  Only a file that this bulk check refuses goes through a
-record-by-record loop, which names the first bad line.  Equal loaded values
-share one tuple.
+body into four columns with one split (``"\\n"`` is the only record break)
+and judges each distinct text of a column once: its value, and the first
+check of a record it fails.  A file with no faulty text and no repeated key
+becomes the memo through one ``dict(zip(...))``; any other file is refused
+by walking the same verdicts in record order to its first bad line.  Equal
+loaded values share one tuple.
 
 Saving writes a temporary file next to the cache and renames it over the
 cache, so a reader sees either the old file or the new one, never a cut one.
@@ -38,13 +40,19 @@ import contextlib
 import os
 import threading
 from fractions import Fraction
+from operator import itemgetter
 
 from .scalars import rational_str
 
 CACHE_MAGIC = "qq22-cache"
 CACHE_VERSION = 1
+# The largest power of x a polynomial text may name.  Parsing builds a list
+# of that many coefficients, so the bound keeps a short corrupt text from
+# asking for unbounded memory; the engine's values have far lower degree.
+MAX_EXPONENT = 1024
 _POLY_CHARS = frozenset("0123456789+-*/^x")
 _PARSE_ERRORS = (ValueError, ArithmeticError)  # what a bad field or polynomial raises
+_NOT_WRITTEN = "%r is not the text save_cache writes"
 
 
 def poly_to_str(coeffs, descending=False) -> str:
@@ -79,8 +87,9 @@ def poly_from_str(s: str):
 
     Only that grammar is read: ASCII digits, terms joined by one sign (the
     first term signed only by '-'), a coefficient joined to x by '*', and no
-    whitespace, '_' or other text.  A coefficient written without '/' is an
-    int and one with '/' a Fraction, the engine's memo form of each value.
+    whitespace, '_' or other text, and no power of x above ``MAX_EXPONENT``.
+    A coefficient written without '/' is an int and one with '/' a Fraction,
+    the engine's memo form of each value.
     """
     if not s:
         raise ValueError("empty polynomial")
@@ -116,6 +125,8 @@ def poly_from_str(s: str):
                 k = 1
             elif tail[0] == "^" and tail[1:].isdigit():
                 k = int(tail[1:])
+                if k > MAX_EXPONENT:
+                    raise ValueError("exponent too large in %r" % chunk)
             else:
                 raise ValueError("bad polynomial term %r" % chunk)
         coeffs[k] = coeffs.get(k, 0) + sign * coef
@@ -161,13 +172,6 @@ def _key_field(text):
     return values, nonnegative, list(values) == sorted(values, reverse=True), canonical
 
 
-def _poly_entry(text):
-    """The coefficients of a polynomial, and whether ``save_cache`` writes
-    them as this text."""
-    poly = poly_from_str(text)
-    return poly, poly_to_str(poly) == text
-
-
 class CacheError(Exception):
     pass
 
@@ -183,22 +187,10 @@ def _header_int(text):
     return value
 
 
-
-class _Once(dict):
-    """A dict that fills a missing key with ``make(key)``, so each is made once."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def save_cache(path, n, memo):
-    fields = _Once(_key_text)  # key fields and polynomials repeat across
-    polys = _Once(poly_to_str)  # records: render each distinct one once
+    # key fields and polynomials repeat across records: render each distinct one once
+    fields = {field: _key_text(field) for field in {f for key in memo for f in key}}
+    polys = {poly: poly_to_str(poly) for poly in set(memo.values())}
     head = "%d|" % n
     lines = ["%s %d n=%d" % (CACHE_MAGIC, CACHE_VERSION, n)]
     for (amb, prim), poly in sorted(memo.items()):
@@ -222,11 +214,11 @@ def load_cache(path, n):
     line for a byte that is not ASCII, a blank header or one other than
     ``save_cache`` writes, a malformed or blank record (``"\\n"`` is the only
     line break), a record cut short (the writer ends every file with a
-    newline), a negative exponent, primitive exponents out of canonical
-    (descending) order, a repeated key, or a key field or polynomial that
-    does not render back to its own text.  The records are checked in bulk,
-    each distinct field or polynomial text once; only a refused file is
-    walked line by line to name its first bad line.
+    newline), a negative exponent, a power of x above ``MAX_EXPONENT``,
+    primitive exponents out of canonical (descending) order, a repeated key,
+    or a key field or polynomial that does not render back to its own text.
+    Each distinct field or polynomial text is judged once, and the verdicts
+    either build the memo or name the first bad line and its first fault.
     """
     return _read_cache(path, n)[1]
 
@@ -264,71 +256,72 @@ def _read_cache(path, n=None):
         n = file_n
     elif file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
-    fields = _Once(_key_field)  # each distinct text is parsed and checked
-    polys = _Once(_poly_entry)  # once, by whichever phase meets it first
-    memo = _bulk_records(body, n, fields, polys)
-    if memo is not None:
-        return n, memo
-    memo = {}  # the bulk check refused the file: name its first bad line
-    for lineno, line in enumerate(body.split("\n")[:-1], start=2):
-        parts = line.split("|")
-        if len(parts) != 4:
-            raise CacheError("line %d: expected 4 fields" % lineno)
+    return n, _records(body, n)
+
+
+def _verdict(n, column, text):
+    """The value of a record's text in column 0 (n), 1 (ambient exponents),
+    2 (primitive exponents) or 3 (polynomial), and its fault: None, or
+    ``(rank, message)`` for the first check it fails.  The rank is the
+    check's place in the order a record is checked: 1 a key field that does
+    not parse, 2 an n field that is not one number, 3 a polynomial that does
+    not parse, 4 a field of the wrong n or length, 5 a negative exponent,
+    6 primitive exponents out of order, 7 (for a whole record) a repeated
+    key, 8 a text other than the writer's."""
+    if column == 3:
         try:
-            n_entry = fields[parts[0]]
-            amb, amb_nonnegative, _, amb_canonical = fields[parts[1]]
-            prim, prim_nonnegative, prim_descending, prim_canonical = fields[parts[2]]
-            (rec_n,) = n_entry[0]
-            poly, poly_canonical = polys[parts[3]]
+            poly = poly_from_str(text)
         except _PARSE_ERRORS as exc:
-            raise CacheError("line %d: %s" % (lineno, exc)) from None
-        if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
-            raise CacheError("line %d: record does not match n=%d" % (lineno, n))
-        if not (amb_nonnegative and prim_nonnegative):
-            raise CacheError("line %d: negative exponent" % lineno)
-        if not prim_descending:
-            raise CacheError(
-                "line %d: primitive exponents not sorted descending" % lineno
-            )
-        key = (amb, prim)
-        if key in memo:
-            raise CacheError("line %d: duplicate key" % lineno)
-        if not (n_entry[3] and amb_canonical and prim_canonical and poly_canonical):
-            text = next((t for t in parts[:3] if not fields[t][3]), parts[3])
-            raise CacheError(
-                "line %d: %r is not the text save_cache writes" % (lineno, text)
-            )
-        memo[key] = poly
-    return n, memo
+            return None, (3, str(exc))
+        return poly, None if poly_to_str(poly) == text else (8, _NOT_WRITTEN % text)
+    try:
+        values, nonnegative, descending, canonical = _key_field(text)
+    except _PARSE_ERRORS as exc:
+        return None, (1, str(exc))
+    if column == 0:
+        try:
+            (rec_n,) = values
+        except ValueError as exc:
+            return None, (2, str(exc))
+        fits = rec_n == n
+    else:
+        fits = len(values) == (n + 1 if column == 1 else n + 3)
+    if not fits:
+        return values, (4, "record does not match n=%d" % n)
+    if not nonnegative:
+        return values, (5, "negative exponent")
+    if column == 2 and not descending:
+        return values, (6, "primitive exponents not sorted descending")
+    return values, None if canonical else (8, _NOT_WRITTEN % text)
 
 
-def _bulk_records(body, n, fields, polys):
-    """The memo of the records in body, or None if the record loop of
-    ``_read_cache`` would refuse them: one split cuts four columns, and each
-    distinct text of a column takes the checks the loop makes per record."""
+def _records(body, n):
+    """The memo of the records in body, or ``CacheError`` naming the first
+    bad line.  One split cuts the records into four columns, and
+    ``_verdict`` judges each distinct text of a column once."""
     count = body.count("\n")
     cells = body.replace("\n", "|\n|").split("|")
-    if len(cells) != 5 * count + 1 or cells[4::5].count("\n") != count:
-        return None  # some record has not exactly three '|'
-    ns, ambs, prims, texts = (cells[k:-1:5] for k in range(4))
-    judged = []  # per column, {text: value} over its distinct texts
-    try:
-        for column, table, accept in (
-            (ns, fields, lambda v, pos, desc, ok: v == (n,) and ok),
-            (ambs, fields, lambda v, pos, desc, ok: len(v) == n + 1 and pos and ok),
-            (prims, fields, lambda v, *ok: len(v) == n + 3 and all(ok)),
-            (texts, polys, lambda poly, ok: ok),
-        ):
-            values = {}
-            for text in set(column):
-                entry = table[text]
-                if not accept(*entry):
-                    return None
-                values[text] = entry[0]
-            judged.append(values)
-    except _PARSE_ERRORS:
-        return None
-    _, amb_of, prim_of, poly_of = judged
-    keys = zip(map(amb_of.__getitem__, ambs), map(prim_of.__getitem__, prims))
-    memo = dict(zip(keys, map(poly_of.__getitem__, texts)))
-    return memo if len(memo) == count else None  # else a repeated key
+    aligned = len(cells) == 5 * count + 1 and cells[4::5].count("\n") == count
+    if not aligned:  # judge only the records before the first without three '|'
+        count = next(k for k, line in enumerate(body.split("\n")) if line.count("|") != 3)
+        del cells[5 * count :]
+    columns = [cells[k:-1:5] for k in range(4)]
+    verdicts = [{t: _verdict(n, k, t) for t in set(column)} for k, column in enumerate(columns)]
+    if aligned and not any(fault for table in verdicts for _, fault in table.values()):
+        _, amb, prim, poly = ({t: value for t, (value, _) in table.items()} for table in verdicts)
+        keys = zip(map(amb.__getitem__, columns[1]), map(prim.__getitem__, columns[2]))
+        memo = dict(zip(keys, map(poly.__getitem__, columns[3])))
+        if len(memo) == count:
+            return memo
+    seen = set()
+    for lineno, texts in enumerate(zip(*columns), start=2):
+        record = [table[text] for table, text in zip(verdicts, texts)]
+        fault = min((f for _, f in record if f), key=itemgetter(0), default=None)
+        if fault is None or fault[0] > 7:  # a repeated key outranks only rank 8
+            key = (record[1][0], record[2][0])
+            if key in seen:
+                fault = (7, "duplicate key")
+            seen.add(key)
+        if fault:
+            raise CacheError("line %d: %s" % (lineno, fault[1]))
+    raise CacheError("line %d: expected 4 fields" % (count + 2))

@@ -382,6 +382,39 @@ def test_negative_polynomial_exponent_is_rejected(tmp_path):
     assert str(exc.value).startswith("line 3: negative exponent")
 
 
+def test_polynomial_exponent_is_bounded(tmp_path, capsys):
+    import tracemalloc
+
+    from qq22.serial import MAX_EXPONENT
+
+    top = "x^%d" % MAX_EXPONENT
+    assert poly_from_str(top) == (0,) * MAX_EXPONENT + (1,)
+    tracemalloc.start()
+    try:
+        for text in ("x^99999999999", "2+3*x^%d" % (MAX_EXPONENT + 1)):
+            with pytest.raises(ValueError, match="^exponent too large in"):
+                poly_from_str(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "memo.cache"
+    good = "4|0,0,7,0,0|0,0,0,0,0,0,0|%s\n" % top
+    path.write_text("qq22-cache 1 n=4\n" + good + "4|0,0,6,0,0|0,0,0,0,0,0,0|x^99999999999\n")
+    message = "line 3: exponent too large in 'x^99999999999'"
+    for load in (load_cache, _line_by_line_read):
+        with pytest.raises(CacheError) as exc:
+            load(path, 4)
+        assert str(exc.value) == message
+    assert run_capture(capsys, ["cache-info", "--cache", str(path)]) == (
+        1,
+        "",
+        "error: %s\n" % message,
+    )
+    path.write_text("qq22-cache 1 n=4\n" + good)
+    assert load_cache(path, 4) == {((0, 0, 7, 0, 0), (0,) * 7): poly_from_str(top)}
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -519,7 +552,7 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
     polys = {record[3] for record in records}
     assert len(records) > 4 * len(fields) > 20 * len(polys)
     calls = Counter()
-    for name in ("_key_field", "_exponents", "poly_from_str", "poly_to_str"):
+    for name in ("_key_field", "_exponents", "_key_text", "poly_from_str", "poly_to_str"):
 
         def counted(*args, _real=getattr(serial, name), _name=name, **kwargs):
             calls[_name, args[0]] += 1
@@ -541,6 +574,7 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
     save_cache(again, 6, loaded)
     assert again.read_bytes() == data
     assert made("poly_to_str") == dict.fromkeys(set(loaded.values()), 1)
+    assert made("_key_text") == dict.fromkeys({k for key in loaded for k in key}, 1)
 
 
 def _line_by_line_read(path, n):
@@ -573,8 +607,20 @@ def _line_by_line_read(path, n):
     if file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
     memo = {}
-    fields = serial._Once(serial._key_field)
-    polys = serial._Once(serial._poly_entry)
+    fields = {}  # each distinct text is parsed once, so equal values share a tuple
+    polys = {}
+
+    def field(text):
+        if text not in fields:
+            fields[text] = serial._key_field(text)
+        return fields[text]
+
+    def poly_entry(text):
+        if text not in polys:
+            poly = serial.poly_from_str(text)
+            polys[text] = poly, serial.poly_to_str(poly) == text
+        return polys[text]
+
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("|")
         if len(parts) != 4:
@@ -582,11 +628,11 @@ def _line_by_line_read(path, n):
                 continue
             raise CacheError("line %d: expected 4 fields" % lineno)
         try:
-            n_entry = fields[parts[0]]
-            amb, amb_nonnegative, _, amb_canonical = fields[parts[1]]
-            prim, prim_nonnegative, prim_descending, prim_canonical = fields[parts[2]]
+            n_entry = field(parts[0])
+            amb, amb_nonnegative, _, amb_canonical = field(parts[1])
+            prim, prim_nonnegative, prim_descending, prim_canonical = field(parts[2])
             (rec_n,) = n_entry[0]
-            poly, poly_canonical = polys[parts[3]]
+            poly, poly_canonical = poly_entry(parts[3])
         except (ValueError, ArithmeticError) as exc:
             raise CacheError("line %d: %s" % (lineno, exc)) from None
         if rec_n != n or len(amb) != n + 1 or len(prim) != n + 3:
@@ -774,9 +820,9 @@ LOADABLE = {"header-only", "prefix", "fraction-value"}
 @pytest.mark.parametrize("name", sorted(LOAD_MUTATIONS))
 @pytest.mark.parametrize("n", [4, 6])
 def test_bulk_load_matches_line_by_line_load(saved_caches, tmp_path, n, name):
-    # load_cache checks the records in bulk and falls back to its own line
-    # loop only to name a fault; the result must be the line-by-line
-    # loader's, save for the line breaks and lines LOAD_REFUSED_NOW lists
+    # load_cache judges each distinct text once and names a fault from those
+    # verdicts; the result must be the line-by-line loader's, save for the
+    # line breaks and lines LOAD_REFUSED_NOW lists
     lines = saved_caches[n].split("\n")[:-1]
     path = tmp_path / "memo.cache"
     for seed in range(3):
@@ -792,6 +838,57 @@ def test_bulk_load_matches_line_by_line_load(saved_caches, tmp_path, n, name):
             assert new == old
             if name == "fraction-value":
                 assert {int, Fraction} <= {t for types in new[2] for t in types}
+
+
+# The mutations a stacked-fault file draws from.  Each edits the list of lines
+# in place, so several can be applied to one file.  They run in STACK_ORDER:
+# first the edits that parse a line's fields or copy a line (later edits may
+# then change one copy), last those that change a record's number of fields.
+FIELD_EDITS = (
+    "fraction-value",
+    "record-n",
+    "n-twice",
+    "amb-length",
+    "prim-length",
+    "negative",
+    "unsorted",
+    "bad-exponent",
+    "leading-zero",
+    "poly-not-canonical",
+    "poly-zero-division",
+    "poly-negative-power",
+    "poly-sign",
+)
+STACK_ORDER = {
+    "duplicate": 0,
+    "reused-texts": 0,
+    "unsorted": 0,
+    "extra-field": 2,
+    "missing-field": 2,
+    "realign": 2,
+}
+STACKED = FIELD_EDITS + ("duplicate", "reused-texts", "extra-field", "missing-field", "realign")
+
+
+def test_stacked_faults_are_reported_as_line_by_line(saved_caches, tmp_path):
+    # one to four faults on a prefix of a saved cache, often on one record:
+    # the first bad line and its first failing check are the ones reported
+    path = tmp_path / "memo.cache"
+    messages = set()
+    for n in (4, 6):
+        lines = saved_caches[n].split("\n")[:-1]
+        for seed in range(150):
+            rng = random.Random("stacked %d %d" % (n, seed))
+            prefix = lines[: rng.choice((3, 4, 6, 10, 40, len(lines)))]
+            edits = rng.choices(STACKED, k=rng.randint(1, 4))
+            for name in sorted(edits, key=lambda name: STACK_ORDER.get(name, 1)):
+                text = LOAD_MUTATIONS[name](prefix, rng)
+            path.write_text(text)
+            outcome = _load_outcome(load_cache, path, n)
+            assert outcome == _load_outcome(_line_by_line_read, path, n)
+            if outcome[0] == "error":
+                messages.add(outcome[1])
+    assert len(messages) >= 60
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
