@@ -12,6 +12,11 @@ identities, the freeness determinant and the first-order rigidity check.
 Plucker vectors use one convention, the cutting one (the coordinate at a
 triple is the 4x4 minor of the cutting forms on the other four columns); the
 meeting system and the unflipped plane's vector are Vandermonde closed forms.
+Both are built on ints at mu = D lam, D the common denominator of lam: row
+4j+k of the system is homogeneous of degree 3+k and each coordinate of
+degree 6, so the public functions divide by D^(3+k) and D^6.  The pipeline
+and the rigidity check use the integer rows as they are, since scaling a
+row changes neither the kernel nor which residuals vanish.
 Matrices are plain row lists, as in ``matrices``.
 """
 
@@ -152,14 +157,6 @@ TRIPLES = tuple(
 TRIPLE_POS = {t: k for k, t in enumerate(TRIPLES)}
 
 
-def _sort_sign(idx):
-    """Parity sign of sorting an index tuple; 0 on repeats."""
-    if len(set(idx)) < len(idx):
-        return 0, ()
-    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
-    return (-1) ** inversions, tuple(sorted(idx))
-
-
 @functools.cache
 def plucker_relations():
     """Quadratic exchange relations cutting the plane Grassmannian in P^6.
@@ -167,29 +164,23 @@ def plucker_relations():
     Each relation is a tuple of (sign, pos1, pos2) with positions into
     TRIPLES; a coordinate vector v is decomposable only if
     sum sign * v[pos1] * v[pos2] vanishes for every relation.  Built once
-    per process: the tuples are shared by every caller.
+    per process: the tuples are shared by every caller.  For a pair i < j,
+    the term of the l at position t of a quad, l not in the pair, has sign
+    (-1)^(t + (i > l) + (j > l)): sorting (i, j, l) is that many swaps.
     """
-    rels = []
-    for pair in itertools.combinations(range(7), 2):
-        for quad in itertools.combinations(range(7), 4):
-            terms = []
-            for t, l in enumerate(quad):
-                s1, t1 = _sort_sign(pair + (l,))
-                if not s1:
-                    continue
-                rest = tuple(x for x in quad if x != l)
-                sign = s1 * (-1) ** t
-                terms.append((sign, TRIPLE_POS[t1], TRIPLE_POS[rest]))
-            if terms:
-                rels.append(tuple(terms))
-    return tuple(rels)
+    return tuple(
+        tuple(
+            ((-1) ** (t + (i > l) + (j > l)), TRIPLE_POS[tuple(sorted((i, j, l)))], TRIPLE_POS[quad[:t] + quad[t + 1 :]])
+            for t, l in enumerate(quad)
+            if l not in (i, j)
+        )
+        for i, j in itertools.combinations(range(7), 2)
+        for quad in itertools.combinations(range(7), 4)
+    )
 
 
 def evaluate_relation(rel, v):
-    acc = 0
-    for sign, p1, p2 in rel:
-        acc = acc + sign * v[p1] * v[p2]
-    return acc
+    return sum(sign * v[p1] * v[p2] for sign, p1, p2 in rel)
 
 
 def relation_gradient(rel, v):
@@ -218,11 +209,24 @@ def _vandermonde(values):
     return math.prod(v - u for u, v in itertools.combinations(values, 2))
 
 
+def _integer_lams(lams):
+    """The checked parameters times their common denominator D, as ints, and D."""
+    lams = _check_lams(lams)
+    d = math.lcm(*(v.denominator for v in lams))
+    return [v.numerator * (d // v.denominator) for v in lams], d
+
+
 def flipped_cut_matrix(lams, j):
     """Power-sum equations (exponents 0..3) with signs flipped on j, j+1 (mod 7)."""
     lams = _check_lams(lams)
     flip = {j % 7, (j + 1) % 7}
     return [[(-(v**p) if c in flip else v**p) for c, v in enumerate(lams)] for p in range(4)]
+
+
+def _integer_base_plane(lams):
+    """``base_plane_pluckers`` at mu = D lam, and D: D^6 times the vector."""
+    mu, d = _integer_lams(lams)
+    return [_vandermonde([v for c, v in enumerate(mu) if c not in tri]) for tri in TRIPLES], d
 
 
 def base_plane_pluckers(lams):
@@ -232,8 +236,23 @@ def base_plane_pluckers(lams):
     (exponents 0..3) on the four columns not in S: the Vandermonde product
     prod_{p<q} (lam_q - lam_p) over those columns.
     """
-    lams = _check_lams(lams)
-    return [_vandermonde([v for c, v in enumerate(lams) if c not in tri]) for tri in TRIPLES]
+    vec, d = _integer_base_plane(lams)
+    return [Fraction(x, d**6) for x in vec]
+
+
+def _integer_meeting_system(lams):
+    """``plane_meeting_system`` at mu = D lam, and D: row 4j+k is D^(3+k) times the true row."""
+    mu, d = _integer_lams(lams)
+    rows = [[] for _ in range(28)]
+    for tri in TRIPLES:
+        a, b, c = (mu[i] for i in tri)
+        elem = (1, a + b + c, a * b + a * c + b * c, a * b * c)
+        vdm = (-1) ** (sum(tri) + 1) * _vandermonde((a, b, c))
+        for j in range(7):
+            flips = len({j, (j + 1) % 7}.intersection(tri))
+            for k in range(4):
+                rows[4 * j + k].append((-1) ** flips * vdm * elem[k])
+    return rows, d
 
 
 def plane_meeting_system(lams):
@@ -246,17 +265,8 @@ def plane_meeting_system(lams):
     parameters on S that minor is a Vandermonde product times e_k:
     (-1)^{|S & {j, j+1 mod 7}|} (b-a)(c-a)(c-b) e_k(a, b, c).
     """
-    lams = _check_lams(lams)
-    rows = [[] for _ in range(28)]
-    for tri in TRIPLES:
-        a, b, c = (lams[i] for i in tri)
-        elem = (1, a + b + c, a * b + a * c + b * c, a * b * c)
-        vdm = (-1) ** (sum(tri) + 1) * _vandermonde((a, b, c))
-        for j in range(7):
-            flips = len({j, (j + 1) % 7}.intersection(tri))
-            for k in range(4):
-                rows[4 * j + k].append((-1) ** flips * vdm * elem[k])
-    return rows
+    rows, d = _integer_meeting_system(lams)
+    return [[Fraction(x, d ** (3 + r % 4)) for x in row] for r, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +418,11 @@ def chart_matrix_from_pluckers(p):
     p012 = p[TRIPLE_POS[(0, 1, 2)]]
     if not p012:
         raise ValueError("chart requires nonzero leading coordinate")
-    rows = []
-    for r in range(4):
-        s = Fraction((-1) ** r)
-        row = [
-            s * Fraction(p[TRIPLE_POS[(1, 2, 3 + r)]], 1) / p012,
-            s * Fraction(p[TRIPLE_POS[(0, 2, 3 + r)]], 1) / p012,
-            s * Fraction(p[TRIPLE_POS[(0, 1, 3 + r)]], 1) / p012,
-        ] + [Fraction(1) if c == r else Fraction(0) for c in range(4)]
-        rows.append(row)
-    return rows
+    return [
+        [Fraction((-1) ** r * p[TRIPLE_POS[t]], p012) for t in ((1, 2, 3 + r), (0, 2, 3 + r), (0, 1, 3 + r))]
+        + [Fraction(1) if c == r else Fraction(0) for c in range(4)]
+        for r in range(4)
+    ]
 
 
 def _conic_monomials(pt):
@@ -551,25 +556,20 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     if tuple(lams) != CASE_LAMS:
         raise ValueError("pipeline verification data exists only for (1,...,7)")
     rep = VerificationReport()
-    ec = plane_meeting_system(lams)
-    kernel = mat_nullspace(ec)
-    rep.check("meeting system solution space has dimension 7", len(kernel) == 7, 7, len(kernel))
+    ec, _ = _integer_meeting_system(lams)  # D = 1 at (1..7)
+    dim = len(TRIPLES) - mat_rank(ec)
+    rep.check("meeting system solution space has dimension 7", dim == 7, 7, dim)
 
     for label, table in (("main", PLANE_SOLUTION_MAIN), ("base", PLANE_SOLUTION_BASE)):
         resid, bad = _residuals(ec, table)
         rep.check("table %s solves the meeting system" % label, not resid, [], resid[:3])
         rep.check("table %s satisfies all exchange relations" % label, not bad, [], bad[:3])
 
-    ok = _proportional(base_plane_pluckers(lams), PLANE_SOLUTION_BASE)
+    ok = _proportional(_integer_base_plane(lams)[0], PLANE_SOLUTION_BASE)
     rep.check("base table is the unflipped plane", ok, "proportional", "mismatch")
 
     chart = chart_matrix_from_pluckers(PLANE_SOLUTION_MAIN)
-    rep.check(
-        "chart matrix of the main plane",
-        [list(r) for r in CHART_MATRIX] == chart,
-        CHART_MATRIX,
-        chart,
-    )
+    rep.check("chart matrix of the main plane", [list(r) for r in CHART_MATRIX] == chart, CHART_MATRIX, chart)
 
     points = []
     for j in range(7):
@@ -630,12 +630,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     check_quadrics(own_full, "derived parametrization")
 
     fm = freeness_matrix(ws, lams)
-    rep.check(
-        "freeness matrix matches",
-        fm == [list(r) for r in FREENESS_MATRIX],
-        "frozen 8x8",
-        "mismatch",
-    )
+    rep.check("freeness matrix matches", fm == [list(r) for r in FREENESS_MATRIX], "frozen 8x8", "mismatch")
     det = mat_det(fm)
     rep.check("freeness determinant nonzero", det != 0, "nonzero", det)
     return rep
@@ -653,7 +648,7 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
         raise ValueError("rigidity data exists only for (1,...,7)")
     rep = VerificationReport()
     p = list(PLANE_SOLUTION_MAIN)
-    ec = plane_meeting_system(lams)
+    ec, _ = _integer_meeting_system(lams)
     kern = mat_nullspace(ec + [relation_gradient(rel, p) for rel in plucker_relations()])
     rep.check("tangent space is one-dimensional", len(kern) == 1, 1, len(kern))
     if len(kern) == 1:
@@ -684,9 +679,7 @@ def no_conic_through_meeting_points(lams) -> bool:
     """
     lams = _check_lams(lams)
     rows = []
-    for i in range(7):
-        a = lams[i]
-        b = lams[(i + 1) % 7]
+    for a, b in zip(lams, lams[1:] + lams[:1]):
         x, y = a * b, -a - b
         rows.append([x * x, y * y, Fraction(1), x * y, x, y])
     return mat_rank(rows) == 6
@@ -700,11 +693,7 @@ def conic_plane_in_conjectural_quadric(lams=CASE_LAMS) -> bool:
     mu = conjectural_quadric_coeffs(lams)
     chart = chart_matrix_from_pluckers(PLANE_SOLUTION_MAIN)
     basis = mat_nullspace(chart)
-    for u in basis:
-        for v in basis:
-            if sum(m * a * b for m, a, b in zip(mu, u, v)):
-                return False
-    return True
+    return not any(sum(m * a * b for m, a, b in zip(mu, u, v)) for u in basis for v in basis)
 
 
 def window_sum_inequality(n) -> bool:

@@ -77,9 +77,20 @@ def poly_to_str(coeffs, descending=False) -> str:
     return "".join(parts)
 
 
+def _int(text):
+    """int() of checked digits; a text too long to read is named in a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("number of %d digits is too long: %r..." % (len(text.lstrip("-")), text[:12])) from None
+
+
 def _coefficient(text):
     """An unsigned coefficient: an int when it has no '/', else a Fraction."""
-    return int(text) if text.isdigit() else Fraction(text)
+    if text.isdigit():
+        return _int(text)
+    num, _, den = text.partition("/")
+    return Fraction(_int(num), _int(den)) if num.isdigit() and den.isdigit() else Fraction(text)
 
 
 def poly_from_str(s: str):
@@ -97,7 +108,7 @@ def poly_from_str(s: str):
         raise ValueError("bad character in polynomial %r" % s)
     digits = s[1:] if s[0] == "-" else s
     if digits.isdigit():  # a constant, as most cached values are
-        value = int(digits)
+        value = _int(digits)
         return ((-value if s[0] == "-" else value),) if value else ()
     chunks = []
     start = 0
@@ -124,7 +135,7 @@ def poly_from_str(s: str):
             if not tail:
                 k = 1
             elif tail[0] == "^" and tail[1:].isdigit():
-                k = int(tail[1:])
+                k = _int(tail[1:])
                 if k > MAX_EXPONENT:
                     raise ValueError("exponent too large in %r" % chunk)
             else:
@@ -142,12 +153,11 @@ def _exponents(field):
     A negative exponent is returned as read, for the caller to report.
     """
     values = field.split(",")
-    if not (field.isascii() and field.replace(",", "").isdigit()):
-        for v in values:
-            digits = v[1:] if v[:1] == "-" else v
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError("bad exponent %r" % v)
-    return tuple(map(int, values))
+    for v in values:
+        digits = v[1:] if v[:1] == "-" else v
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError("bad exponent %r" % v)
+    return tuple(map(_int, values))
 
 
 def _key_text(exponents):

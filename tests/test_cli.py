@@ -462,6 +462,42 @@ def test_cache_record_outside_writer_grammar_is_rejected(tmp_path, capsys, recor
     assert load_cache(path, 4) == {((0, 0, 7, 0, 0), (0,) * 7): (Fraction(3),)}
 
 
+_LONG = "7" * 5000  # more digits than the interpreter's int() reads by default
+_TOO_LONG = "number of 5000 digits is too long: '777777777777'..."
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("4|0,0,,7,0|0,0,0,0,0,0,0|3", "bad exponent ''"),  # passed a digits-only check
+        ("4|0,0,7,0,0|0,0,0,0,0,0,|3", "bad exponent ''"),
+        ("4|0,0,7,0,0|,0,0,0,0,0,0|3", "bad exponent ''"),
+        ("4|0,a,7,0,0|0,0,0,0,0,0,0|3", "bad exponent 'a'"),
+        ("4|0,0,%s,0,0|0,0,0,0,0,0,0|3" % _LONG, _TOO_LONG),
+        ("4|0,0,-%s,0,0|0,0,0,0,0,0,0|3" % _LONG, "number of 5000 digits is too long: '-77777777777'..."),
+        ("4|0,0,7,0,0|0,0,0,0,0,0,0|%s" % _LONG, _TOO_LONG),
+        ("4|0,0,7,0,0|0,0,0,0,0,0,0|-%s" % _LONG, _TOO_LONG),
+        ("4|0,0,7,0,0|0,0,0,0,0,0,0|1+%s*x" % _LONG, _TOO_LONG),
+        ("4|0,0,7,0,0|0,0,0,0,0,0,0|1/%s" % _LONG, _TOO_LONG),
+        ("4|0,0,7,0,0|0,0,0,0,0,0,0|%s/3*x" % _LONG, _TOO_LONG),
+        ("4|0,0,7,0,0|0,0,0,0,0,0,0|x^%s" % _LONG, _TOO_LONG),
+    ],
+    ids=lambda v: v.replace(_LONG, "<5000 digits>"),
+)
+def test_malformed_numbers_get_cache_messages(tmp_path, capsys, record, message):
+    # each is refused with a message about the record's text, by both
+    # loaders, never with the interpreter's int() text or its advice
+    path = tmp_path / "memo.cache"
+    path.write_text("qq22-cache 1 n=4\n" + record + "\n")
+    for load in (load_cache, _line_by_line_read):
+        with pytest.raises(CacheError) as exc:
+            load(path, 4)
+        assert str(exc.value) == "line 2: " + message
+    rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
+    assert (rc, out, err) == (1, "", "error: line 2: %s\n" % message)
+    assert "int()" not in err and "set_int_max_str_digits" not in err
+
+
 def test_writer_text_check_names_the_text(tmp_path):
     path = tmp_path / "memo.cache"
     path.write_text("qq22-cache 1 n=4\n4|0,0,07,0,0|0,0,0,0,0,0,0|x^1\n")

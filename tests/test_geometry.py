@@ -221,6 +221,29 @@ def test_closed_forms_match_minors():
             assert all(type(v) is Fraction for row in got + want for v in row)
 
 
+def test_integer_core_scales_the_fraction_view():
+    # the integer rows and base-plane vector are built at mu = D lam; row
+    # 4j+k is homogeneous of degree 3+k and the vector of degree 6, so
+    # dividing by those powers of D gives the public Fraction values
+    denominators = set()
+    for lams in _closed_form_sample_lams():
+        rows, d = geo._integer_meeting_system(lams)
+        vec, d_base = geo._integer_base_plane(lams)
+        assert d == d_base and all(type(x) is int for row in rows + [vec] for x in row)
+        denominators.add(d)
+        view = [[Fraction(x, d ** (3 + r % 4)) for x in row] for r, row in enumerate(rows)]
+        base = [Fraction(x, d**6) for x in vec]
+        for got, want in (
+            (view, geo.plane_meeting_system(lams)),
+            (view, minor_meeting_system(lams)),
+            ([base], [geo.base_plane_pluckers(lams)]),
+            ([base], [cutting_pluckers(base_plane_cut_matrix(lams))]),
+        ):
+            assert got == want
+            assert all(type(v) is Fraction for row in want for v in row)
+    assert 1 in denominators and len(denominators) > 5
+
+
 def test_parameters_pass_the_exact_scalar_gate():
     for bad in (1.0, 0.5, "1/2"):
         lams = [bad, 2, 3, 4, 5, 6, 7]
@@ -296,6 +319,40 @@ def test_tables_satisfy_relations():
     rels = geo.plucker_relations()
     for table in (geo.PLANE_SOLUTION_MAIN, geo.PLANE_SOLUTION_BASE):
         assert all(geo.evaluate_relation(r, table) == 0 for r in rels)
+
+
+def _sort_sign(idx):
+    """Parity sign of sorting an index tuple; 0 on repeats."""
+    if len(set(idx)) < len(idx):
+        return 0, ()
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
+
+
+def relations_by_sorting():
+    """The exchange relations with each sign found by counting the
+    inversions of (i, j, l): a second route to ``plucker_relations``,
+    which takes the signs from a closed form."""
+    rels = []
+    for pair in itertools.combinations(range(7), 2):
+        for quad in itertools.combinations(range(7), 4):
+            terms = []
+            for t, l in enumerate(quad):
+                s1, t1 = _sort_sign(pair + (l,))
+                if not s1:
+                    continue
+                rest = tuple(x for x in quad if x != l)
+                terms.append((s1 * (-1) ** t, geo.TRIPLE_POS[t1], geo.TRIPLE_POS[rest]))
+            if terms:
+                rels.append(tuple(terms))
+    return tuple(rels)
+
+
+def test_plucker_relations_match_the_sorting_route():
+    # same relations in the same order, each term's sign and positions too
+    rels = geo.plucker_relations()
+    assert rels == relations_by_sorting()
+    assert all(type(sign) is int for rel in rels for sign, _, _ in rel)
 
 
 def test_plucker_relations_built_once():
