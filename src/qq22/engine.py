@@ -31,10 +31,18 @@ Python ints: a memo coefficient is an ``int`` when it is integral and a
 ``Fraction`` otherwise, and ``_lookup`` brings each value to that form once,
 when it stores it.  The inputs are ints (the base values, the Euler weights
 and moves, which are integral for even n, and 4 eta^{ef} in {-16, 1, 4}), and
-each division is exact where it divides (``_divide``): the contraction takes
-its quarter once, the Euler step its 1/(n-1), and the primitive step its one
-scale.  The public queries return ``UniPoly``s with ``Fraction``
-coefficients.
+each division is exact where it divides (``_divide``): the contraction sums
+over 4 eta and takes its quarter once per extraction, the Euler step its
+1/(n-1), and the primitive step its one scale.  The public queries return
+``UniPoly``s with ``Fraction`` coefficients.
+
+Checked, not proved: a nonzero value whose primitive exponents are all even
+(ambient-only keys included) has only even powers of x, and one whose are all
+odd only odd powers; the tests check every key of the memos after f, the
+quadratic identity and ``convergence_witness`` at (n, lmax) = (4, 7), (6, 7),
+(8, 6).  The witness seeds keys by length, then by ambient part (by weight),
+then by primitive part, in the orders of ``_ambient_exponents`` and
+``_prim_partitions``.
 
 Values are memoized per canonical key (ambient exponents verbatim, primitive
 exponents sorted descending); primitive-slot permutation invariance makes the
@@ -57,6 +65,7 @@ import itertools
 import threading
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .geometry import window_class_h_eps
 from .model import ambient_3pt_tau, check_dimension, eta_inverse, euler_field, t_to_tau
@@ -77,7 +86,7 @@ def _excess(n, amb, room):
     for a primitive slot, adds d - 1, so one residue per index decides every
     slot; a primitive slot has the degree of ambient slot n/2.
     """
-    return sum((k - 1) * v for k, v in enumerate(amb)) + (n // 2 - 1) * room - (n - 3)
+    return sum(map(mul, amb, range(-1, n))) + (n // 2 - 1) * room - (n - 3)
 
 
 def curve_degree(n, index):
@@ -121,6 +130,8 @@ def _expand(terms, factors):
 
 def _divide(p, d):
     """p / d for a nonzero int d: an int where d divides it, else a Fraction."""
+    if len(p) == 1 and type(p[0]) is int and not p[0] % d:
+        return (p[0] // d,)
     return tuple(c // d if type(c) is int and not c % d else Fraction(c, d) for c in p)
 
 
@@ -205,8 +216,8 @@ class CorrelatorEngine:
         n = self.n
         # dimension constraint: the degree axiom forces an integral,
         # nonnegative curve degree
-        beta = curve_degree(n, amb + prim)
-        if beta is None or beta < 0:
+        beta, rem = divmod(_excess(n, amb, sum(prim)), n - 1)
+        if rem or beta < 0:
             return PZERO
         # monodromy: all primitive exponents share one parity
         if any(prim):
@@ -338,10 +349,12 @@ class CorrelatorEngine:
         return tuple(pairs), by_exp
 
     def _contract(self, a, b):
-        """Sum A_e eta^{ef} B_f, with A_e, B_f the correlators at a + e, b + f.
+        """Four times the sum A_e eta^{ef} B_f, with A_e, B_f the correlators
+        at a + e, b + f.
 
-        The sum runs over 4 eta, an int, and is divided by 4 once; the
-        constant terms, almost all of them, skip the polynomial product.
+        The sum runs over 4 eta, an int, and ``_extract`` divides its total
+        by 4 once; the constant terms, almost all of them, skip the
+        polynomial product.
         """
         const = 0
         total = PZERO
@@ -355,7 +368,7 @@ class CorrelatorEngine:
                         total = padd(total, pscale(c, pmul(av, bv)))
         if const:
             total = padd((const,), total)
-        return _divide(total, 4)
+        return total
 
     def _extract(self, vec, aslots, bslots, lo=0, hi=0):
         """WDVV coefficient extraction at the flat index vec.
@@ -393,7 +406,7 @@ class CorrelatorEngine:
         top = sum(vec) + hi
         last = len(members) - 1
         if last < 0:
-            return self._contract(a, b) if lo <= 0 <= top else PZERO
+            return _divide(self._contract(a, b), 4) if lo <= 0 <= top else PZERO
         # room[d]: the most |J| that the groups after d can add
         room = [0] * (last + 1)
         for d in range(last, 0, -1):
@@ -401,11 +414,13 @@ class CorrelatorEngine:
         # a depth-first walk of the product of the groups' choices, in the
         # order of itertools.product: depth d holds its choice's slot changes
         # in a and b, and size[d], weight[d] the running |J| and weight of the
-        # groups before it; a choice that leaves [lo, top] is skipped
+        # groups before it; a choice that leaves [lo, top] is skipped.  The
+        # one-coefficient contractions add up in const, as in _contract.
         size = [0] * (last + 1)
         weight = [1] * (last + 1)
         taken = [None] * (last + 1)
         choices = [iter(factors[0])]
+        const = 0
         total = PZERO
         d = 0
         while d >= 0:
@@ -428,13 +443,19 @@ class CorrelatorEngine:
                 b[s] -= j
             taken[d] = js
             if d == last:
-                total = padd(total, pscale(weight[d] * cw, self._contract(a, b)))
+                val = self._contract(a, b)
+                if len(val) == 1:
+                    const += weight[d] * cw * val[0]
+                elif val:
+                    total = padd(total, pscale(weight[d] * cw, val))
             else:
                 d += 1
                 size[d] = k
                 weight[d] = weight[d - 1] * cw
                 choices.append(iter(factors[d]))
-        return total
+        if const:
+            total = padd((const,), total)
+        return _divide(total, 4)
 
     def _signed_extracts(self, vec, specs):
         """Sum of coeff * extract(vec, ...) over (coeff, aslots, bslots, lo, hi)."""
@@ -631,13 +652,17 @@ class CorrelatorEngine:
         ones = (1,) * size
         sums = dict.fromkeys(list(moves) + [ones], 0)
         top = factorial(size)
+        moments = {}  # by the multiset of |alpha_j|, which fixes them
         for delta, orbit in _sign_orbits(size):
             alpha = [sum(d * c for d, c in zip(delta, col)) for col in columns]
             sign = orbit
             for d in delta:
                 sign *= d
             s = sum(delta)
-            for lam, val in _even_moments(alpha, moves).items():
+            absolute = tuple(sorted(map(abs, alpha)))
+            if absolute not in moments:
+                moments[absolute] = _even_moments(absolute, moves)
+            for lam, val in moments[absolute].items():
                 sums[lam] += sign * s ** (size - sum(lam)) * val
             val = top
             for a in alpha:
@@ -715,16 +740,21 @@ def convergence_witness(n, lmax, engine=None):
     if engine is not None and engine.n != check_dimension(n):
         raise ValueError("engine is for n=%d, requested n=%d" % (engine.n, n))
     eng = engine if engine is not None else CorrelatorEngine(n)
+    # each total's ambient parts are a prefix; the degree sees only |prim|
+    ambs = [(amb, sum(amb), _excess(n, amb, 0)) for amb in _ambient_exponents(n, lmax)]
+    prims = [list(_prim_partitions(n, room)) for room in range(lmax + 1)]
     for total in range(5, lmax + 1):
-        for amb in _ambient_exponents(n, total):
-            room = total - sum(amb)
-            # the degree sees the primitive part only through its size
-            if _excess(n, amb, room) % (n - 1):
+        for amb, weight, excess in ambs:
+            if weight > total:
+                break
+            room = total - weight
+            if (excess + (n // 2 - 1) * room) % (n - 1):
                 continue
-            for prim in _prim_partitions(n, room):
+            for prim in prims[room]:
                 eng._T(amb, prim)
     xval = Fraction((-1) ** (n // 2), 2)
     best = Fraction(1)
+    bounds = {}  # best^k k! by k, for the current best
     count = 0
     # a snapshot, unsorted: neither the count nor the max depends on order
     for (amb, prim), poly in list(eng.memo.items()):
@@ -735,10 +765,13 @@ def convergence_witness(n, lmax, engine=None):
         if not poly:
             continue
         k = length - 5
+        if k not in bounds:
+            bounds[k] = best**k * factorial(k)
         v = abs(peval(poly, xval))
         # at v <= best^k k! the grid step is at most best: skipping is exact
-        if v > best**k * factorial(k):
+        if v > bounds[k]:
             best = Fraction(_grid_steps(v, k), _GRID)
+            bounds = {}
     return best, count
 
 

@@ -41,6 +41,8 @@ def padd(p, q):
 def pscale(c, p):
     if not c or not p:
         return PZERO
+    if len(p) == 1:
+        return (c * p[0],)
     return tuple(c * a for a in p)
 
 

@@ -198,13 +198,20 @@ def _header_int(text):
 
 
 def save_cache(path, n, memo):
-    # key fields and polynomials repeat across records: render each distinct one once
-    fields = {field: _key_text(field) for field in {f for key in memo for f in key}}
+    # sorted(memo) order without comparing key pairs: ambient parts sorted,
+    # then by primitive rank; each distinct field and polynomial rendered once
+    groups = {}
+    for (amb, prim), poly in memo.items():
+        groups.setdefault(amb, {})[prim] = poly
+    prims = sorted({prim for _, prim in memo})
+    rank = dict(zip(prims, range(len(prims))))
+    fields = dict(zip(prims, map(_key_text, prims)))
     polys = {poly: poly_to_str(poly) for poly in set(memo.values())}
-    head = "%d|" % n
     lines = ["%s %d n=%d" % (CACHE_MAGIC, CACHE_VERSION, n)]
-    for (amb, prim), poly in sorted(memo.items()):
-        lines.append(head + fields[amb] + "|" + fields[prim] + "|" + polys[poly])
+    for amb, group in sorted(groups.items()):  # ambient parts are unique
+        head = "%d|%s|" % (n, _key_text(amb))
+        for prim in sorted(group, key=rank.__getitem__):
+            lines.append(head + fields[prim] + "|" + polys[group[prim]])
     tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
     try:
         with open(tmp, "w") as fh:

@@ -20,7 +20,7 @@ from qq22.engine import (
 )
 from qq22.model import eta_inverse
 from qq22.polynomials import PZERO, UniPoly, padd, peval, pmul, pscale
-from qq22.serial import load_cache, save_cache
+from qq22.serial import load_cache, poly_to_str, save_cache
 
 X = UniPoly((Fraction(0), Fraction(1)))
 
@@ -225,7 +225,8 @@ class MinFirstEngine(CorrelatorEngine):
 
 class PlainContractEngine(CorrelatorEngine):
     """Contracts by looking up every A-side slot on every call, with no row
-    cache and a sorted key per lookup: the reference for ``_row``."""
+    cache and a sorted key per lookup: the reference for ``_row``.  Like
+    ``_contract``, it returns four times the contraction through eta."""
 
     def _contract(self, a, b):
         avals = [self._at(a, e) for e in range(len(a))]
@@ -235,7 +236,7 @@ class PlainContractEngine(CorrelatorEngine):
                 for f, c in row:
                     bv = self._at(b, f)
                     if bv:
-                        total = padd(total, pscale(c, pmul(av, bv)))
+                        total = padd(total, pscale(4 * c, pmul(av, bv)))
         return total
 
 
@@ -302,6 +303,31 @@ def test_residue_rule_marks_dead_slots(n):
             a[e] += 1
             assert dead == (curve_degree(n, a) is None)
             a[e] -= 1
+
+
+@pytest.mark.parametrize("n", range(4, 16, 2))
+def test_excess_matches_its_definition(n):
+    # _excess by its formula written out: sum (k - 1) v_k over the ambient
+    # slots, plus (n/2 - 1) per primitive insertion, less n - 3
+    rng = random.Random(2600 + n)
+    for _ in range(200):
+        amb = [rng.randrange(4) if rng.random() < 0.4 else 0 for _ in range(n + 1)]
+        room = rng.randrange(3 * n)
+        plain = sum((k - 1) * amb[k] for k in range(n + 1)) + (n // 2 - 1) * room - (n - 3)
+        assert _excess(n, tuple(amb), room) == plain
+
+
+@pytest.mark.parametrize("n, lmax", SWEEPS)
+def test_values_have_the_parity_of_their_primitive_exponents(n, lmax, swept_main):
+    # the x-parity rule: a nonzero value whose primitive exponents are all
+    # even (ambient-only keys included) has only even powers of x, and one
+    # whose exponents are all odd only odd powers
+    nonzero = [(prim, value) for (_, prim), value in swept_main(n, lmax).memo.items() if value]
+    odd = [prim[-1] & 1 for prim, _ in nonzero]
+    assert all(len({v & 1 for v in prim}) == 1 for prim, _ in nonzero)
+    assert 0 < sum(odd) < len(nonzero)
+    for (prim, value), parity in zip(nonzero, odd):
+        assert all(not c for d, c in enumerate(value) if d & 1 != parity), prim
 
 
 @pytest.mark.parametrize("n, lmax", SWEEPS)
@@ -421,8 +447,29 @@ def test_memo_cache_bytes_pinned_after(query, tmp_path):
     assert _memo_pin(eng, tmp_path) == MEMO_CACHE_SHA256_AFTER[query]
 
 
+def _plain_cache_text(n, memo):
+    """The cache text by the plain route: one record per item of
+    sorted(memo.items())."""
+    lines = ["qq22-cache 1 n=%d" % n]
+    for (amb, prim), poly in sorted(memo.items()):
+        fields = (str(n), ",".join(map(str, amb)), ",".join(map(str, prim)), poly_to_str(poly))
+        lines.append("|".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, lmax", SWEEPS)
+def test_save_cache_matches_plain_writer(n, lmax, swept_main, tmp_path):
+    # second route for save_cache's record order, which groups the records
+    # by ambient part instead of sorting the nested keys
+    memo = swept_main(n, lmax).memo
+    path = tmp_path / "memo.cache"
+    save_cache(path, n, memo)
+    assert path.read_bytes() == _plain_cache_text(n, memo).encode("ascii")
+
+
 def _subindex_sum(eng, vec, aslots, bslots, lo=0, hi=0):
-    """WDVV extraction as the plain sum over every subindex J <= vec."""
+    """WDVV extraction as the plain sum over every subindex J <= vec, each
+    term a quarter of ``_contract``, which sums over 4 eta."""
     top = sum(vec) + hi
     total = PZERO
     for j in itertools.product(*(range(v + 1) for v in vec)):
@@ -437,7 +484,7 @@ def _subindex_sum(eng, vec, aslots, bslots, lo=0, hi=0):
         b = [v - jv for v, jv in zip(vec, j)]
         for s in bslots:
             b[s] += 1
-        total = padd(total, pscale(w, eng._contract(a, b)))
+        total = padd(total, pscale(Fraction(w, 4), eng._contract(a, b)))
     return total
 
 

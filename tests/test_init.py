@@ -74,6 +74,21 @@ def _imported(node):
     return []
 
 
+def test_runtime_imports_only_the_standard_library():
+    # the package stays stdlib-only at runtime: every absolute import names a
+    # standard-library module, and every other import is relative
+    absolute, relative = [], 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative += 1
+            else:
+                absolute += [(path.name, name) for name in _imported(node)]
+    assert relative and absolute
+    outside = [(f, name) for f, name in absolute if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 def test_each_rule_has_one_home():
     # the int-or-Fraction test lives in qq22.scalars (RATIONAL, check_rational,
     # as_fraction), the --format choice in cli._report and the dimension rule
