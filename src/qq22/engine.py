@@ -11,7 +11,7 @@ rewriting moves, applied in a fixed order by ``_compute``:
      remove an ambient insertion of index i >= 2, in ``_ambient_step``;
   4. WDVV coefficient extraction among primitive slots to shorten a purely
      primitive correlator, in ``_primitive_step`` with its right side from
-     ``_rhs``.
+     ``_rhs4``.
 
 Moves 3 and 4, and the ``wdvv_extracted_residual`` diagnostic, are signed
 combinations (``_signed_extracts``) of one kernel, ``_extract``: the
@@ -40,9 +40,18 @@ Checked, not proved: a nonzero value whose primitive exponents are all even
 (ambient-only keys included) has only even powers of x, and one whose are all
 odd only odd powers; the tests check every key of the memos after f, the
 quadratic identity and ``convergence_witness`` at (n, lmax) = (4, 7), (6, 7),
-(8, 6).  The witness seeds keys by length, then by ambient part (by weight),
-then by primitive part, in the orders of ``_ambient_exponents`` and
-``_prim_partitions``.
+(8, 6), and of the memo of ``convergence_witness`` alone at (4, 10), which
+holds 16 all-odd nonzero keys.  The witness seeds keys by length, then by
+ambient part (by weight), then by primitive part, in the orders of
+``_ambient_exponents`` and ``_prim_partitions``.
+
+Checked, not proved: the purely primitive correlators of total exponent
+2n + 2, the first nonzero layer above length 4, have a closed form.  Their
+exponents are 2 mu for the partitions mu of n + 1, and for mu other than
+1^(n+1) the value is -2^(n-5) prod_i a(mu_i), with a(p) = (2p)! [u^p] G(u)
+and log G(u) = sum_{p>=1} (-1)^(p-1) (p-1)! u^p / (2p)!; at mu = 1^(n+1) it
+is 2^(n-3) x^2 - 2^(n-5), the quadratic identity.  The tests check the whole
+layer at n = 4, 6 and 8; a one-off run matched it at n = 10 and 12 too.
 
 Values are memoized per canonical key (ambient exponents verbatim, primitive
 exponents sorted descending); primitive-slot permutation invariance makes the
@@ -145,26 +154,6 @@ def _integral(p):
 def _public(p):
     """The UniPoly of p with Fraction coefficients, as the public API returns."""
     return UniPoly(map(Fraction, p))
-
-
-def _index_triple(exponents):
-    """Slots used by the generic primitive reduction step.
-
-    Returns (a, b, c): a, b carry the two largest components, c the smallest
-    component among the remaining slots; ties break to the lowest slot.
-    Requires at least two nonzero components and not the all-ones vector.
-    """
-    exps = tuple(exponents)
-    nonzero = sum(1 for v in exps if v)
-    if nonzero <= 1:
-        raise ValueError("index_triple: single nonzero component")
-    if all(v == 1 for v in exps):
-        raise ValueError("index_triple: all-ones vector is the special correlator")
-    order = sorted(range(len(exps)), key=lambda s: (-exps[s], s))
-    a, b = order[0], order[1]
-    rest = [s for s in range(len(exps)) if s not in (a, b)]
-    c = min(rest, key=lambda s: (exps[s], s))
-    return a, b, c
 
 
 class CorrelatorEngine:
@@ -501,14 +490,16 @@ class CorrelatorEngine:
         less one insertion on each of the primitive slots a and b.  The
         boundary terms leave the target with the coefficient k - 2 inner[c],
         k = (2|inner| - 4) / (n - 1), which divides the right side out.
-        Generically a, b, c are ``_index_triple``'s slots.  With one nonzero
-        slot they are a = b = 0, c = 1, and the boundary also holds the
-        partner correlator at inner + 2c with the coefficient k - 2 inner[a],
-        moved to the right side.  Everything is scaled by 4 (n - 1), which
-        makes each coefficient an int, and the scale is divided out once.
+        prim is a canonical key, sorted descending, so generically a, b are
+        slots 0 and 1, which carry the two largest exponents, and c is the
+        first slot from 2 on with the smallest.  With one nonzero slot they
+        are a = b = 0, c = 1, and the boundary also holds the partner
+        correlator at inner + 2c with the coefficient k - 2 inner[a], moved
+        to the right side.  Everything is scaled by 4 (n - 1), which makes
+        each coefficient an int, and the scale is divided out once.
         """
         n = self.n
-        a, b, c = _index_triple(prim) if prim[1] else (0, 0, 1)
+        a, b, c = (0, 1, prim.index(prim[-1], 2)) if prim[1] else (0, 0, 1)
         inner = _bump(_bump(prim, a, -1), b, -1)
         m = 2 * sum(inner) - 4  # (n - 1) k
         coeff = m - 2 * (n - 1) * inner[c]

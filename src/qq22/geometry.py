@@ -274,6 +274,15 @@ def plane_meeting_system(lams):
 
 CASE_LAMS = tuple(Fraction(v) for v in range(1, 8))
 
+
+def _check_case_lams(lams):
+    """The checked parameters, which must be (1..7), where the tables hold."""
+    lams = _check_lams(lams)
+    if tuple(lams) != CASE_LAMS:
+        raise ValueError("pipeline verification data exists only for (1,...,7)")
+    return lams
+
+
 # the two projective solutions of the meeting system plus all exchange
 # relations; the second one is the unflipped plane itself.  Integral tables
 # (these two, PARAM_WS, FREENESS_MATRIX) hold plain ints.
@@ -552,9 +561,7 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     are input data, not recomputed, and every later stage is checked against
     them with zero tolerance.
     """
-    lams = _check_lams(lams)
-    if tuple(lams) != CASE_LAMS:
-        raise ValueError("pipeline verification data exists only for (1,...,7)")
+    lams = _check_case_lams(lams)
     rep = VerificationReport()
     ec, _ = _integer_meeting_system(lams)  # D = 1 at (1..7)
     dim = len(TRIPLES) - mat_rank(ec)
@@ -643,9 +650,7 @@ def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
     main solution; the kernel must be the scaling line, so the only
     first-order deformations over Q[eps]/(eps^2) are unit multiples.
     """
-    lams = _check_lams(lams)
-    if tuple(lams) != CASE_LAMS:
-        raise ValueError("rigidity data exists only for (1,...,7)")
+    lams = _check_case_lams(lams)
     rep = VerificationReport()
     p = list(PLANE_SOLUTION_MAIN)
     ec, _ = _integer_meeting_system(lams)
@@ -687,9 +692,7 @@ def no_conic_through_meeting_points(lams) -> bool:
 
 def conic_plane_in_conjectural_quadric(lams=CASE_LAMS) -> bool:
     """Whether the plane of the unique conic lies in the conjectural quadric."""
-    lams = _check_lams(lams)
-    if tuple(lams) != CASE_LAMS:
-        raise ValueError("the conic's plane is only pinned down for (1,...,7)")
+    lams = _check_case_lams(lams)
     mu = conjectural_quadric_coeffs(lams)
     chart = chart_matrix_from_pluckers(PLANE_SOLUTION_MAIN)
     basis = mat_nullspace(chart)

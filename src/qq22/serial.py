@@ -13,12 +13,12 @@ parses to, and each polynomial as ``poly_to_str`` of its coefficients, so
 ``07``, ``x^1``, ``1*x``, ``2/4`` or ``x^2+1`` (the writer puts terms in
 ascending order) are refused like a sign, whitespace or '_' is.  Loading
 also refuses a byte that is not ASCII, a header other than the writer's
-(single spaces, ``n=``, canonical decimal version and n), a different
-format version or dimension, a blank or whitespace-only line, a line break
-other than ``"\\n"`` (so a CRLF file is refused), a cut last line,
-negative exponents (in keys and in the polynomial), a power of x above
-``MAX_EXPONENT``, and primitive exponents out of descending order or
-repeated keys.
+(single spaces, ``n=``, canonical decimal version and n), a header n that
+``check_dimension`` refuses, a different format version or dimension, a
+blank or whitespace-only line, a line break other than ``"\\n"`` (so a CRLF
+file is refused), a cut last line, negative exponents (in keys and in the
+polynomial), a power of x above ``MAX_EXPONENT``, and primitive exponents
+out of descending order or repeated keys.
 
 Records repeat their texts (most polynomials are ``0``, and a few hundred
 key fields make up thousands of keys), so load and save do the real work
@@ -42,6 +42,7 @@ import threading
 from fractions import Fraction
 from operator import itemgetter
 
+from .model import check_dimension
 from .scalars import rational_str
 
 CACHE_MAGIC = "qq22-cache"
@@ -229,7 +230,8 @@ def load_cache(path, n):
     A file loads only if every record is the writer's own text.  An empty or
     whitespace-only file is an empty cache.  Raises ``CacheError`` naming the
     line for a byte that is not ASCII, a blank header or one other than
-    ``save_cache`` writes, a malformed or blank record (``"\\n"`` is the only
+    ``save_cache`` writes (a header n that ``check_dimension`` refuses
+    among them), a malformed or blank record (``"\\n"`` is the only
     line break), a record cut short (the writer ends every file with a
     newline), a negative exponent, a power of x above ``MAX_EXPONENT``,
     primitive exponents out of canonical (descending) order, a repeated key,
@@ -269,6 +271,10 @@ def _read_cache(path, n=None):
         raise CacheError("line 1: malformed header")
     if version != CACHE_VERSION:
         raise CacheError("unsupported cache format version %d" % version)
+    try:
+        check_dimension(file_n)
+    except ValueError as exc:
+        raise CacheError("line 1: %s" % exc) from None
     if n is None:
         n = file_n
     elif file_n != n:

@@ -17,6 +17,7 @@ from qq22.serial import (
     save_cache,
 )
 from qq22.engine import CorrelatorEngine
+from qq22.model import check_dimension
 
 from fractions import Fraction
 
@@ -640,6 +641,10 @@ def _line_by_line_read(path, n):
         raise CacheError("line 1: malformed header")
     if version != serial.CACHE_VERSION:
         raise CacheError("unsupported cache format version %d" % version)
+    try:
+        check_dimension(file_n)
+    except ValueError as exc:
+        raise CacheError("line 1: %s" % exc) from None
     if file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
     memo = {}
@@ -1244,6 +1249,24 @@ def test_cache_info_two_field_header_is_reported_by_line(tmp_path, capsys):
     path.write_text("qq22-cache 1\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n")
     rc, out, err = run_capture(capsys, ["cache-info", "--cache", str(path)])
     assert (rc, out, err) == (1, "", "error: line 1: not a cache file header\n")
+
+
+@pytest.mark.parametrize("n", [5, 2, 0, 99999999999999999999], ids=["5", "2", "0", "huge"])
+def test_cache_header_dimension_passes_the_dimension_gate(tmp_path, capsys, n):
+    # save_cache never writes such a header; cache-info and load_cache used
+    # to accept it, and load_cache(path, 5) loaded the n = 5 record below
+    path = tmp_path / "memo.cache"
+    text = "qq22-cache 1 n=%d\n" % n
+    if n == 5:
+        text += "5|0,0,0,0,0,0|0,0,0,0,0,0,0,0|3\n"
+    path.write_text(text)
+    message = "line 1: dimension must be even and >= 4, got %d" % n
+    for load in (load_cache, _line_by_line_read):
+        with pytest.raises(CacheError, match="^%s$" % message):
+            load(path, n)
+    info = ["cache-info", "--cache", str(path)]
+    for fmt in ("text", "json"):
+        assert run_capture(capsys, info + ["--format", fmt]) == (1, "", "error: %s\n" % message)
 
 
 def test_corrupt_cache_exit_codes(tmp_path, capsys):

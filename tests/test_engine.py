@@ -13,7 +13,6 @@ from qq22.engine import (
     _ambient_exponents,
     _excess,
     _grid_steps,
-    _index_triple,
     _prim_partitions,
     convergence_witness,
     curve_degree,
@@ -317,12 +316,19 @@ def test_excess_matches_its_definition(n):
         assert _excess(n, tuple(amb), room) == plain
 
 
-@pytest.mark.parametrize("n, lmax", SWEEPS)
+@pytest.mark.parametrize("n, lmax", SWEEPS + [(4, 10)])
 def test_values_have_the_parity_of_their_primitive_exponents(n, lmax, swept_main):
     # the x-parity rule: a nonzero value whose primitive exponents are all
     # even (ambient-only keys included) has only even powers of x, and one
-    # whose exponents are all odd only odd powers
-    nonzero = [(prim, value) for (_, prim), value in swept_main(n, lmax).memo.items() if value]
+    # whose exponents are all odd only odd powers.  Each swept memo holds one
+    # all-odd nonzero key; the witness memo at (4, 10) alone holds 16
+    if (n, lmax) in SWEEPS:
+        memo = swept_main(n, lmax).memo
+    else:
+        eng = CorrelatorEngine(n)
+        convergence_witness(n, lmax, eng)
+        memo = eng.memo
+    nonzero = [(prim, value) for (_, prim), value in memo.items() if value]
     odd = [prim[-1] & 1 for prim, _ in nonzero]
     assert all(len({v & 1 for v in prim}) == 1 for prim, _ in nonzero)
     assert 0 < sum(odd) < len(nonzero)
@@ -531,6 +537,50 @@ def test_extract_orbit_sum_matches_subindex_sum(monkeypatch):
     assert min(seen.values()) >= 4, seen
 
 
+def _partitions(total, largest=None):
+    """The partitions of total, as descending tuples."""
+    if not total:
+        yield ()
+        return
+    for v in range(min(total, largest or total), 0, -1):
+        for rest in _partitions(total - v, v):
+            yield (v,) + rest
+
+
+def _layer_key(n, mu):
+    """The primitive exponents 2 mu over the n + 3 primitive slots."""
+    return tuple(2 * v for v in mu) + (0,) * (n + 3 - len(mu))
+
+
+def _layer_factors(top):
+    """a(0..top), a(p) = (2p)! [u^p] G(u) with
+    log G = sum_{p>=1} (-1)^(p-1) (p-1)! u^p / (2p)!; G' = (log G)' G."""
+    log = [0] + [
+        Fraction((-1) ** (p - 1) * math.factorial(p - 1), math.factorial(2 * p))
+        for p in range(1, top + 1)
+    ]
+    g = [Fraction(1)]
+    for m in range(1, top + 1):
+        g.append(sum(k * log[k] * g[m - k] for k in range(1, m + 1)) / m)
+    return [math.factorial(2 * p) * c for p, c in enumerate(g)]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_first_primitive_layer_closed_form(n):
+    # a second route for the layer of total exponent 2n + 2, indexed by the
+    # partitions mu of n + 1: <prod eps_i^(2 mu_i)> = -2^(n-5) prod a(mu_i),
+    # save the quadratic identity's mu = 1^(n+1), 2^(n-3) x^2 - 2^(n-5)
+    eng = CorrelatorEngine(n)
+    factors = _layer_factors(n + 1)
+    scale = Fraction(2) ** (n - 5)
+    for mu in _partitions(n + 1):
+        if mu == (1,) * (n + 1):
+            want = UniPoly((-scale, Fraction(0), 4 * scale))
+        else:
+            want = UniPoly((-scale * math.prod(factors[v] for v in mu),))
+        assert eng.correlator_tau((0,) * (n + 1) + _layer_key(n, mu)) == want, mu
+
+
 def test_quadratic_identity_n10():
     assert CorrelatorEngine(10).conjecture_quadratic().is_zero()
 
@@ -552,6 +602,23 @@ def test_n8_quadratic_makes_few_memo_lookups(monkeypatch):
     assert calls <= 1228317 // 5
 
 
+def _index_triple(exponents):
+    """The primitive step's slots by the general search, on any exponent
+    vector: a, b carry the two largest components, c the smallest among the
+    remaining slots; ties break to the lowest slot."""
+    exps = tuple(exponents)
+    nonzero = sum(1 for v in exps if v)
+    if nonzero <= 1:
+        raise ValueError("index_triple: single nonzero component")
+    if all(v == 1 for v in exps):
+        raise ValueError("index_triple: all-ones vector is the special correlator")
+    order = sorted(range(len(exps)), key=lambda s: (-exps[s], s))
+    a, b = order[0], order[1]
+    rest = [s for s in range(len(exps)) if s not in (a, b)]
+    c = min(rest, key=lambda s: (exps[s], s))
+    return a, b, c
+
+
 def test_index_triple_examples():
     assert _index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
     a, b, c = _index_triple((2, 2, 2, 2, 2, 0, 0))
@@ -565,6 +632,45 @@ def test_index_triple_examples():
         _index_triple((5, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         _index_triple((1,) * 7)
+
+
+class PrimitiveStepRecorder(CorrelatorEngine):
+    """Records every key that reaches ``_primitive_step`` with the slots
+    (a, b, c) it reduces by."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.primitive_steps = []
+
+    def _rhs4(self, inner, a, b, c):
+        prim = list(inner)
+        prim[a] += 1
+        prim[b] += 1
+        self.primitive_steps.append((tuple(prim), (a, b, c)))
+        return super()._rhs4(inner, a, b, c)
+
+
+def test_primitive_step_reads_its_slots_off_the_canonical_key():
+    # every key that reaches the primitive step, in the swept memos, the
+    # n = 10 quadratic and the first purely primitive layer at n = 4 and 6,
+    # is canonical, and its slots are those of the general search
+    engines = [_swept(PrimitiveStepRecorder, n, lmax) for n, lmax in SWEEPS]
+    quadratic = PrimitiveStepRecorder(10)
+    assert quadratic.conjecture_quadratic().is_zero()
+    engines.append(quadratic)
+    for n in (4, 6):
+        eng = PrimitiveStepRecorder(n)
+        for mu in _partitions(n + 1):
+            eng._T((0,) * (n + 1), _layer_key(n, mu))
+        engines.append(eng)
+    steps = [step for eng in engines for step in eng.primitive_steps]
+    assert len(steps) > 20
+    for prim, slots in steps:
+        assert list(prim) == sorted(prim, reverse=True)
+        if prim[1]:
+            assert slots == _index_triple(prim), prim
+        else:
+            assert slots == (0, 0, 1) and not any(prim[1:]), prim
 
 
 def test_quadratic_conjecture_small():

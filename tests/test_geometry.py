@@ -402,8 +402,12 @@ def test_pipeline_coprime_summary_fails_with_its_pair(monkeypatch):
 
 
 def test_pipeline_rejects_other_parameters():
-    with pytest.raises(ValueError):
-        geo.conic_pipeline([1, 2, 3, 4, 5, 6, 8])
+    # the three functions that read the (1..7) tables share one gate and its
+    # message, the one the conics command prints
+    message = r"^pipeline verification data exists only for \(1,\.\.\.,7\)$"
+    for f in (geo.conic_pipeline, geo.dual_uniqueness, geo.conic_plane_in_conjectural_quadric):
+        with pytest.raises(ValueError, match=message):
+            f([1, 2, 3, 4, 5, 6, 8])
 
 
 def test_dual_uniqueness():

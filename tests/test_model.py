@@ -126,7 +126,8 @@ def test_euler_coefficients():
         assert diag[n + 2] == Fraction(2 - n, 2)
         assert diag[3] == -2
         assert diag[n - 1] == 2 - n
-        # the engine divides by const: an int there would give a float
+        # euler_field is public API, and its types are pinned as part of it:
+        # the engine converts the table to ints itself
         assert all(type(v) is Fraction for v in (const, *diag))
 
 
