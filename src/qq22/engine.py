@@ -73,7 +73,7 @@ import functools
 import itertools
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul
 
 from .geometry import window_class_h_eps
@@ -625,10 +625,13 @@ class CorrelatorEngine:
         t -> tau change does not move, and every such term has degree n/2)
         and primitive exponents lam.  Monodromy keeps only lam with all parts
         even, and lam = (1^N), the special correlator.  The integer factor
-        |lam|! m_lam(alpha) / prod lam_i! comes from a slot-by-slot DP.  The
-        windows are circulant, so rotating delta permutes alpha cyclically,
-        and N is odd, so flipping every sign leaves the summand unchanged:
-        one delta per orbit, weighted by the orbit size, covers the sum.  The
+        |lam|! m_lam(alpha) / prod lam_i! comes from a slot-by-slot DP.  N is
+        odd, so -delta has the same summand as delta: the sum runs over the
+        2^(N-1) deltas with delta_0 = +1, each counted twice, in Gray-code
+        order (step k flips delta_w, w the bit length of k & -k), so each
+        step moves alpha by 2 delta_w sigma_w.  The even-lam terms depend on
+        delta only through s and the multiset of |alpha_j|, so their signed
+        counts are summed by that key and expanded once per key.  The
         phase i^(p |lam|) and the rewrite x = i x' (an i^d on the x^d
         coefficient when n = 2 mod 4) fold into one power of i.
         """
@@ -637,28 +640,34 @@ class CorrelatorEngine:
         twist = n % 4 // 2  # 1 when n = 2 mod 4: phase i^3 and x = i x'
         windows = [window_class_h_eps(w, n) for w in range(size)]
         hcoef = windows[0][0]
-        # columns[j][w] = sigma_{w,j} = 2 e_{w,j} = +-1
-        columns = list(zip(*([int(2 * e) for e in eps] for _, eps in windows)))
+        # rows[w][j] = sigma_{w,j} = 2 e_{w,j} = +-1
+        rows = [[int(2 * e) for e in eps] for _, eps in windows]
+        delta = [1] * size
+        alpha = [sum(col) for col in zip(*rows)]
+        s = size
+        sign = 2  # 2 prod(delta): delta and -delta, counted together
+        counts = {}  # summed signs by (sorted |alpha_j|, s)
+        product = 0  # summed sign * prod(alpha), for lam = (1^N)
+        for k in range(1 << (size - 1)):
+            if k:
+                w = (k & -k).bit_length()
+                d = delta[w] = -delta[w]
+                alpha = [a + 2 * d * r for a, r in zip(alpha, rows[w])]
+                s += 2 * d
+                sign = -sign
+            key = (tuple(sorted(map(abs, alpha))), s)
+            counts[key] = counts.get(key, 0) + sign
+            product += sign * prod(alpha)
         moves = _even_partition_moves(size)
-        ones = (1,) * size
-        sums = dict.fromkeys(list(moves) + [ones], 0)
         top = factorial(size)
+        sums = dict.fromkeys(moves, 0)
+        sums[(1,) * size] = top * product
         moments = {}  # by the multiset of |alpha_j|, which fixes them
-        for delta, orbit in _sign_orbits(size):
-            alpha = [sum(d * c for d, c in zip(delta, col)) for col in columns]
-            sign = orbit
-            for d in delta:
-                sign *= d
-            s = sum(delta)
-            absolute = tuple(sorted(map(abs, alpha)))
+        for (absolute, s), count in counts.items():
             if absolute not in moments:
                 moments[absolute] = _even_moments(absolute, moves)
             for lam, val in moments[absolute].items():
-                sums[lam] += sign * s ** (size - sum(lam)) * val
-            val = top
-            for a in alpha:
-                val *= a
-            sums[ones] += sign * val
+                sums[lam] += count * s ** (size - sum(lam)) * val
         amb = [0] * (n + 1)
         real, imag = {}, {}
         for lam, total in sums.items():
@@ -802,22 +811,6 @@ def _orbit_choices(v, g):
             w *= comb(v, j)
         out.append((js, w, sum(js)))
     return tuple(out)
-
-
-def _sign_orbits(size):
-    """One sign vector per orbit of cyclic rotation and global sign flip.
-
-    Yields (delta, orbit size) with delta a list of +-1 of the given length.
-    """
-    full = (1 << size) - 1
-    for mask in range(1 << size):
-        images = set()
-        m = mask
-        for _ in range(size):
-            m = ((m << 1) | (m >> (size - 1))) & full
-            images.update((m, m ^ full))
-        if mask == min(images):
-            yield [1 - 2 * (mask >> w & 1) for w in range(size)], len(images)
 
 
 def _even_partition_moves(size):

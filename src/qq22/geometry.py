@@ -224,20 +224,15 @@ def flipped_cut_matrix(lams, j):
 
 
 def _integer_base_plane(lams):
-    """``base_plane_pluckers`` at mu = D lam, and D: D^6 times the vector."""
-    mu, d = _integer_lams(lams)
-    return [_vandermonde([v for c, v in enumerate(mu) if c not in tri]) for tri in TRIPLES], d
-
-
-def base_plane_pluckers(lams):
-    """Plucker vector of the unflipped plane, cutting convention.
+    """Plucker vector of the unflipped plane, cutting convention, at mu = D
+    lam, and D: D^6 times the vector at lam.
 
     The coordinate at triple S is the 4x4 minor of the power-sum equations
     (exponents 0..3) on the four columns not in S: the Vandermonde product
-    prod_{p<q} (lam_q - lam_p) over those columns.
+    prod_{p<q} (mu_q - mu_p) over those columns.
     """
-    vec, d = _integer_base_plane(lams)
-    return [Fraction(x, d**6) for x in vec]
+    mu, d = _integer_lams(lams)
+    return [_vandermonde([v for c, v in enumerate(mu) if c not in tri]) for tri in TRIPLES], d
 
 
 def _integer_meeting_system(lams):

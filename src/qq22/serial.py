@@ -199,6 +199,7 @@ def _header_int(text):
 
 
 def save_cache(path, n, memo):
+    check_dimension(n)
     # sorted(memo) order without comparing key pairs: ambient parts sorted,
     # then by primitive rank; each distinct field and polynomial rendered once
     groups = {}
@@ -238,8 +239,10 @@ def load_cache(path, n):
     or a key field or polynomial that does not render back to its own text.
     Each distinct field or polynomial text is judged once, and the verdicts
     either build the memo or name the first bad line and its first fault.
+    An n that ``check_dimension`` refuses is its ValueError, raised before
+    the file is opened.
     """
-    return _read_cache(path, n)[1]
+    return _read_cache(path, check_dimension(n))[1]
 
 
 def _read_cache(path, n=None):

@@ -1254,7 +1254,9 @@ def test_cache_info_two_field_header_is_reported_by_line(tmp_path, capsys):
 @pytest.mark.parametrize("n", [5, 2, 0, 99999999999999999999], ids=["5", "2", "0", "huge"])
 def test_cache_header_dimension_passes_the_dimension_gate(tmp_path, capsys, n):
     # save_cache never writes such a header; cache-info and load_cache used
-    # to accept it, and load_cache(path, 5) loaded the n = 5 record below
+    # to accept it, and load_cache(path, 5) loaded the n = 5 record below.
+    # The header is judged before it is compared with the requested n = 4
+    # (a requested 5 is refused before the file is read)
     path = tmp_path / "memo.cache"
     text = "qq22-cache 1 n=%d\n" % n
     if n == 5:
@@ -1263,7 +1265,7 @@ def test_cache_header_dimension_passes_the_dimension_gate(tmp_path, capsys, n):
     message = "line 1: dimension must be even and >= 4, got %d" % n
     for load in (load_cache, _line_by_line_read):
         with pytest.raises(CacheError, match="^%s$" % message):
-            load(path, n)
+            load(path, 4)
     info = ["cache-info", "--cache", str(path)]
     for fmt in ("text", "json"):
         assert run_capture(capsys, info + ["--format", fmt]) == (1, "", "error: %s\n" % message)

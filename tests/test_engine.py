@@ -619,21 +619,6 @@ def _index_triple(exponents):
     return a, b, c
 
 
-def test_index_triple_examples():
-    assert _index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
-    a, b, c = _index_triple((2, 2, 2, 2, 2, 0, 0))
-    assert {a, b} <= {0, 1, 2, 3, 4} and c in (5, 6)
-    a, b, c = _index_triple((2,) * 7)
-    assert len({a, b, c}) == 3
-    # nonzero reduction coefficient for the all-equal case, n = 4
-    inner_size = 14 - 2
-    assert Fraction(2 * inner_size - 4, 3) - 2 * 2 != 0
-    with pytest.raises(ValueError):
-        _index_triple((5, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        _index_triple((1,) * 7)
-
-
 class PrimitiveStepRecorder(CorrelatorEngine):
     """Records every key that reaches ``_primitive_step`` with the slots
     (a, b, c) it reduces by."""
@@ -653,7 +638,14 @@ class PrimitiveStepRecorder(CorrelatorEngine):
 def test_primitive_step_reads_its_slots_off_the_canonical_key():
     # every key that reaches the primitive step, in the swept memos, the
     # n = 10 quadratic and the first purely primitive layer at n = 4 and 6,
-    # is canonical, and its slots are those of the general search
+    # is canonical, and its slots are those of the general search.  First,
+    # the search itself on hand-picked keys, including the two it refuses
+    assert _index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
+    assert _index_triple((2, 2, 2, 2, 2, 0, 0)) == (0, 1, 5)
+    assert _index_triple((2,) * 7) == (0, 1, 2)
+    for single in ((5, 0, 0, 0, 0, 0, 0), (1,) * 7):
+        with pytest.raises(ValueError):
+            _index_triple(single)
     engines = [_swept(PrimitiveStepRecorder, n, lmax) for n, lmax in SWEEPS]
     quadratic = PrimitiveStepRecorder(10)
     assert quadratic.conjecture_quadratic().is_zero()
@@ -747,10 +739,18 @@ def test_f_value_matches_gaussian_expansion():
 def test_f_integer_at_conjectural_x():
     # Observed, not proved: at the conjectural x = (-1)^{n/2} / 2 (the value
     # convergence_witness uses) the window correlator is an integer for every
-    # n computed.  f(4) = 1 agrees with the single conic conic_pipeline finds.
-    for n, expected in ((4, 1), (6, 1204), (8, 1610489)):
+    # n computed, and at the opposite sign it is not, so integrality picks
+    # the sign.  f(4) = 1 agrees with the single conic conic_pipeline finds.
+    cases = (
+        (4, 1, Fraction(3, 8)),
+        (6, 1204, Fraction(9671, 8)),
+        (8, 1610489, Fraction(3220843, 2)),
+    )
+    for n, expected, opposite in cases:
         f = CorrelatorEngine(n).f_value()
-        assert peval(f.coeffs, Fraction((-1) ** (n // 2), 2)) == expected
+        sign = (-1) ** (n // 2)
+        assert peval(f.coeffs, Fraction(sign, 2)) == expected
+        assert peval(f.coeffs, Fraction(-sign, 2)) == opposite
 
 
 def test_class_entry_bilinearity(eng4):

@@ -213,18 +213,16 @@ def _closed_form_sample_lams():
 def test_closed_forms_match_minors():
     # the closed forms equal the generic minors exactly, element type included
     for lams in _closed_form_sample_lams():
-        for got, want in (
-            (geo.plane_meeting_system(lams), minor_meeting_system(lams)),
-            ([geo.base_plane_pluckers(lams)], [cutting_pluckers(base_plane_cut_matrix(lams))]),
-        ):
-            assert got == want
-            assert all(type(v) is Fraction for row in got + want for v in row)
+        got, want = geo.plane_meeting_system(lams), minor_meeting_system(lams)
+        assert got == want
+        assert all(type(v) is Fraction for row in got + want for v in row)
 
 
 def test_integer_core_scales_the_fraction_view():
     # the integer rows and base-plane vector are built at mu = D lam; row
     # 4j+k is homogeneous of degree 3+k and the vector of degree 6, so
-    # dividing by those powers of D gives the public Fraction values
+    # dividing by those powers of D gives the public meeting system and the
+    # base plane's minors, as Fractions
     denominators = set()
     for lams in _closed_form_sample_lams():
         rows, d = geo._integer_meeting_system(lams)
@@ -236,7 +234,6 @@ def test_integer_core_scales_the_fraction_view():
         for got, want in (
             (view, geo.plane_meeting_system(lams)),
             (view, minor_meeting_system(lams)),
-            ([base], [geo.base_plane_pluckers(lams)]),
             ([base], [cutting_pluckers(base_plane_cut_matrix(lams))]),
         ):
             assert got == want
@@ -253,7 +250,7 @@ def test_parameters_pass_the_exact_scalar_gate():
             geo.no_conic_through_meeting_points,
             geo.conic_plane_in_conjectural_quadric,
             geo.plane_meeting_system,
-            geo.base_plane_pluckers,
+            geo._integer_base_plane,
         ):
             with pytest.raises(TypeError, match="parameter must be int or Fraction"):
                 f(lams)

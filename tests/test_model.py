@@ -24,6 +24,7 @@ from qq22.model import (
     euler_field,
     t_to_tau,
 )
+from qq22.serial import load_cache, save_cache
 
 
 def test_params_validation():
@@ -38,6 +39,9 @@ def test_params_validation():
     with pytest.raises(ValueError, match="need 9 primitive coordinates"):
         cutoff_matrix(6, [0] * 8)
 
+
+# a file no call may open: the cache functions check n before any file I/O
+UNOPENED = "no-such-directory/memo.cache"
 
 # every public entry point that takes a dimension, called with n
 GATED = {
@@ -56,6 +60,8 @@ GATED = {
     "semisimple_scan": lambda n: semisimple_scan(n, 1, 0),
     "branch_discriminant": branch_discriminant,
     "convergence_witness": lambda n: convergence_witness(n, 6),
+    "load_cache": lambda n: load_cache(UNOPENED, n),
+    "save_cache": lambda n: save_cache(UNOPENED, n, {}),
 }
 
 
