@@ -375,7 +375,10 @@ class CorrelatorEngine:
         such a group of g slots with exponent v takes its part of J as a
         multiset of g values in 0..v, weighted by its g! / prod mult!
         arrangements times prod C(v, j).  Every other slot is a group of
-        one.  The memo sees the same keys and values as the plain sum.
+        one.  The memo sees the same keys and values as the plain sum.  The
+        groups' choices are multiplied out breadth-first, the leaves in
+        itertools.product order, and every leaf, the empty product's
+        included, counts only when lo <= |J| <= |vec| + hi.
         """
         n = self.n
         fixed = set(aslots) | set(bslots)
@@ -386,62 +389,37 @@ class CorrelatorEngine:
                 groups.setdefault(key, []).append(s)
         members = list(groups.values())
         factors = [_orbit_choices(vec[m[0]], len(m)) for m in members]
-        a = [0] * len(vec)
+        a0 = [0] * len(vec)
         for s in aslots:
-            a[s] += 1
-        b = list(vec)
+            a0[s] += 1
+        b0 = list(vec)
         for s in bslots:
-            b[s] += 1
+            b0[s] += 1
+        slots = [s for m in members for s in m]
         top = sum(vec) + hi
-        last = len(members) - 1
-        if last < 0:
-            return _divide(self._contract(a, b), 4) if lo <= 0 <= top else PZERO
-        # room[d]: the most |J| that the groups after d can add
-        room = [0] * (last + 1)
-        for d in range(last, 0, -1):
-            room[d - 1] = room[d] + factors[d][-1][2]
-        # a depth-first walk of the product of the groups' choices, in the
-        # order of itertools.product: depth d holds its choice's slot changes
-        # in a and b, and size[d], weight[d] the running |J| and weight of the
-        # groups before it; a choice that leaves [lo, top] is skipped.  The
-        # one-coefficient contractions add up in const, as in _contract.
-        size = [0] * (last + 1)
-        weight = [1] * (last + 1)
-        taken = [None] * (last + 1)
-        choices = [iter(factors[0])]
+        leaves = [((), 0, 1)]
+        for factor in factors:
+            leaves = [
+                (js + c, k + size, w * cw)
+                for js, k, w in leaves
+                for c, cw, size in factor
+                if k + size <= top
+            ]
+        # one-coefficient contractions add up in const, as in _contract
         const = 0
         total = PZERO
-        d = 0
-        while d >= 0:
-            slots = members[d]
-            if taken[d] is not None:
-                for s, j in zip(slots, taken[d]):
-                    a[s] -= j
-                    b[s] += j
-                taken[d] = None
-            for js, cw, js_size in choices[d]:
-                k = size[d] + js_size
-                if k <= top and k + room[d] >= lo:
-                    break
-            else:
-                d -= 1
-                choices.pop()
+        for js, k, w in leaves:
+            if not lo <= k <= top:
                 continue
+            a, b = list(a0), list(b0)
             for s, j in zip(slots, js):
                 a[s] += j
                 b[s] -= j
-            taken[d] = js
-            if d == last:
-                val = self._contract(a, b)
-                if len(val) == 1:
-                    const += weight[d] * cw * val[0]
-                elif val:
-                    total = padd(total, pscale(weight[d] * cw, val))
-            else:
-                d += 1
-                size[d] = k
-                weight[d] = weight[d - 1] * cw
-                choices.append(iter(factors[d]))
+            val = self._contract(a, b)
+            if len(val) == 1:
+                const += w * val[0]
+            elif val:
+                total = padd(total, pscale(w, val))
         if const:
             total = padd((const,), total)
         return _divide(total, 4)

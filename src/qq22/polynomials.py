@@ -112,7 +112,11 @@ class UniPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its coefficient, and the zero polynomial 0
+        cs = self.coeffs
+        if len(cs) > 1:
+            return hash(cs)
+        return hash(cs[0]) if cs else 0
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -535,6 +536,30 @@ def test_extract_orbit_sum_matches_subindex_sum(monkeypatch):
         )
         seen["lo/hi"] += (lo, hi) != (0, 0)
     assert min(seen.values()) >= 4, seen
+    # the bounds at the edges: the zero vec, whose one leaf is the empty
+    # product, and small vecs with free and fixed primitive groups, at every
+    # lo in 0..2 and hi in -2..0, for the first slot pairs whose plain sum
+    # at lo = hi = 0 is nonzero
+    eng = CorrelatorEngine(4)
+    vecs = [
+        (0,) * 12,
+        idx(4, amb=[(2, 1)]),
+        idx(4, prim=[(0, 2)]),
+        idx(4, prim=[(0, 1), (1, 1)]),
+        idx(4, amb=[(3, 1)], prim=[(0, 1), (1, 1)]),
+        idx(4, prim=[(0, 1), (1, 1), (2, 1)]),
+    ]
+    pairs = list(itertools.combinations_with_replacement(range(12), 2))
+    for vec in vecs:
+        live = []
+        for aslots, bslots in itertools.product(pairs, pairs):
+            if len(live) < 6 and _subindex_sum(eng, vec, aslots, bslots):
+                live.append((aslots, bslots))
+        assert live, vec
+        for aslots, bslots in live:
+            for lo, hi in itertools.product((0, 1, 2), (0, -1, -2)):
+                want = _subindex_sum(eng, vec, aslots, bslots, lo, hi)
+                assert eng._extract(vec, aslots, bslots, lo, hi) == want
 
 
 def _partitions(total, largest=None):
@@ -583,6 +608,23 @@ def test_first_primitive_layer_closed_form(n):
 
 def test_quadratic_identity_n10():
     assert CorrelatorEngine(10).conjecture_quadratic().is_zero()
+
+
+def test_contraction_is_called_from_the_kernel_frame(monkeypatch):
+    # the stack budget without a clock or a limit: no helper frame sits
+    # between _extract and _contract, so each WDVV level costs the kernel one
+    # frame, and the default recursion limit holds the n = 18 quadratic and
+    # f(16)
+    callers = set()
+    contract = CorrelatorEngine._contract
+
+    def wrapped(self, a, b):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return contract(self, a, b)
+
+    monkeypatch.setattr(CorrelatorEngine, "_contract", wrapped)
+    assert CorrelatorEngine(6).conjecture_quadratic().is_zero()
+    assert callers == {"_extract"}
 
 
 def test_n8_quadratic_makes_few_memo_lookups(monkeypatch):

@@ -27,6 +27,25 @@ def test_trailing_zeros_stripped():
     assert UniPoly(()).degree == -1
 
 
+def test_hash_agrees_with_scalar_equality():
+    # a constant polynomial equals its coefficient and the zero polynomial 0,
+    # so each must hash like it: sets and dicts then merge them
+    pairs = [
+        (UniPoly.constant(3), 3),
+        (UniPoly.constant(Fraction(-5, 2)), Fraction(-5, 2)),
+        (UniPoly.constant(Fraction(4)), 4),
+        (UniPoly.zero(), 0),
+        (UniPoly((0, 0)), Fraction(0)),
+    ]
+    for poly, c in pairs:
+        assert poly == c and hash(poly) == hash(c)
+        assert len({poly, c}) == 1
+        assert {c: "scalar"}[poly] == "scalar" and {poly: "poly"}[c] == "poly"
+    x = UniPoly.x()
+    assert hash(x + 1) == hash(UniPoly((1, 1))) and len({x + 1, UniPoly((1, 1))}) == 1
+    assert len({x, 0, 1, UniPoly.zero(), UniPoly.constant(1)}) == 3
+
+
 def test_divmod_and_gcd():
     x = UniPoly.x()
     p = (x - 1) * (x - 2) * (x + 3)
