@@ -51,20 +51,21 @@ exponents are 2 mu for the partitions mu of n + 1, and for mu other than
 1^(n+1) the value is -2^(n-5) prod_i a(mu_i), with a(p) = (2p)! [u^p] G(u)
 and log G(u) = sum_{p>=1} (-1)^(p-1) (p-1)! u^p / (2p)!; at mu = 1^(n+1) it
 is 2^(n-3) x^2 - 2^(n-5), the quadratic identity.  The tests check the whole
-layer at n = 4, 6 and 8; a one-off run matched it at n = 10 and 12 too.
+layer at n = 4, 6 and 8; a one-off run matched it at n = 10 and 12 too, and
+it is spot-checked at n = 14 (mu = (14, 1) and (15)).
 
 Values are memoized per canonical key (ambient exponents verbatim, primitive
 exponents sorted descending); primitive-slot permutation invariance makes the
 sort harmless.  The memo behaves as a write-once map, so concurrent queries
 are safe under CPython and always agree.  A contraction's A side, the
 correlators at a + e for every slot e, depends on a only through its
-canonical base (ambient part, primitive part sorted): ``_base_row`` looks
-those values up once per base, and ``_row`` assembles the row of nonzero
-values once per flat index a from it.  Both caches are write-once maps too.
-The dimension axiom leaves at most two ambient slots, and either every
-primitive slot or none, with an integral curve degree (``_excess``); every
-other slot's key is written as zero without a lookup.  The caches add and
-drop no memo key, so the memo is the same with or without them.
+canonical base (ambient part, primitive part sorted), so ``_base_row`` looks
+those values up once per base into ``_bases``, a write-once map too, and
+``_contract`` reads a's slots off that entry.  The dimension axiom leaves at
+most two ambient slots, and either every primitive slot or none, with an
+integral curve degree (``_excess``); every other slot's key is written as
+zero without a lookup.  The cache adds and drops no memo key, so the memo is
+the same with or without it.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ class CorrelatorEngine:
     def __init__(self, n: int):
         self.n = check_dimension(n)
         self.memo = {}
-        self._rows = {}
         self._bases = {}
         # 4 eta^{ef} in {-16, 1, 4}: _contract takes the quarter once
         self._eta4_rows = tuple(
@@ -270,37 +270,16 @@ class CorrelatorEngine:
         """The correlator at the flat index list idx plus one slot insertion."""
         na = self.n + 1
         idx[slot] += 1
-        val = self._T(tuple(idx[:na]), tuple(idx[na:]))
+        prim = idx[na:]
+        prim.sort(reverse=True)
+        val = self._lookup((tuple(idx[:na]), tuple(prim)))
         idx[slot] -= 1
         return val
 
-    def _row(self, a):
-        """The (e, A_e) pairs with A_e, the correlator at a + e, nonzero.
-
-        Built once per flat tuple a from its canonical base (amb, prim), the
-        ambient part and the primitive part sorted descending, which fixes
-        every A_e: an ambient slot gives the base with that slot raised, and
-        a primitive slot with exponent v the base with the first v of prim
-        raised, which keeps it sorted.  So ``_base_row`` looks each value up
-        once per base, and the flat row is assembled from it.
-        """
-        row = self._rows.get(a)
-        if row is not None:
-            return row
-        na = self.n + 1
-        prim = a[na:]
-        base = (a[:na], tuple(sorted(prim, reverse=True)))
-        cached = self._bases.get(base)
-        if cached is None:
-            cached = self._bases.setdefault(base, self._base_row(*base))
-        row, by_exp = cached
-        if by_exp:
-            row += tuple((s, by_exp[v]) for s, v in enumerate(prim, na) if v in by_exp)
-        return self._rows.setdefault(a, row)
-
     def _base_row(self, amb, prim):
-        """The nonzero (e, A_e) over ambient slots e, and the nonzero A by
-        primitive exponent, for the canonical base (amb, prim).
+        """The nonzero (e, A_e) over ambient slots e, ascending, and the
+        nonzero A by primitive exponent v (the base with the first v of prim
+        raised), for the canonical base (amb, prim): its ``_bases`` entry.
 
         The memo gains the same keys and values as slot-by-slot lookups.  A
         key whose curve degree is not an integer (see ``_excess``) is written
@@ -341,13 +320,22 @@ class CorrelatorEngine:
         """Four times the sum A_e eta^{ef} B_f, with A_e, B_f the correlators
         at a + e, b + f.
 
-        The sum runs over 4 eta, an int, and ``_extract`` divides its total
-        by 4 once; the constant terms, almost all of them, skip the
-        polynomial product.
+        A_e is read off the ``_bases`` entry of a's canonical base, filled
+        by ``_base_row`` on a miss.  The sum runs over 4 eta, an int, and
+        ``_extract`` divides its total by 4 once; the constant terms, almost
+        all of them, skip the polynomial product.
         """
+        na = self.n + 1
+        prim = a[na:]
+        prim.sort(reverse=True)
+        base = (tuple(a[:na]), tuple(prim))
+        cached = self._bases.get(base)
+        if cached is None:
+            cached = self._bases.setdefault(base, self._base_row(*base))
+        pairs, by_exp = cached
         const = 0
         total = PZERO
-        for e, av in self._row(tuple(a)):
+        for e, av in pairs:
             for f, c in self._eta4_rows[e]:
                 bv = self._at(b, f)
                 if bv:
@@ -355,6 +343,17 @@ class CorrelatorEngine:
                         const += c * av[0] * bv[0]
                     else:
                         total = padd(total, pscale(c, pmul(av, bv)))
+        if by_exp:
+            for s in range(na, len(a)):
+                av = by_exp.get(a[s])
+                if av:
+                    for f, c in self._eta4_rows[s]:
+                        bv = self._at(b, f)
+                        if bv:
+                            if len(av) == 1 == len(bv):
+                                const += c * av[0] * bv[0]
+                            else:
+                                total = padd(total, pscale(c, pmul(av, bv)))
         if const:
             total = padd((const,), total)
         return total

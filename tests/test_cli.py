@@ -619,7 +619,8 @@ def _line_by_line_read(path, n):
     pass, lines broken by ``str.splitlines`` and blank lines skipped."""
     from qq22 import serial
 
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -225,7 +225,7 @@ class MinFirstEngine(CorrelatorEngine):
 
 class PlainContractEngine(CorrelatorEngine):
     """Contracts by looking up every A-side slot on every call, with no row
-    cache and a sorted key per lookup: the reference for ``_row``.  Like
+    cache and a sorted key per lookup: the reference for ``_contract``.  Like
     ``_contract``, it returns four times the contraction through eta."""
 
     def _contract(self, a, b):
@@ -276,14 +276,22 @@ def test_second_move_order_agrees_on_shared_keys(n, lmax, swept_main):
 
 @pytest.mark.parametrize("n, lmax", SWEEPS)
 def test_row_cache_matches_plain_contraction(n, lmax, swept_main):
-    # the row cache skips lookups, never adds or drops a memo key, and each
-    # row holds exactly the nonzero A-side values
+    # the per-base cache skips lookups, never adds or drops a memo key, and
+    # each entry holds exactly the nonzero A-side values of its base: by
+    # ambient slot, ascending, and by primitive exponent v, raised on the
+    # first slot of exponent v
     main = swept_main(n, lmax)
     assert _swept(PlainContractEngine, n, lmax).memo == main.memo
-    assert main._rows
-    for a, row in main._rows.items():
-        full = [(e, main._at(list(a), e)) for e in range(2 * n + 4)]
-        assert row == tuple((e, v) for e, v in full if v)
+    assert main._bases
+    for (amb, prim), (pairs, by_exp) in main._bases.items():
+        base = list(amb + prim)
+        ambient = [(e, main._at(base, e)) for e in range(n + 1)]
+        assert pairs == tuple((e, v) for e, v in ambient if v)
+        first = {}
+        for s, v in enumerate(prim, n + 1):
+            first.setdefault(v, s)
+        raised = {v: main._at(base, s) for v, s in first.items()}
+        assert by_exp == {v: val for v, val in raised.items() if val}
 
 
 @pytest.mark.parametrize("n", range(4, 16, 2))
@@ -369,6 +377,14 @@ def test_f10_by_both_move_orders():
     alt = MinFirstEngine(10)
     assert alt.f_value().coeffs == F10
     assert alt.conjecture_quadratic().is_zero()
+
+
+F12 = (Fraction(1043839210222043, 32), Fraction(467557, 16))
+
+
+def test_f12_by_both_move_orders():
+    assert CorrelatorEngine(12).f_value().coeffs == F12
+    assert MinFirstEngine(12).f_value().coeffs == F12
 
 
 def test_quadratic_identity_n12_by_both_move_orders():
@@ -629,8 +645,8 @@ def test_contraction_is_called_from_the_kernel_frame(monkeypatch):
 
 def test_n8_quadratic_makes_few_memo_lookups(monkeypatch):
     # the plain subindex sum made 1,228,317 memo lookups here; the orbit sum
-    # must stay below a fifth of that.  Every lookup, through _T or a row
-    # build, passes _lookup.
+    # must stay below a fifth of that.  Every lookup, through _T, _at or
+    # _base_row, passes _lookup.
     calls = 0
     lookup = CorrelatorEngine._lookup
 
