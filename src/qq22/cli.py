@@ -12,6 +12,12 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error.  A cache
 file that fails validation is a mismatch for ``cache-info``, whose check is
 that validation, so it exits 1; ``correlator --cache`` reads the same file
 as bad input and exits 2.
+
+``correlator --tau-index`` with a cache validates the whole file and, when
+the file holds the query's key, answers from that one entry without
+building the memo or saving.  Any other query with a cache (a key the file
+lacks, or ``--t-index``) loads the whole memo, computes, and saves it when
+it gained entries.
 """
 
 from __future__ import annotations
@@ -43,12 +49,13 @@ def _parse_list(text, kind):
     return tuple(kind(v) for v in text.split(","))
 
 
-def _engine_with_cache(n, cache_path):
+def _engine_with_cache(n, cache_path, key):
     """A fresh engine seeded from the cache file, and the number of entries
-    loaded (None when there was no file to load)."""
+    loaded (None when there was no file to load).  When the file holds key,
+    the engine is seeded with that one entry."""
     eng = CorrelatorEngine(n)
     if cache_path and os.path.exists(cache_path):
-        eng.memo = load_cache(cache_path, n)
+        eng.memo = load_cache(cache_path, n, key)
         return eng, len(eng.memo)
     return eng, None
 
@@ -79,9 +86,20 @@ def _poly_value(poly):
     return {"poly": [[rational_str(c), "0"] for c in poly.coeffs]}
 
 
+def _tau_key(n, text):
+    """The memo key of a --tau-index query, or None when the index does not
+    parse; the query reports that error after any cache error, as before."""
+    try:
+        index = _parse_list(text, int)
+    except ValueError:
+        return None
+    return index[: n + 1], tuple(sorted(index[n + 1 :], reverse=True))
+
+
 def cmd_correlator(args):
     cache = args.cache or os.environ.get(CACHE_ENV)
-    eng, loaded = _engine_with_cache(args.n, cache)
+    key = None if args.tau_index is None else _tau_key(args.n, args.tau_index)
+    eng, loaded = _engine_with_cache(args.n, cache, key)
     if args.tau_index is not None:
         index = _parse_list(args.tau_index, int)
         basis = "tau"

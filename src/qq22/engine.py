@@ -639,10 +639,8 @@ class CorrelatorEngine:
         top = factorial(size)
         sums = dict.fromkeys(moves, 0)
         sums[(1,) * size] = top * product
-        moments = {}  # by the multiset of |alpha_j|, which fixes them
+        moments = _even_moments({absolute for absolute, _ in counts}, moves)
         for (absolute, s), count in counts.items():
-            if absolute not in moments:
-                moments[absolute] = _even_moments(absolute, moves)
             for lam, val in moments[absolute].items():
                 sums[lam] += count * s ** (size - sum(lam)) * val
         amb = [0] * (n + 1)
@@ -811,25 +809,36 @@ def _even_partition_moves(size):
     return moves
 
 
-def _even_moments(alpha, moves):
-    """|lam|! m_lam(alpha) / prod lam_i! for every partition lam in moves.
+def _even_moments(alphas, moves):
+    """|lam|! m_lam(alpha) / prod lam_i! for every alpha in alphas (sorted
+    tuples of one length) and every partition lam in moves, by alpha.
 
     m_lam is the monomial symmetric polynomial: the sum of prod alpha_j^m_j
     over the exponent vectors m that sort to lam.  Each slot adds an exponent
     m with weight C(|lam|+m, m) alpha_j^m, so every value stays an integer.
+    The alphas are taken in lexicographic order with the DP state after each
+    slot kept, so a prefix that consecutive alphas share is run once.
     """
-    states = dict.fromkeys(moves, 0)
-    states[()] = 1
-    for a in alpha:
-        sq = a * a
-        nxt = dict(states)
-        for lam, val in states.items():
-            if val:
-                for key, c in moves[lam]:
-                    val *= sq
-                    nxt[key] += c * val
-        states = nxt
-    return states
+    start = dict.fromkeys(moves, 0)
+    start[()] = 1
+    states = [start]  # states[k]: the DP state after the first k slots of prev
+    prev = ()
+    out = {}
+    for alpha in sorted(alphas):
+        shared = next((k for k, (a, b) in enumerate(zip(prev, alpha)) if a != b), len(prev))
+        del states[shared + 1 :]
+        for a in alpha[shared:]:
+            sq = a * a
+            nxt = dict(states[-1])
+            for lam, val in states[-1].items():
+                if val:
+                    for key, c in moves[lam]:
+                        val *= sq
+                        nxt[key] += c * val
+            states.append(nxt)
+        out[alpha] = states[-1]
+        prev = alpha
+    return out
 
 
 def _ambient_exponents(n, total):

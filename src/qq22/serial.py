@@ -28,7 +28,9 @@ and judges each distinct text of a column once: its value, and the first
 check of a record it fails.  A file with no faulty text and no repeated key
 becomes the memo through one ``dict(zip(...))``; any other file is refused
 by walking the same verdicts in record order to its first bad line.  Equal
-loaded values share one tuple.
+loaded values share one tuple.  A load asked for one key still judges the
+whole file, but when the file holds the key it builds no memo: the result
+is that one record.
 
 Saving writes a temporary file next to the cache and renames it over the
 cache, so a reader sees either the old file or the new one, never a cut one.
@@ -170,19 +172,6 @@ def _key_text(exponents):
 _SMALL_EXPONENTS = {str(v): v for v in range(100)}
 
 
-def _key_field(text):
-    """The exponents of a key field and its verdicts: nonnegative, sorted
-    descending, and written as ``save_cache`` writes them."""
-    try:
-        values = tuple(map(_SMALL_EXPONENTS.__getitem__, text.split(",")))
-        nonnegative = canonical = True
-    except KeyError:
-        values = _exponents(text)
-        nonnegative = min(values) >= 0
-        canonical = _key_text(values) == text
-    return values, nonnegative, list(values) == sorted(values, reverse=True), canonical
-
-
 class CacheError(Exception):
     pass
 
@@ -225,7 +214,7 @@ def save_cache(path, n, memo):
         raise
 
 
-def load_cache(path, n):
+def load_cache(path, n, key=None):
     """Read a cache file written by ``save_cache`` for dimension n.
 
     A file loads only if every record is the writer's own text.  An empty or
@@ -241,11 +230,16 @@ def load_cache(path, n):
     either build the memo or name the first bad line and its first fault.
     An n that ``check_dimension`` refuses is its ValueError, raised before
     the file is opened.
+
+    With key, a canonical memo key (ambient exponents, primitive exponents
+    sorted descending), the file is checked the same way; when it holds
+    key the result is ``{key: value}`` and no memo is built, otherwise it is
+    the whole memo.
     """
-    return _read_cache(path, check_dimension(n))[1]
+    return _read_cache(path, check_dimension(n), key)[1]
 
 
-def _read_cache(path, n=None):
+def _read_cache(path, n=None, key=None):
     """The dimension and the memo of a cache file, checked as by ``load_cache``.
 
     With n None the header's dimension is accepted.  An empty or
@@ -282,7 +276,7 @@ def _read_cache(path, n=None):
         n = file_n
     elif file_n != n:
         raise CacheError("cache is for n=%d, requested n=%d" % (file_n, n))
-    return n, _records(body, n)
+    return n, _records(body, n, key)
 
 
 def _verdict(n, column, text):
@@ -301,9 +295,14 @@ def _verdict(n, column, text):
             return None, (3, str(exc))
         return poly, None if poly_to_str(poly) == text else (8, _NOT_WRITTEN % text)
     try:
-        values, nonnegative, descending, canonical = _key_field(text)
-    except _PARSE_ERRORS as exc:
-        return None, (1, str(exc))
+        values = tuple(map(_SMALL_EXPONENTS.__getitem__, text.split(",")))
+        written = True  # so nonnegative and canonical
+    except KeyError:
+        try:
+            values = _exponents(text)
+        except _PARSE_ERRORS as exc:
+            return None, (1, str(exc))
+        written = False
     if column == 0:
         try:
             (rec_n,) = values
@@ -314,17 +313,20 @@ def _verdict(n, column, text):
         fits = len(values) == (n + 1 if column == 1 else n + 3)
     if not fits:
         return values, (4, "record does not match n=%d" % n)
-    if not nonnegative:
+    if not written and min(values) < 0:
         return values, (5, "negative exponent")
-    if column == 2 and not descending:
+    if column == 2 and list(values) != sorted(values, reverse=True):
         return values, (6, "primitive exponents not sorted descending")
-    return values, None if canonical else (8, _NOT_WRITTEN % text)
+    if written or _key_text(values) == text:
+        return values, None
+    return values, (8, _NOT_WRITTEN % text)
 
 
-def _records(body, n):
+def _records(body, n, key):
     """The memo of the records in body, or ``CacheError`` naming the first
     bad line.  One split cuts the records into four columns, and
-    ``_verdict`` judges each distinct text of a column once."""
+    ``_verdict`` judges each distinct text of a column once.  When a sound
+    body holds a record for key, the result is that one record."""
     count = body.count("\n")
     cells = body.replace("\n", "|\n|").split("|")
     aligned = len(cells) == 5 * count + 1 and cells[4::5].count("\n") == count
@@ -334,6 +336,14 @@ def _records(body, n):
     columns = [cells[k:-1:5] for k in range(4)]
     verdicts = [{t: _verdict(n, k, t) for t in set(column)} for k, column in enumerate(columns)]
     if aligned and not any(fault for table in verdicts for _, fault in table.values()):
+        if key is not None:
+            # every text is now the writer's text of its value, so key's record
+            # starts with head (a record's three '|' and its n field str(n)
+            # leave head no other place to match), and equal keys are equal texts
+            head = "%d|%s|%s|" % (n, _key_text(key[0]), _key_text(key[1]))
+            at = body.find(head)
+            if at >= 0 and len(set(zip(columns[1], columns[2]))) == count:
+                return {key: verdicts[3][body[at + len(head) : body.index("\n", at)]][0]}
         _, amb, prim, poly = ({t: value for t, (value, _) in table.items()} for table in verdicts)
         keys = zip(map(amb.__getitem__, columns[1]), map(prim.__getitem__, columns[2]))
         memo = dict(zip(keys, map(poly.__getitem__, columns[3])))
@@ -344,10 +354,10 @@ def _records(body, n):
         record = [table[text] for table, text in zip(verdicts, texts)]
         fault = min((f for _, f in record if f), key=itemgetter(0), default=None)
         if fault is None or fault[0] > 7:  # a repeated key outranks only rank 8
-            key = (record[1][0], record[2][0])
-            if key in seen:
+            pair = (record[1][0], record[2][0])
+            if pair in seen:
                 fault = (7, "duplicate key")
-            seen.add(key)
+            seen.add(pair)
         if fault:
             raise CacheError("line %d: %s" % (lineno, fault[1]))
     raise CacheError("line %d: expected 4 fields" % (count + 2))

@@ -589,10 +589,11 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
     polys = {record[3] for record in records}
     assert len(records) > 4 * len(fields) > 20 * len(polys)
     calls = Counter()
-    for name in ("_key_field", "_exponents", "_key_text", "poly_from_str", "poly_to_str"):
+    for name in ("_verdict", "_exponents", "_key_text", "poly_from_str", "poly_to_str"):
 
         def counted(*args, _real=getattr(serial, name), _name=name, **kwargs):
-            calls[_name, args[0]] += 1
+            # _verdict(n, column, text) is counted by its column and text
+            calls[_name, args[1:] if _name == "_verdict" else args[0]] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(serial, name, counted)
@@ -602,7 +603,8 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
 
     loaded = load_cache(path, 6)
     assert loaded == eng.memo
-    assert made("_key_field") == dict.fromkeys(fields, 1)
+    texts = {(k, text) for record in records for k, text in enumerate(record)}
+    assert made("_verdict") == dict.fromkeys(texts, 1)
     assert set(made("_exponents").values()) <= {1} and set(made("_exponents")) <= fields
     assert made("poly_from_str") == dict.fromkeys(polys, 1)
     assert len({id(poly) for poly in loaded.values()}) == len(polys)
@@ -612,6 +614,22 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
     assert again.read_bytes() == data
     assert made("poly_to_str") == dict.fromkeys(set(loaded.values()), 1)
     assert made("_key_text") == dict.fromkeys({k for key in loaded for k in key}, 1)
+
+
+def _reference_field(text):
+    """A key field's exponents and its verdicts: nonnegative, sorted
+    descending, and written as ``save_cache`` writes them.  A field that is
+    not comma-separated optionally signed ASCII digits is refused with the
+    loader's message."""
+    from qq22 import serial
+
+    parts = text.split(",")
+    for part in parts:
+        if not re.fullmatch("-?[0-9]+", part):
+            raise ValueError("bad exponent %r" % part)
+    values = tuple(map(serial._int, parts))
+    descending = values == tuple(sorted(values, reverse=True))
+    return values, min(values) >= 0, descending, ",".join(map(str, values)) == text
 
 
 def _line_by_line_read(path, n):
@@ -654,7 +672,7 @@ def _line_by_line_read(path, n):
 
     def field(text):
         if text not in fields:
-            fields[text] = serial._key_field(text)
+            fields[text] = _reference_field(text)
         return fields[text]
 
     def poly_entry(text):
@@ -705,6 +723,25 @@ def _load_outcome(load, path, n):
     shared = [first.setdefault(id(v), k) for k, v in enumerate(memo.values())]
     types = [tuple(map(type, v)) for v in memo.values()]
     return "memo", list(memo.items()), types, shared
+
+
+def _keyed_loads(key):
+    """load_cache asked for key, and what the line-by-line loader makes of
+    that ask: the one record for key when the file holds it, else the memo."""
+
+    def line_by_line(path, n):
+        memo = _line_by_line_read(path, n)
+        return {key: memo[key]} if key in memo else memo
+
+    return (lambda path, n: load_cache(path, n, key)), line_by_line
+
+
+def _draw_key(lines, rng):
+    """The key of a drawn record of lines, or a key no saved cache holds."""
+    k = rng.randrange(len(lines))
+    if not k:
+        return ((0,) * 99, ())
+    return tuple(tuple(map(int, field.split(","))) for field in lines[k].split("|")[1:3])
 
 
 @pytest.fixture(scope="module")
@@ -864,22 +901,25 @@ LOADABLE = {"header-only", "prefix", "fraction-value"}
 def test_bulk_load_matches_line_by_line_load(saved_caches, tmp_path, n, name):
     # load_cache judges each distinct text once and names a fault from those
     # verdicts; the result must be the line-by-line loader's, save for the
-    # line breaks and lines LOAD_REFUSED_NOW lists
+    # line breaks and lines LOAD_REFUSED_NOW lists.  Asked for a key, it
+    # judges the same texts and gives only that key's record when it loads
     lines = saved_caches[n].split("\n")[:-1]
     path = tmp_path / "memo.cache"
     for seed in range(3):
         rng = random.Random("%s %d %d" % (name, n, seed))
         path.write_bytes(LOAD_MUTATIONS[name](list(lines), rng).encode("latin-1"))
-        old = _load_outcome(_line_by_line_read, path, n)
-        new = _load_outcome(load_cache, path, n)
-        if name in LOAD_REFUSED_NOW:
-            assert old[0] == "memo"
-            assert new[0] == "error" and re.fullmatch(LOAD_REFUSED_NOW[name], new[1])
-        else:
-            assert (old[0] == "memo") == (name in LOADABLE)
-            assert new == old
-            if name == "fraction-value":
-                assert {int, Fraction} <= {t for types in new[2] for t in types}
+        loads = [(load_cache, _line_by_line_read), _keyed_loads(_draw_key(lines, rng))]
+        for keyed, (load, line_by_line) in enumerate(loads):
+            old = _load_outcome(line_by_line, path, n)
+            new = _load_outcome(load, path, n)
+            if name in LOAD_REFUSED_NOW:
+                assert old[0] == "memo"
+                assert new[0] == "error" and re.fullmatch(LOAD_REFUSED_NOW[name], new[1])
+            else:
+                assert (old[0] == "memo") == (name in LOADABLE)
+                assert new == old
+                if name == "fraction-value" and not keyed:
+                    assert {int, Fraction} <= {t for types in new[2] for t in types}
 
 
 # The mutations a stacked-fault file draws from.  Each edits the list of lines
@@ -921,7 +961,8 @@ def test_stacked_faults_are_reported_as_line_by_line(saved_caches, tmp_path):
         lines = saved_caches[n].split("\n")[:-1]
         for seed in range(150):
             rng = random.Random("stacked %d %d" % (n, seed))
-            prefix = lines[: rng.choice((3, 4, 6, 10, 40, len(lines)))]
+            size = rng.choice((3, 4, 6, 10, 40, len(lines)))
+            prefix = lines[:size]
             edits = rng.choices(STACKED, k=rng.randint(1, 4))
             for name in sorted(edits, key=lambda name: STACK_ORDER.get(name, 1)):
                 text = LOAD_MUTATIONS[name](prefix, rng)
@@ -930,6 +971,8 @@ def test_stacked_faults_are_reported_as_line_by_line(saved_caches, tmp_path):
             assert outcome == _load_outcome(_line_by_line_read, path, n)
             if outcome[0] == "error":
                 messages.add(outcome[1])
+            load, line_by_line = _keyed_loads(_draw_key(lines[:size], rng))
+            assert _load_outcome(load, path, n) == _load_outcome(line_by_line, path, n)
     assert len(messages) >= 60
 
 
@@ -994,28 +1037,89 @@ def test_blank_first_line_is_not_an_empty_cache(tmp_path, capsys):
 
 
 def test_warm_query_does_not_rewrite_cache(tmp_path, capsys, monkeypatch):
+    # a --tau-index query finds its own record; a --t-index query loads all
     from qq22 import cli
 
-    index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
-    cache = tmp_path / "warm.cache"
-    assert run_capture(capsys, index + ["--cache", str(cache)])[0] == 0
-    before = cache.read_bytes()
-    saves = []
-    monkeypatch.setattr(cli, "save_cache", lambda *args: saves.append(args))
-    assert run_capture(capsys, index + ["--cache", str(cache)])[0] == 0
-    assert saves == []
-    assert cache.read_bytes() == before
+    for flag in ("--t-index", "--tau-index"):
+        index = ["correlator", "--n", "4", flag, "0,0,5,0,0,2,0,0,0,0,0,0"]
+        cache = tmp_path / ("warm%s.cache" % flag)
+        assert run_capture(capsys, index + ["--cache", str(cache)])[0] == 0
+        before = cache.read_bytes()
+        saves = []
+        monkeypatch.setattr(cli, "save_cache", lambda *args: saves.append(args))
+        assert run_capture(capsys, index + ["--cache", str(cache)])[0] == 0
+        monkeypatch.undo()
+        assert saves == []
+        assert cache.read_bytes() == before
 
 
 def test_warm_cache_byte_identical(tmp_path, capsys):
-    index = ["correlator", "--n", "4", "--t-index", "0,0,5,0,0,2,0,0,0,0,0,0"]
-    cache = str(tmp_path / "warm.cache")
-    rc1, out1, _ = run_capture(capsys, index + ["--cache", cache])
-    rc2, out2, _ = run_capture(capsys, index + ["--cache", cache])
-    rc3, out3, _ = run_capture(capsys, index)
-    assert rc1 == rc2 == rc3 == 0
-    assert out1 == out2 == out3
-    assert out1.strip() == "-624"
+    for flag in ("--t-index", "--tau-index"):
+        index = ["correlator", "--n", "4", flag, "0,0,5,0,0,2,0,0,0,0,0,0"]
+        cache = str(tmp_path / ("warm%s.cache" % flag))
+        rc1, out1, _ = run_capture(capsys, index + ["--cache", cache])
+        rc2, out2, _ = run_capture(capsys, index + ["--cache", cache])
+        rc3, out3, _ = run_capture(capsys, index)
+        assert rc1 == rc2 == rc3 == 0
+        assert out1 == out2 == out3
+        assert out1.strip() == "-624"
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_warm_hit_prints_the_no_cache_bytes(saved_caches, tmp_path, capsys, monkeypatch, n):
+    # every record of a saved cache, queried warm in text or JSON with the
+    # primitive part as saved or permuted (the four cycled over the records),
+    # prints what a query without a cache prints; the load gives the query
+    # only its own entry, and the file is not rewritten
+    from qq22 import cli
+
+    path = tmp_path / "memo.cache"
+    path.write_text(saved_caches[n])
+    records = saved_caches[n].split("\n")[1:-1]
+    rng = random.Random("warm hit %d" % n)
+    queries = []
+    for k, record in enumerate(records):
+        amb, prim = (field.split(",") for field in record.split("|")[1:3])
+        if k & 2:
+            rng.shuffle(prim)
+        index = ",".join(amb + prim)
+        fmt = ("text", "json")[k & 1]
+        queries.append(["correlator", "--n", str(n), "--tau-index", index, "--format", fmt])
+    shared = CorrelatorEngine(n)  # its values do not depend on what it holds
+    monkeypatch.setattr(cli, "CorrelatorEngine", lambda n: shared)
+    expected = [run_capture(capsys, query) for query in queries]
+    monkeypatch.undo()
+    loaded = []
+
+    def load(*args, _real=cli.load_cache):
+        memo = _real(*args)
+        loaded.append(len(memo))
+        return memo
+
+    monkeypatch.setattr(cli, "load_cache", load)
+    warm = [run_capture(capsys, query + ["--cache", str(path)]) for query in queries]
+    assert warm == expected and {rc for rc, _, _ in expected} == {0}
+    assert loaded == [1] * len(queries)
+    assert path.read_text() == saved_caches[n]
+
+
+def test_warm_miss_saves_what_load_compute_save_writes(saved_caches, tmp_path, capsys):
+    # a key the file lacks loads the whole memo, and the query saves it with
+    # its new entries, as the memo loaded, computed on and saved
+    n = 4
+    index = "0,0,5,0,0,2,0,0,0,0,0,0"
+    path = tmp_path / "memo.cache"
+    path.write_text(saved_caches[n])
+    eng = CorrelatorEngine(n)
+    eng.memo = load_cache(path, n)
+    assert ((0, 0, 5, 0, 0), (2,) + (0,) * 6) not in eng.memo
+    eng.correlator_tau(list(map(int, index.split(","))))
+    reference = tmp_path / "reference.cache"
+    save_cache(reference, n, eng.memo)
+    query = ["correlator", "--n", str(n), "--tau-index", index]
+    expected = run_capture(capsys, query)
+    assert run_capture(capsys, query + ["--cache", str(path)]) == expected == (0, "-624\n", "")
+    assert path.read_bytes() == reference.read_bytes() != saved_caches[n].encode()
 
 
 def test_conics_command(capsys):
@@ -1272,16 +1376,47 @@ def test_cache_header_dimension_passes_the_dimension_gate(tmp_path, capsys, n):
         assert run_capture(capsys, info + ["--format", fmt]) == (1, "", "error: %s\n" % message)
 
 
+HIT4 = "4|0,0,7,0,0|0,0,0,0,0,0,0|3\n"  # the record of TAU4's key
+CORRUPT_CACHES = [
+    ("qq22-cache 1\n" + HIT4, "line 1: not a cache file header"),
+    # faults after the queried key's record, which a query still reports
+    ("qq22-cache 1 n=4\n" + HIT4 * 2, "line 3: duplicate key"),
+    (
+        "qq22-cache 1 n=4\n" + HIT4 + "4|0,0,6,0,0|0,0,0,0,0,0,0|3/1\n",
+        "line 3: '3/1' is not the text save_cache writes",
+    ),
+    (
+        "qq22-cache 1 n=4\n" + HIT4 + "4|0,0,6,0,0|0,0,0,0,0,0,0|3\n4|0,0,05,0,0|0,0,0,0,0,0,0|3\n",
+        "line 4: '0,0,05,0,0' is not the text save_cache writes",
+    ),
+    ("qq22-cache 1 n=4\n" + HIT4 + "4|0,0,6,0,-1|0,0,0,0,0,0,0|3\n", "line 3: negative exponent"),
+    (
+        "qq22-cache 1 n=4\n" + HIT4 + "4|0,0,6,0,0|0,0,0,0,0,0,1|3\n",
+        "line 3: primitive exponents not sorted descending",
+    ),
+    ("qq22-cache 1 n=4\n" + HIT4 + "4|0,0,6,0,0|0,0,0,0,0,0,0\n", "line 3: expected 4 fields"),
+    ("qq22-cache 1 n=4\n" + HIT4 + "4|0,0,6,0,0|0,0,0,0,0,0,0|3", "line 3: truncated record"),
+    (
+        "qq22-cache 1 n=4\n" + HIT4 + "6|0,0,6,0,0|0,0,0,0,0,0,0|3\n",
+        "line 3: record does not match n=4",
+    ),
+]
+
+
 def test_corrupt_cache_exit_codes(tmp_path, capsys):
     # validation is cache-info's check, so a file that fails it is a
-    # mismatch (1); to a query it is bad input (2)
+    # mismatch (1); to a query it is bad input (2), reported before the
+    # query's own index is read, and whether or not the file holds its key
     path = tmp_path / "bad.cache"
-    path.write_text("qq22-cache 1\n4|0,0,7,0,0|0,0,0,0,0,0,0|3\n")
-    message = "error: line 1: not a cache file header\n"
     info = ["cache-info", "--cache", str(path)]
-    query = ["correlator", "--n", "4", "--tau-index", "0,0,7,0,0,0,0,0,0,0,0,0", "--cache", str(path)]
-    assert run_capture(capsys, info) == (1, "", message)
-    assert run_capture(capsys, query) == (2, "", message)
+    for text, message in CORRUPT_CACHES:
+        path.write_text(text)
+        message = "error: %s\n" % message
+        assert run_capture(capsys, info) == (1, "", message)
+        for index in (TAU4, TAU4 + "x"):
+            query = ["correlator", "--n", "4", "--tau-index", index, "--cache", str(path)]
+            assert run_capture(capsys, query) == (2, "", message)
+        assert path.read_text() == text
 
 
 def test_console_entry_point():
