@@ -21,7 +21,6 @@ from .geometry import (
     intersection_number,
     no_conic_through_meeting_points,
     only_base_plane_meets_all_windows,
-    plane_meeting_system,
     plucker_relations,
     window_sum_inequality,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "mat_rank",
     "no_conic_through_meeting_points",
     "only_base_plane_meets_all_windows",
-    "plane_meeting_system",
     "plucker_relations",
     "poly_gcd",
     "semisimple_scan",

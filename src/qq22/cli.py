@@ -46,7 +46,13 @@ CACHE_ENV = "QH22_CACHE"
 
 
 def _parse_list(text, kind):
-    return tuple(kind(v) for v in text.split(","))
+    out = []
+    for v in text.split(","):
+        try:
+            out.append(kind(v))
+        except ZeroDivisionError:
+            raise ValueError("parameter %r has a zero denominator" % v) from None
+    return tuple(out)
 
 
 def _engine_with_cache(n, cache_path, key):

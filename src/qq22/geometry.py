@@ -14,9 +14,9 @@ triple is the 4x4 minor of the cutting forms on the other four columns); the
 meeting system and the unflipped plane's vector are Vandermonde closed forms.
 Both are built on ints at mu = D lam, D the common denominator of lam: row
 4j+k of the system is homogeneous of degree 3+k and each coordinate of
-degree 6, so the public functions divide by D^(3+k) and D^6.  The pipeline
-and the rigidity check use the integer rows as they are, since scaling a
-row changes neither the kernel nor which residuals vanish.
+degree 6, so they are D^(3+k) and D^6 times their values at lam.  The
+pipeline and the rigidity check use the integer rows as they are, since
+scaling a row changes neither the kernel nor which residuals vanish.
 Matrices are plain row lists, as in ``matrices``.
 """
 
@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .matrices import mat_det, mat_nullspace, mat_rank
+from .matrices import _int_rows, mat_det, mat_nullspace, mat_rank
 from .model import check_dimension
 from .polynomials import UniPoly, poly_gcd
 from .scalars import as_fraction, as_ints
@@ -183,15 +183,6 @@ def evaluate_relation(rel, v):
     return sum(sign * v[p1] * v[p2] for sign, p1, p2 in rel)
 
 
-def relation_gradient(rel, v):
-    """Gradient of a quadratic relation at v, as a length-35 row."""
-    grad = [0] * len(TRIPLES)
-    for sign, p1, p2 in rel:
-        grad[p1] += sign * v[p2]
-        grad[p2] += sign * v[p1]
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # the linear system forcing a plane to meet the seven flipped planes
 
@@ -236,7 +227,16 @@ def _integer_base_plane(lams):
 
 
 def _integer_meeting_system(lams):
-    """``plane_meeting_system`` at mu = D lam, and D: row 4j+k is D^(3+k) times the true row."""
+    """28 x 35 system (a plane meets all seven flipped planes) at mu = D lam, and D.
+
+    Block j (rows 4j..4j+3) demands rank <= 6 of the flipped cut equations
+    stacked over the unknown plane's own cut equations.  Row k drops power
+    3-k, and the Laplace sign (-1)^{s1+s2+s3+1} at S = (s1, s2, s3) times the
+    3x3 minor of the other powers on S gives the entry.  With (a, b, c) the
+    parameters on S that minor is a Vandermonde product times e_k:
+    (-1)^{|S & {j, j+1 mod 7}|} (b-a)(c-a)(c-b) e_k(a, b, c).  Row 4j+k is
+    D^(3+k) times the row at lam.
+    """
     mu, d = _integer_lams(lams)
     rows = [[] for _ in range(28)]
     for tri in TRIPLES:
@@ -248,20 +248,6 @@ def _integer_meeting_system(lams):
             for k in range(4):
                 rows[4 * j + k].append((-1) ** flips * vdm * elem[k])
     return rows, d
-
-
-def plane_meeting_system(lams):
-    """28 x 35 system: a plane meets all seven flipped planes.
-
-    Block j (rows 4j..4j+3) demands rank <= 6 of the flipped cut equations
-    stacked over the unknown plane's own cut equations.  Row k drops power
-    3-k, and the Laplace sign (-1)^{s1+s2+s3+1} at S = (s1, s2, s3) times the
-    3x3 minor of the other powers on S gives the entry.  With (a, b, c) the
-    parameters on S that minor is a Vandermonde product times e_k:
-    (-1)^{|S & {j, j+1 mod 7}|} (b-a)(c-a)(c-b) e_k(a, b, c).
-    """
-    rows, d = _integer_meeting_system(lams)
-    return [[Fraction(x, d ** (3 + r % 4)) for x in row] for r, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -638,30 +624,39 @@ def conic_pipeline(lams=CASE_LAMS) -> VerificationReport:
     return rep
 
 
+def _tangent_basis(ec, p):
+    """Basis of the kernel of ec stacked over the exchange-relation gradients at p.
+
+    With K an integer basis of ker ec (one vector k per row), that kernel is
+    K^T ker M, M = (gradients at p) K^T: sum sign (p_i k_j + p_j k_i) per entry.
+    """
+    kern, _, _ = _int_rows(mat_nullspace(ec))
+    m = [[sum(s * (p[i] * k[j] + p[j] * k[i]) for s, i, j in rel) for k in kern] for rel in plucker_relations()]
+    return [[sum(c * k[t] for c, k in zip(v, kern)) for t in range(len(p))] for v in mat_nullspace(m)]
+
+
 def dual_uniqueness(lams=CASE_LAMS) -> VerificationReport:
     """First-order rigidity of the main plane solution.
 
-    Stacks the meeting system with the exchange-relation gradients at the
-    main solution; the kernel must be the scaling line, so the only
-    first-order deformations over Q[eps]/(eps^2) are unit multiples.
+    The tangent space at the main solution p, the kernel of the meeting
+    system stacked over the exchange-relation gradients at p, must be the
+    scaling line: then the only first-order deformations over Q[eps]/(eps^2)
+    are unit multiples.  It is exactly K^T ker M (``_tangent_basis``), and p
+    lies in it by Euler's identity (gradient . p = 2 q(p) = 0 for each
+    relation q), so rank M = 6 means it is the scaling line.
     """
     lams = _check_case_lams(lams)
     rep = VerificationReport()
-    p = list(PLANE_SOLUTION_MAIN)
+    p = PLANE_SOLUTION_MAIN
     ec, _ = _integer_meeting_system(lams)
-    kern = mat_nullspace(ec + [relation_gradient(rel, p) for rel in plucker_relations()])
+    kern = _tangent_basis(ec, p)
     rep.check("tangent space is one-dimensional", len(kern) == 1, 1, len(kern))
     if len(kern) == 1:
-        ok = _proportional(kern[0], p)
-        rep.check("tangent direction is the scaling line", ok, "multiple of solution", "other")
+        rep.check("tangent direction is the scaling line", _proportional(kern[0], p), "multiple of solution", "other")
     for c1, t1, c2, t2 in DUAL_IDEAL_GENERATORS:
         lhs = c1 * p[TRIPLE_POS[t1]] + c2 * p[TRIPLE_POS[t2]]
-        rep.check(
-            "tangent relation %s x_%s %+d x_%s" % (c1, "".join(map(str, t1)), c2, "".join(map(str, t2))),
-            lhs == 0,
-            0,
-            lhs,
-        )
+        name = "tangent relation %s x_%s %+d x_%s" % (c1, "".join(map(str, t1)), c2, "".join(map(str, t2)))
+        rep.check(name, lhs == 0, 0, lhs)
     # over Q[eps]/(eps^2) a form of degree d takes the value (1+eps)^d v(p)
     # at (1+eps) p, and (1+eps)^d is a unit, so that value vanishes exactly
     # when v(p) = 0: both dual-number checks evaluate at p itself

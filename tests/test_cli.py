@@ -1266,8 +1266,10 @@ def test_cached_query_and_cache_info_are_pinned(
         (["cache-info"], "no cache path given\n"),
         (["conics", "--lambda", "1,2,3,4,5,6,8"],
          "error: pipeline verification data exists only for (1,...,7)\n"),
+        (["conics", "--lambda", "1,2,3,4,5,6,7/0"],
+         "error: parameter '7/0' has a zero denominator\n"),
     ],
-    ids=["lattice", "cache-info", "conics"],
+    ids=["lattice", "cache-info", "conics", "conics-zero-denominator"],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_cli_usage_failure_is_pinned(capsys, monkeypatch, argv, err, fmt):

@@ -8,6 +8,8 @@ from qq22 import geometry as geo
 from qq22.matrices import mat_det, mat_nullspace, mat_rank
 from qq22.polynomials import UniPoly
 
+from meeting import plane_meeting_system
+
 
 # A second route to the Plucker objects, by generic minors: the package
 # builds the meeting system and the unflipped plane's vector from closed
@@ -213,7 +215,7 @@ def _closed_form_sample_lams():
 def test_closed_forms_match_minors():
     # the closed forms equal the generic minors exactly, element type included
     for lams in _closed_form_sample_lams():
-        got, want = geo.plane_meeting_system(lams), minor_meeting_system(lams)
+        got, want = plane_meeting_system(lams), minor_meeting_system(lams)
         assert got == want
         assert all(type(v) is Fraction for row in got + want for v in row)
 
@@ -221,7 +223,7 @@ def test_closed_forms_match_minors():
 def test_integer_core_scales_the_fraction_view():
     # the integer rows and base-plane vector are built at mu = D lam; row
     # 4j+k is homogeneous of degree 3+k and the vector of degree 6, so
-    # dividing by those powers of D gives the public meeting system and the
+    # dividing by those powers of D gives the meeting system at lam and the
     # base plane's minors, as Fractions
     denominators = set()
     for lams in _closed_form_sample_lams():
@@ -232,7 +234,7 @@ def test_integer_core_scales_the_fraction_view():
         view = [[Fraction(x, d ** (3 + r % 4)) for x in row] for r, row in enumerate(rows)]
         base = [Fraction(x, d**6) for x in vec]
         for got, want in (
-            (view, geo.plane_meeting_system(lams)),
+            (view, plane_meeting_system(lams)),
             (view, minor_meeting_system(lams)),
             ([base], [cutting_pluckers(base_plane_cut_matrix(lams))]),
         ):
@@ -249,7 +251,7 @@ def test_parameters_pass_the_exact_scalar_gate():
             geo.dual_uniqueness,
             geo.no_conic_through_meeting_points,
             geo.conic_plane_in_conjectural_quadric,
-            geo.plane_meeting_system,
+            geo._integer_meeting_system,
             geo._integer_base_plane,
         ):
             with pytest.raises(TypeError, match="parameter must be int or Fraction"):
@@ -275,7 +277,7 @@ def test_lattice_functions_check_the_dimension():
 
 
 def test_meeting_system_shape_and_solutions():
-    ec = geo.plane_meeting_system(range(1, 8))
+    ec = plane_meeting_system(range(1, 8))
     assert len(ec) == 28 and all(len(row) == 35 for row in ec)
     assert len(mat_nullspace(ec)) == 7
     for table in (geo.PLANE_SOLUTION_MAIN, geo.PLANE_SOLUTION_BASE):
@@ -292,7 +294,7 @@ def test_meeting_system_shape_and_solutions():
     )
     assert ec[3][0] == expect
     with pytest.raises(ValueError):
-        geo.plane_meeting_system([1, 1, 2, 3, 4, 5, 6])
+        plane_meeting_system([1, 1, 2, 3, 4, 5, 6])
 
 
 def test_q_substitution_structure():
@@ -300,7 +302,7 @@ def test_q_substitution_structure():
     # powers-(0,1,2) row of each block into +-1 entries and the
     # powers-(1,2,3) row into +- products of three parameters
     lams = [Fraction(v) for v in range(1, 8)]
-    ec = geo.plane_meeting_system(lams)
+    ec = plane_meeting_system(lams)
     signs = []
     for pos, tri in enumerate(geo.TRIPLES[:4]):
         a, b, c = (lams[i] for i in tri)
@@ -438,7 +440,7 @@ def test_quadric_scalings():
 def test_dual_number_system_dimension():
     # the meeting system leaves seven free parameters: its rational kernel
     # has seven independent vectors, each solving the system
-    ec = geo.plane_meeting_system(range(1, 8))
+    ec = plane_meeting_system(range(1, 8))
     rational = mat_nullspace(ec)
     span = {tuple(v) for v in rational}
     for vec in rational:

@@ -11,6 +11,8 @@ from qq22.polynomials import UniPoly, padd, pmul, pscale
 from qq22.scalars import GaussianRational
 from qq22.semisimple import cutoff_matrix, sample_point
 
+from meeting import plane_meeting_system, relation_gradient
+
 
 def rand_matrix(rng, rows, cols, span=5):
     return [[Fraction(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
@@ -333,7 +335,7 @@ def test_large_entries_match_field_route():
 
 
 def test_meeting_system_matches_field_route():
-    ec = geo.plane_meeting_system(range(1, 8))
+    ec = plane_meeting_system(range(1, 8))
     assert (len(ec), len(ec[0])) == (28, 35)
     assert_matches_field_route(ec)
     square = [row[:28] for row in ec]
@@ -341,13 +343,34 @@ def test_meeting_system_matches_field_route():
 
 
 def test_rigidity_stack_matches_field_route():
-    ec = geo.plane_meeting_system(geo.CASE_LAMS)
-    p = geo.PLANE_SOLUTION_MAIN
-    stack = ec + [geo.relation_gradient(rel, p) for rel in geo.plucker_relations()]
-    assert (len(stack), len(stack[0])) == (763, 35)
-    kernel = mat_nullspace(stack)
-    assert mat_rank(stack) == 34 and len(kernel) == 1
-    assert kernel == field_nullspace(stack)
+    # dual_uniqueness reads the kernel of the 763 x 35 stack (meeting system
+    # over the exchange-relation gradients at p) off the 7-dimensional
+    # kernel of the meeting system.  The two spans agree for every p and
+    # every system, so they are compared at both solution tables, at seeded
+    # points that solve nothing, and, at the tables, for the first block of
+    # the system alone, whose larger kernel leaves an 11-dimensional stack
+    # kernel that the scaling line alone cannot fill
+    ec = plane_meeting_system(geo.CASE_LAMS)
+    ec_int, _ = geo._integer_meeting_system(geo.CASE_LAMS)
+    rng = random.Random(32)
+    tables = [geo.PLANE_SOLUTION_MAIN, geo.PLANE_SOLUTION_BASE]
+    points = [[rng.randint(-3, 3) for _ in geo.TRIPLES] for _ in range(3)]
+    assert all(all(geo._residuals(ec_int, p)) for p in points)
+    cases = [(ec, ec_int, p) for p in tables + points]
+    cases += [(ec[:4], ec_int[:4], p) for p in tables]
+    dims = []
+    for rows, rows_int, p in cases:
+        stack = rows + [relation_gradient(rel, p) for rel in geo.plucker_relations()]
+        assert len(stack[0]) == 35 and len(stack) == len(rows) + 735
+        kernel = mat_nullspace(stack)
+        if p is geo.PLANE_SOLUTION_MAIN and rows is ec:
+            assert mat_rank(stack) == 34 and len(kernel) == 1
+            assert kernel == field_nullspace(stack)
+        basis = geo._tangent_basis(rows_int, p)
+        assert len(basis) == len(kernel)
+        assert mat_rank(kernel + basis) == len(kernel)
+        dims.append(len(kernel))
+    assert dims == [1, 1, 0, 0, 0, 11, 11]
 
 
 def assert_charpoly_matches_field_route(m):
