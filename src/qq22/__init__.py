@@ -29,7 +29,6 @@ from .model import (
     ambient_3pt_tau,
     check_dimension,
     eta_inverse,
-    eta_pairing,
     euler_field,
     t_to_tau,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "dual_uniqueness",
     "epsilon_gram",
     "eta_inverse",
-    "eta_pairing",
     "euler_field",
     "intersection_dim",
     "intersection_number",

@@ -630,7 +630,7 @@ def _tangent_basis(ec, p):
     With K an integer basis of ker ec (one vector k per row), that kernel is
     K^T ker M, M = (gradients at p) K^T: sum sign (p_i k_j + p_j k_i) per entry.
     """
-    kern, _, _ = _int_rows(mat_nullspace(ec))
+    kern, _ = _int_rows(mat_nullspace(ec))
     m = [[sum(s * (p[i] * k[j] + p[j] * k[i]) for s, i, j in rel) for k in kern] for rel in plucker_relations()]
     return [[sum(c * k[t] for c, k in zip(v, kern)) for t in range(len(p))] for v in mat_nullspace(m)]
 

@@ -2,19 +2,16 @@
 
 A matrix is a list of equal-length rows.  Every routine copies its input,
 rejects a ragged one and takes ``int`` and ``Fraction`` entries only: the
-shared gate in ``scalars`` makes anything else a TypeError.  All four
-routines run on Python ints.  Rank, nullspace and determinant scale each row
-by the lcm of its denominators, which leaves the row space unchanged.  Rank
-and nullspace share one integer Gauss-Jordan reduction that keeps every row
-primitive; a ``Fraction`` is formed only for a nullspace entry.  The
-determinant runs Bareiss's fraction-free elimination (Math. Comp. 22 (1968)
-565-578) with exact ``//`` and divides by the row scales once, at the end.
-The characteristic polynomial scales the whole matrix by one common
-denominator, which scales the eigenvalues, and runs Berkowitz's
-division-free recurrence (Inf. Process. Lett. 18 (1984) 147-150): O(N^4)
-integer operations, fewer on sparse input, as its products skip zero
-entries.  Its coefficients become ``Fraction`` only at the end.  No float
-appears.
+shared gate in ``scalars`` makes anything else a TypeError.  All routines
+run on Python ints.  Rank and nullspace scale each row by the lcm of its
+denominators, which leaves the row space unchanged, and share one integer
+Gauss-Jordan reduction that keeps every row primitive; a ``Fraction`` is
+formed only for a nullspace entry.  The characteristic polynomial scales the
+whole matrix by one common denominator, which scales the eigenvalues, and
+runs Berkowitz's division-free recurrence (Inf. Process. Lett. 18 (1984)
+147-150): O(N^4) integer operations, fewer on sparse input, as its products
+skip zero entries.  Its coefficients become ``Fraction`` only at the end.
+The determinant is (-1)^N times its constant term.  No float appears.
 """
 
 from __future__ import annotations
@@ -30,21 +27,18 @@ from .scalars import check_rational
 def _int_rows(a):
     """Integer copy of a row list: each row times the lcm of its denominators.
 
-    Returns (rows, product of the row scales, number of columns).  An entry
-    that is not ``int`` or ``Fraction`` is a TypeError; a ragged input is a
-    ValueError.
+    Returns (rows, number of columns).  An entry that is not ``int`` or
+    ``Fraction`` is a TypeError; a ragged input is a ValueError.
     """
     rows = []
-    scale = 1
     for row in a:
         check_rational(row, "matrix entry")
         den = lcm(*[v.denominator for v in row])
         rows.append([v.numerator * (den // v.denominator) for v in row])
-        scale *= den
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ValueError("ragged matrix")
-    return rows, scale, cols
+    return rows, cols
 
 
 def _rref(rows, cols):
@@ -87,32 +81,8 @@ def _rref(rows, cols):
 
 def mat_rank(a) -> int:
     """Rank: the number of pivots of the reduced row echelon form."""
-    rows, _, cols = _int_rows(a)
+    rows, cols = _int_rows(a)
     return len(_rref(rows, cols))
-
-
-def mat_det(a) -> Fraction:
-    """Determinant by Bareiss elimination on the integer rows (square input)."""
-    m, scale, n = _int_rows(a)
-    if len(m) != n:
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for r in range(n):
-        piv = next((i for i in range(r, n) if m[i][r]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        prow = m[r]
-        p = prow[r]
-        # every entry is a minor of the scaled input, so // is exact
-        for i in range(r + 1, n):
-            a = m[i][r]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], prow)]
-        prev = p
-    return Fraction(sign * prev, scale)
 
 
 def mat_nullspace(a):
@@ -121,7 +91,7 @@ def mat_nullspace(a):
     The vector of free column f has 1 at f, 0 at the other free columns and
     minus the reduced row echelon entries at the pivot columns.
     """
-    rows, _, cols = _int_rows(a)
+    rows, cols = _int_rows(a)
     pivots = _rref(rows, cols)
     pivot_set = set(pivots)
     basis = []
@@ -153,7 +123,7 @@ def mat_charpoly(a) -> UniPoly:
         check_rational(row, "matrix entry")
     n = len(rows)
     if any(len(row) != n for row in rows):
-        raise ValueError("characteristic polynomial of a ragged or non-square matrix")
+        raise ValueError("ragged or non-square matrix")
     d = lcm(*[v.denominator for row in rows for v in row])
     b = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
     vec = [1]
@@ -169,3 +139,9 @@ def mat_charpoly(a) -> UniPoly:
             t.append(-sum(x * v[j] for j, x in brow))
         vec = [sum(map(mul, vec[: i + 1], t[i::-1])) for i in range(len(t))]
     return UniPoly(Fraction(vec[n - k], d ** (n - k)) for k in range(n + 1))
+
+
+def mat_det(a) -> Fraction:
+    """Determinant of a square matrix: (-1)^N p_A(0), from ``mat_charpoly``."""
+    p = mat_charpoly(a)
+    return (-1) ** p.degree * p[0]

@@ -8,7 +8,7 @@ ht_i depending on the coordinate system), slots n+1..2n+3 the orthonormal
 middle-dimensional primitive classes.  All basis-dependent constants live in
 this module and nowhere else.  The inverse pairing, the Euler field and the
 t -> tau change are built once per dimension, as the sparse tuples the
-engine reads; ``eta_pairing`` is the dense pairing they are checked against.
+engine reads.
 """
 
 from __future__ import annotations
@@ -44,21 +44,6 @@ def eta_inverse(n: int):
         else:
             rows.append(((n - e, Fraction(1, 4)),))
     return tuple(rows)
-
-
-def eta_pairing(n: int):
-    """Dense pairing matrix (a row list): the explicit inverse of eta_inverse.
-
-    Ambient block: eta_{ab} = <1, a, b>, the three-point value
-    ``ambient_3pt_tau(n, 0, a, b)``; primitive block is the identity.
-    """
-    size = 2 * check_dimension(n) + 4
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for e in range(n + 1):
-        m[e][: n + 1] = [ambient_3pt_tau(n, 0, e, f) for f in range(n + 1)]
-    for e in range(n + 1, size):
-        m[e][e] = Fraction(1)
-    return m
 
 
 @functools.lru_cache(maxsize=None)

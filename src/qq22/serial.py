@@ -205,8 +205,8 @@ def save_cache(path, n, memo):
             lines.append(head + fields[prim] + "|" + polys[group[prim]])
     tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
     try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

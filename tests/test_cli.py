@@ -257,6 +257,26 @@ def test_cache_save_failing_partway_keeps_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.cache"]
 
 
+def test_cache_saved_where_text_mode_writes_crlf_loads_back(tmp_path, monkeypatch):
+    import builtins
+
+    from qq22 import serial
+
+    def windows_open(file, mode="r", **kwargs):
+        # text mode on Windows writes every "\n" as "\r\n"
+        if "b" not in mode:
+            kwargs.setdefault("newline", "\r\n")
+        return builtins.open(file, mode, **kwargs)
+
+    eng = CorrelatorEngine(4)
+    eng.correlator_t([0, 0, 3, 0, 0, 4, 0, 0, 0, 0, 0, 0])
+    path = tmp_path / "memo.cache"
+    monkeypatch.setattr(serial, "open", windows_open, raising=False)
+    save_cache(path, 4, eng.memo)
+    assert load_cache(path, 4) == eng.memo
+    assert b"\r" not in path.read_bytes()
+
+
 def test_cache_version_and_n_mismatch(tmp_path):
     path = tmp_path / "memo.cache"
     save_cache(path, 4, {})

@@ -677,19 +677,6 @@ def _index_triple(exponents):
     return a, b, c
 
 
-def test_index_triple_examples():
-    # the reference search on hand-picked keys, including the two it refuses
-    assert _index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
-    assert _index_triple((2, 2, 2, 2, 2, 0, 0)) == (0, 1, 5)
-    assert _index_triple((2,) * 7) == (0, 1, 2)
-    # nonzero reduction coefficient for the all-equal case, n = 4
-    inner_size = 14 - 2
-    assert Fraction(2 * inner_size - 4, 3) - 2 * 2 != 0
-    for single in ((5, 0, 0, 0, 0, 0, 0), (1,) * 7):
-        with pytest.raises(ValueError):
-            _index_triple(single)
-
-
 class PrimitiveStepRecorder(CorrelatorEngine):
     """Records every key that reaches ``_primitive_step`` with the slots
     (a, b, c) it reduces by."""
@@ -709,7 +696,14 @@ class PrimitiveStepRecorder(CorrelatorEngine):
 def test_primitive_step_reads_its_slots_off_the_canonical_key():
     # every key that reaches the primitive step, in the swept memos, the
     # n = 10 quadratic and the first purely primitive layer at n = 4 and 6,
-    # is canonical, and its slots are those of the general search
+    # is canonical, and its slots are those of the general search.  First the
+    # search itself, on hand-picked keys and the two it refuses
+    assert _index_triple((3, 2, 1, 0, 0, 0, 0)) == (0, 1, 3)
+    assert _index_triple((2, 2, 2, 2, 2, 0, 0)) == (0, 1, 5)
+    assert _index_triple((2,) * 7) == (0, 1, 2)
+    for single in ((5, 0, 0, 0, 0, 0, 0), (1,) * 7):
+        with pytest.raises(ValueError):
+            _index_triple(single)
     engines = [_swept(PrimitiveStepRecorder, n, lmax) for n, lmax in SWEEPS]
     quadratic = PrimitiveStepRecorder(10)
     assert quadratic.conjecture_quadratic().is_zero()

@@ -234,7 +234,6 @@ def test_integer_core_scales_the_fraction_view():
         view = [[Fraction(x, d ** (3 + r % 4)) for x in row] for r, row in enumerate(rows)]
         base = [Fraction(x, d**6) for x in vec]
         for got, want in (
-            (view, plane_meeting_system(lams)),
             (view, minor_meeting_system(lams)),
             ([base], [cutting_pluckers(base_plane_cut_matrix(lams))]),
         ):

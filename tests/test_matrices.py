@@ -19,8 +19,8 @@ def rand_matrix(rng, rows, cols, span=5):
 
 
 # Second route: Gauss-Jordan, Bareiss and the Hessenberg characteristic
-# polynomial over Q on Fraction entries, the field elimination the integer
-# routines replaced.
+# polynomial over Q on Fraction entries.  mat_det reads its value off
+# Berkowitz's recurrence, so field_det is the route that checks both.
 
 def field_rref(a):
     """Reduced row echelon form over Q; returns (rows, pivot columns)."""
@@ -266,7 +266,8 @@ def test_cayley_hamilton_random():
 
 
 def test_charpoly_matches_det_on_sparse_matrices():
-    # det(z0 I - A) by Bareiss is an independent route to p(z0); the sparse
+    # det(z0 I - A) by field_det's Bareiss elimination is an independent
+    # route to p(z0); the sparse
     # entries and zeroed subdiagonals give Berkowitz's recurrence zero
     # columns C and powers B^k C that vanish early
     rng = random.Random(33)
@@ -290,7 +291,7 @@ def test_charpoly_matches_det_on_sparse_matrices():
                 shifted = [
                     [(z0 if i == j else 0) - m[i][j] for j in range(size)] for i in range(size)
                 ]
-                assert p(z0) == mat_det(shifted)
+                assert p(z0) == field_det(shifted)
 
 
 def test_charpoly_of_int_matrix_has_fraction_coefficients():
@@ -304,7 +305,7 @@ def test_det_matches_charpoly_constant():
     for size in range(1, 6):
         m = rand_matrix(rng, size, size, span=4)
         p = mat_charpoly(m)
-        assert mat_det(m) == (-1) ** size * p[0]
+        assert mat_det(m) == field_det(m) == (-1) ** size * p[0]
 
 
 def test_det_returns_fraction_on_every_path():

@@ -20,7 +20,6 @@ from qq22.model import (
     ambient_3pt_tau,
     check_dimension,
     eta_inverse,
-    eta_pairing,
     euler_field,
     t_to_tau,
 )
@@ -47,7 +46,6 @@ UNOPENED = "no-such-directory/memo.cache"
 GATED = {
     "CorrelatorEngine": CorrelatorEngine,
     "eta_inverse": eta_inverse,
-    "eta_pairing": eta_pairing,
     "t_to_tau": t_to_tau,
     "euler_field": euler_field,
     "ambient_3pt_tau": lambda n: ambient_3pt_tau(n, 0, 1, 3),
@@ -85,6 +83,21 @@ def test_eta_inverse_entries_n4():
     for row in eta_inverse(4):
         assert [f for f, _ in row] == sorted(f for f, _ in row)
         assert all(v for _, v in row)
+
+
+def eta_pairing(n):
+    """Dense pairing matrix (a row list), built independently of eta_inverse.
+
+    Ambient block: eta_{ab} = <1, a, b>, the three-point value
+    ``ambient_3pt_tau(n, 0, a, b)``; primitive block is the identity.
+    """
+    size = 2 * n + 4
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for e in range(n + 1):
+        m[e][: n + 1] = [ambient_3pt_tau(n, 0, e, f) for f in range(n + 1)]
+    for e in range(n + 1, size):
+        m[e][e] = Fraction(1)
+    return m
 
 
 def test_eta_inverse_times_pairing_is_identity():
