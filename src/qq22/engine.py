@@ -40,10 +40,9 @@ Checked, not proved: a nonzero value whose primitive exponents are all even
 (ambient-only keys included) has only even powers of x, and one whose are all
 odd only odd powers; the tests check every key of the memos after f, the
 quadratic identity and ``convergence_witness`` at (n, lmax) = (4, 7), (6, 7),
-(8, 6), and of the memo of ``convergence_witness`` alone at (4, 10), which
-holds 16 all-odd nonzero keys.  The witness seeds keys by length, then by
-ambient part (by weight), then by primitive part, in the orders of
-``_ambient_exponents`` and ``_prim_partitions``.
+(8, 6) and (4, 10); the last holds 16 all-odd nonzero keys.  The witness
+seeds keys by length, then by ambient part (by weight), then by primitive
+part, in the orders of ``_ambient_exponents`` and ``_prim_partitions``.
 
 Checked, not proved: the purely primitive correlators of total exponent
 2n + 2, the first nonzero layer above length 4, have a closed form.  Their
@@ -61,11 +60,12 @@ are safe under CPython and always agree.  A contraction's A side, the
 correlators at a + e for every slot e, depends on a only through its
 canonical base (ambient part, primitive part sorted), so ``_base_row`` looks
 those values up once per base into ``_bases``, a write-once map too, and
-``_contract`` reads a's slots off that entry.  The dimension axiom leaves at
-most two ambient slots, and either every primitive slot or none, with an
-integral curve degree (``_excess``); every other slot's key is written as
-zero without a lookup.  The cache adds and drops no memo key, so the memo is
-the same with or without it.
+``_contract`` reads a's slots off that entry in one loop: the ambient slots,
+then each primitive slot with the value stored for its exponent.  The
+dimension axiom leaves at most two ambient slots, and either every primitive
+slot or none, with an integral curve degree (``_excess``); every other slot's
+key is written as zero without a lookup.  The cache adds and drops no memo
+key, so the memo is the same with or without it.
 """
 
 from __future__ import annotations
@@ -321,7 +321,9 @@ class CorrelatorEngine:
         at a + e, b + f.
 
         A_e is read off the ``_bases`` entry of a's canonical base, filled
-        by ``_base_row`` on a miss.  The sum runs over 4 eta, an int, and
+        by ``_base_row`` on a miss: one loop runs over the entry's ambient
+        pairs followed by a's primitive slots, each with the value stored
+        for its exponent.  The sum runs over 4 eta, an int, and
         ``_extract`` divides its total by 4 once; the constant terms, almost
         all of them, skip the polynomial product.
         """
@@ -333,6 +335,8 @@ class CorrelatorEngine:
         if cached is None:
             cached = self._bases.setdefault(base, self._base_row(*base))
         pairs, by_exp = cached
+        if by_exp:
+            pairs += tuple((s, by_exp[v]) for s, v in enumerate(a[na:], na) if v in by_exp)
         const = 0
         total = PZERO
         for e, av in pairs:
@@ -343,17 +347,6 @@ class CorrelatorEngine:
                         const += c * av[0] * bv[0]
                     else:
                         total = padd(total, pscale(c, pmul(av, bv)))
-        if by_exp:
-            for s in range(na, len(a)):
-                av = by_exp.get(a[s])
-                if av:
-                    for f, c in self._eta4_rows[s]:
-                        bv = self._at(b, f)
-                        if bv:
-                            if len(av) == 1 == len(bv):
-                                const += c * av[0] * bv[0]
-                            else:
-                                total = padd(total, pscale(c, pmul(av, bv)))
         if const:
             total = padd((const,), total)
         return total

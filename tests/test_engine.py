@@ -240,7 +240,7 @@ class PlainContractEngine(CorrelatorEngine):
         return total
 
 
-SWEEPS = [(4, 7), (6, 7), (8, 6)]
+SWEEPS = [(4, 7), (6, 7), (8, 6), (4, 10)]
 
 
 def _swept(cls, n, lmax):
@@ -325,18 +325,13 @@ def test_excess_matches_its_definition(n):
         assert _excess(n, tuple(amb), room) == plain
 
 
-@pytest.mark.parametrize("n, lmax", SWEEPS + [(4, 10)])
+@pytest.mark.parametrize("n, lmax", SWEEPS)
 def test_values_have_the_parity_of_their_primitive_exponents(n, lmax, swept_main):
     # the x-parity rule: a nonzero value whose primitive exponents are all
     # even (ambient-only keys included) has only even powers of x, and one
-    # whose exponents are all odd only odd powers.  Each swept memo holds one
-    # all-odd nonzero key; the witness memo at (4, 10) alone holds 16
-    if (n, lmax) in SWEEPS:
-        memo = swept_main(n, lmax).memo
-    else:
-        eng = CorrelatorEngine(n)
-        convergence_witness(n, lmax, eng)
-        memo = eng.memo
+    # whose exponents are all odd only odd powers.  The swept memos at
+    # lmax <= 7 hold one all-odd nonzero key each; the one at (4, 10) holds 16
+    memo = swept_main(n, lmax).memo
     nonzero = [(prim, value) for (_, prim), value in memo.items() if value]
     odd = [prim[-1] & 1 for prim, _ in nonzero]
     assert all(len({v & 1 for v in prim}) == 1 for prim, _ in nonzero)

@@ -89,6 +89,23 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def _is_inexact(node):
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (float, complex)
+    return isinstance(node, ast.Name) and node.id in ("float", "complex")
+
+
+def test_package_has_no_floats():
+    # all arithmetic is exact: no module has a float or complex literal or
+    # names the float or complex type
+    found = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in _nodes(ast.parse(path.read_text()), _is_inexact)
+    ]
+    assert found == []
+
+
 def test_each_rule_has_one_home():
     # the int-or-Fraction test lives in qq22.scalars (RATIONAL, check_rational,
     # as_fraction), the --format choice in cli._report and the dimension rule
