@@ -12,7 +12,7 @@ identities, the freeness determinant and the first-order rigidity check.
 Plucker vectors use one convention, the cutting one (the coordinate at a
 triple is the 4x4 minor of the cutting forms on the other four columns); the
 meeting system and the unflipped plane's vector are Vandermonde closed forms.
-Both are built on ints at mu = D lam, D the common denominator of lam: row
+Both are built on ints at mu = D lam (``scalars.scaled_ints``): row
 4j+k of the system is homogeneous of degree 3+k and each coordinate of
 degree 6, so they are D^(3+k) and D^6 times their values at lam.  The
 pipeline and the rigidity check use the integer rows as they are, since
@@ -28,10 +28,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .matrices import _int_rows, mat_det, mat_nullspace, mat_rank
+from .matrices import mat_det, mat_nullspace, mat_rank
 from .model import check_dimension
 from .polynomials import UniPoly, poly_gcd
-from .scalars import as_fraction, as_ints
+from .scalars import as_fraction, as_ints, scaled_ints
 
 # ---------------------------------------------------------------------------
 # plane lattice combinatorics
@@ -200,13 +200,6 @@ def _vandermonde(values):
     return math.prod(v - u for u, v in itertools.combinations(values, 2))
 
 
-def _integer_lams(lams):
-    """The checked parameters times their common denominator D, as ints, and D."""
-    lams = _check_lams(lams)
-    d = math.lcm(*(v.denominator for v in lams))
-    return [v.numerator * (d // v.denominator) for v in lams], d
-
-
 def flipped_cut_matrix(lams, j):
     """Power-sum equations (exponents 0..3) with signs flipped on j, j+1 (mod 7)."""
     lams = _check_lams(lams)
@@ -222,7 +215,7 @@ def _integer_base_plane(lams):
     (exponents 0..3) on the four columns not in S: the Vandermonde product
     prod_{p<q} (mu_q - mu_p) over those columns.
     """
-    mu, d = _integer_lams(lams)
+    mu, d = scaled_ints(_check_lams(lams))
     return [_vandermonde([v for c, v in enumerate(mu) if c not in tri]) for tri in TRIPLES], d
 
 
@@ -237,7 +230,7 @@ def _integer_meeting_system(lams):
     (-1)^{|S & {j, j+1 mod 7}|} (b-a)(c-a)(c-b) e_k(a, b, c).  Row 4j+k is
     D^(3+k) times the row at lam.
     """
-    mu, d = _integer_lams(lams)
+    mu, d = scaled_ints(_check_lams(lams))
     rows = [[] for _ in range(28)]
     for tri in TRIPLES:
         a, b, c = (mu[i] for i in tri)
@@ -630,7 +623,7 @@ def _tangent_basis(ec, p):
     With K an integer basis of ker ec (one vector k per row), that kernel is
     K^T ker M, M = (gradients at p) K^T: sum sign (p_i k_j + p_j k_i) per entry.
     """
-    kern, _ = _int_rows(mat_nullspace(ec))
+    kern = [scaled_ints(k)[0] for k in mat_nullspace(ec)]
     m = [[sum(s * (p[i] * k[j] + p[j] * k[i]) for s, i, j in rel) for k in kern] for rel in plucker_relations()]
     return [[sum(c * k[t] for c, k in zip(v, kern)) for t in range(len(p))] for v in mat_nullspace(m)]
 

@@ -3,12 +3,12 @@
 A matrix is a list of equal-length rows.  Every routine copies its input,
 rejects a ragged one and takes ``int`` and ``Fraction`` entries only: the
 shared gate in ``scalars`` makes anything else a TypeError.  All routines
-run on Python ints.  Rank and nullspace scale each row by the lcm of its
-denominators, which leaves the row space unchanged, and share one integer
+run on Python ints, scaled by ``scalars.scaled_ints``.  Rank and nullspace
+scale each row, which leaves the row space unchanged, and share one integer
 Gauss-Jordan reduction that keeps every row primitive; a ``Fraction`` is
-formed only for a nullspace entry.  The characteristic polynomial scales the
-whole matrix by one common denominator, which scales the eigenvalues, and
-runs Berkowitz's division-free recurrence (Inf. Process. Lett. 18 (1984)
+formed only for a nullspace entry.  The characteristic polynomial scales
+the whole matrix at once, which scales the eigenvalues, and runs
+Berkowitz's division-free recurrence (Inf. Process. Lett. 18 (1984)
 147-150): O(N^4) integer operations, fewer on sparse input, as its products
 skip zero entries.  Its coefficients become ``Fraction`` only at the end.
 The determinant is (-1)^N times its constant term.  No float appears.
@@ -17,15 +17,15 @@ The determinant is (-1)^N times its constant term.  No float appears.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .polynomials import UniPoly
-from .scalars import check_rational
+from .scalars import check_rational, scaled_ints
 
 
 def _int_rows(a):
-    """Integer copy of a row list: each row times the lcm of its denominators.
+    """Integer copy of a row list: each row scaled by ``scaled_ints``.
 
     Returns (rows, number of columns).  An entry that is not ``int`` or
     ``Fraction`` is a TypeError; a ragged input is a ValueError.
@@ -33,8 +33,7 @@ def _int_rows(a):
     rows = []
     for row in a:
         check_rational(row, "matrix entry")
-        den = lcm(*[v.denominator for v in row])
-        rows.append([v.numerator * (den // v.denominator) for v in row])
+        rows.append(scaled_ints(row)[0])
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ValueError("ragged matrix")
@@ -109,9 +108,9 @@ def mat_nullspace(a):
 def mat_charpoly(a) -> UniPoly:
     """Monic characteristic polynomial det(zI - A), with Fraction coefficients.
 
-    With D the lcm of all entry denominators, B = D A is an integer matrix
-    and p_A(z) = D^-N p_B(D z): if p_B = sum_i c_i z^(N-i), the coefficient
-    of z^k in p_A is c_(N-k) / D^(N-k).  D scales the whole matrix: rows
+    With D from ``scaled_ints`` on all entries at once, B = D A is an
+    integer matrix and p_A(z) = D^-N p_B(D z): if p_B = sum_i c_i z^(N-i),
+    the coefficient of z^k in p_A is c_(N-k) / D^(N-k).  One D: rows
     scaled by different factors would change the eigenvalues.  Berkowitz's
     recurrence gives the c_i: with B_r the trailing block from row r, split
     as [[a, R], [C, B_(r+1)]], the coefficients of p_(B_r) are the lower
@@ -124,8 +123,8 @@ def mat_charpoly(a) -> UniPoly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("ragged or non-square matrix")
-    d = lcm(*[v.denominator for row in rows for v in row])
-    b = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    flat, d = scaled_ints([v for row in rows for v in row])
+    b = [flat[i * n : i * n + n] for i in range(n)]
     vec = [1]
     for r in range(n - 1, -1, -1):
         # sparse rows of R and of B_(r+1), indexed from column r+1

@@ -16,9 +16,8 @@ and ``pscale`` keep ints as ints, while ``pmul`` and ``peval`` start from a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .scalars import RATIONAL, check_rational
+from .scalars import RATIONAL, check_rational, scaled_ints
 
 PZERO = ()
 
@@ -233,22 +232,20 @@ def _gcd_mod_is_constant(a, b, p):
 
 def _certified_squarefree(coeffs) -> bool:
     """The mod-p certificate of ``squarefree``; False means "not proved"."""
-    den = lcm(*[c.denominator for c in coeffs])
-    p = _PRIME
-    f = [c.numerator * (den // c.denominator) % p for c in reversed(coeffs)]
+    f = [c % _PRIME for c in reversed(scaled_ints(coeffs)[0])]
     if not f[0]:
         return False
     deg = len(f) - 1
-    df = [(deg - k) * c % p for k, c in enumerate(f[:-1])]
-    return _gcd_mod_is_constant(f, df, p)
+    df = [(deg - k) * c % _PRIME for k, c in enumerate(f[:-1])]
+    return _gcd_mod_is_constant(f, df, _PRIME)
 
 
 def squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant, i.e. p has only simple roots.
 
     Coefficients must be ``int`` or ``Fraction``; any other is a TypeError.
-    A modular certificate comes first: p times the lcm of its denominators
-    is an integer polynomial f.  If the prime P = 2^61 - 1 does not divide
+    A modular certificate comes first: ``scalars.scaled_ints`` makes p an
+    integer polynomial f.  If the prime P = 2^61 - 1 does not divide
     lead(f) and gcd(f mod P, f' mod P) over F_P is a constant, p is
     squarefree over Q (von zur Gathen-Gerhard, Modern Computer Algebra,
     ch. 14).  Proof: suppose f = g^2 h with g primitive in Z[x] and

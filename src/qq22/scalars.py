@@ -1,20 +1,22 @@
-"""Exact scalars: the rational and integer gates, serialization, a Gaussian rational.
+"""Exact scalars: rational and integer gates, scaled ints, serialization, a Gaussian rational.
 
 Every scalar the package computes is an ``int`` or ``fractions.Fraction``.
 ``check_rational`` and ``as_fraction`` are the one gate that turns any other
-input into a ``TypeError`` naming what was passed; the matrix,
-polynomial, semisimplicity and engine entry points all go through it.
-``as_ints`` is the one integer gate: an exponent, index, count or length
-that is not an integer, or is a bool, is a ``ValueError`` naming the input.
-``GaussianRational`` has no caller in the package.  It keeps only the ``+``,
-``*`` and ``==`` (ints and Fractions coerced) that the tests use and whose
-calls the benchmark tracer counts.
+input into a ``TypeError`` naming what was passed; the matrix, polynomial,
+semisimplicity and engine entry points all go through it.  ``as_ints`` is
+the one integer gate: an exponent, index, count or length that is not an
+integer, or is a bool, is a ``ValueError`` naming the input.  ``scaled_ints``
+is the one rule for clearing denominators: every exact kernel that runs on
+ints scales its rationals through it.  ``GaussianRational`` has no caller in
+the package.  It keeps only the ``+``, ``*`` and ``==`` (ints and Fractions
+coerced) that the tests use and whose calls the benchmark tracer counts.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 
 RATIONAL = (int, Fraction)
 
@@ -48,6 +50,12 @@ def as_fraction(v, what="value"):
         return v
     check_rational((v,), what)
     return Fraction(v)
+
+
+def scaled_ints(values):
+    """(ints, D): the values times D, the lcm of their denominators ([], 1 if none)."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def rational_str(q: Fraction) -> str:

@@ -17,7 +17,6 @@ in ``scalars`` makes anything else a TypeError.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -25,7 +24,7 @@ from fractions import Fraction
 from .matrices import mat_charpoly
 from .model import check_dimension
 from .polynomials import UniPoly, squarefree
-from .scalars import as_fraction, as_ints, rational_str
+from .scalars import as_fraction, as_ints, rational_str, scaled_ints
 
 
 def _point(n, taus):
@@ -97,21 +96,20 @@ def closed_form_charpoly(n, taus) -> UniPoly:
     A H + B G = (n-1)^{n-1} (a H + b G) + z^2 (z+s/2)^{n-1} (G - H), with a
     and b the brackets of A and B without that term, over (n-1)^{n-1}.
 
-    Everything is computed on ints.  With D a common denominator of the
-    tau_i^2 and u = 2D, the variable w = u z makes u f_i = w - S + 2 t_i,
-    with the ints S = D s and t_i = D tau_i^2.  So g = u^{n+3} G and
-    h = u^{n+3} H are integer polynomials in w, as are u^2 a, u^2 b and
-    u^{n+1} z^2 (z+s/2)^{n-1} = w^2 (w+S)^{n-1}, and the result is
-    P(u z) / u^{2n+4} for one integer polynomial P: the coefficient of z^k is
-    P_k / u^{2n+4-k}, as in ``mat_charpoly``.
+    Everything is computed on ints.  ``scalars.scaled_ints`` turns the
+    tau_i^2 into the ints t_i = D tau_i^2, so S = D s = sum t_i, and with
+    u = 2D the variable w = u z makes u f_i = w - S + 2 t_i.  So
+    g = u^{n+3} G and h = u^{n+3} H are integer polynomials in w, as are
+    u^2 a, u^2 b and u^{n+1} z^2 (z+s/2)^{n-1} = w^2 (w+S)^{n-1}, and the
+    result is P(u z) / u^{2n+4} for one integer polynomial P: the
+    coefficient of z^k is P_k / u^{2n+4-k}, as in ``mat_charpoly``.
     """
-    taus, s = _point(n, taus)
-    d = math.lcm(*[v.denominator for v in taus]) ** 2
+    t, d = scaled_ints([v * v for v in _point(n, taus)[0]])
     u = 2 * d
-    big_s = (s * d).numerator
+    big_s = sum(t)
     g = [1]
-    for v in taus:
-        g = _times_linear(g, 2 * (v * v * d).numerator - big_s)
+    for v in t:
+        g = _times_linear(g, 2 * v - big_s)
     dg = _times_linear([k * c for k, c in enumerate(g)][1:], -big_s)
     h = [(n + 3) * a - b for a, b in zip(g, dg)]
     scale = (n - 1) ** (n - 1) * u ** (n - 1)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import pathlib
 import random
 import re
 import subprocess
@@ -1442,9 +1444,13 @@ def test_corrupt_cache_exit_codes(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the subprocess does not see pytest's pythonpath, so it is given src
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "qq22.cli"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: qq22")

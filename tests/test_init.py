@@ -106,13 +106,22 @@ def test_package_has_no_floats():
     assert found == []
 
 
+def _names_lcm(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "lcm" for alias in node.names)
+    return getattr(node, "id", None) == "lcm" or getattr(node, "attr", None) == "lcm"
+
+
 def test_each_rule_has_one_home():
     # the int-or-Fraction test lives in qq22.scalars (RATIONAL, check_rational,
-    # as_fraction), the --format choice in cli._report and the dimension rule
-    # in model.check_dimension; a second copy of any fails here
+    # as_fraction), clearing denominators in scalars.scaled_ints, the --format
+    # choice in cli._report and the dimension rule in model.check_dimension; a
+    # second copy of any fails here
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     tuples = [name for name, tree in trees.items() for _ in _nodes(tree, _is_rational_tuple)]
     assert tuples == ["scalars.py"]
+    lcms = sorted({name for name, tree in trees.items() if _nodes(tree, _names_lcm)})
+    assert lcms == ["scalars.py"]
     reads = sum(len(_nodes(tree, _is_format_read)) for tree in trees.values())
     (report,) = [
         node

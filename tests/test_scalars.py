@@ -7,7 +7,7 @@ import pytest
 from qq22.engine import convergence_witness
 from qq22.geometry import window, window_class_h_eps
 from qq22.model import ambient_3pt_tau
-from qq22.scalars import GaussianRational, as_ints, rational_str
+from qq22.scalars import GaussianRational, as_ints, rational_str, scaled_ints
 from qq22.semisimple import semisimple_scan, zn_minus_az_plus_1_squarefree
 
 
@@ -31,6 +31,21 @@ def test_integer_gate():
         text = "exponents must be integers, got %r" % (bad,)
         with pytest.raises(ValueError, match="^%s$" % re.escape(text)):
             as_ints([1, bad], "exponents")
+
+
+@pytest.mark.parametrize(
+    "values, ints, d",
+    [
+        ([3, 0, -2], [3, 0, -2], 1),
+        ([Fraction(1, 4), Fraction(5, 6), 2], [3, 10, 24], 12),
+        ([Fraction(-3, 4), -1, Fraction(1, 6)], [-9, -12, 2], 12),
+        ([], [], 1),
+    ],
+)
+def test_scaled_ints(values, ints, d):
+    out = scaled_ints(values)
+    assert out == (ints, d)
+    assert all(type(v) is int for v in out[0])
 
 
 @pytest.mark.parametrize(
