@@ -701,6 +701,14 @@ def convergence_witness(n, lmax, engine=None):
     6..lmax (length-5 entries give a C-independent constraint and are
     excluded).  Returns (C, number of indices inspected).  A given ``engine``
     must be for dimension n.
+
+    The count is the number of memo entries of length 6..lmax, not of the
+    seeded indices, so it depends on what the engine computed before: at
+    (6, 7) it is 1,749 on a fresh engine, 2,054 after ``f_value()`` and
+    ``conjecture_quadratic()`` and 2,491 after ``convergence_witness(6, 9)``
+    (C is 44040192 in all three).  Scanning only the seeded indices is the
+    fix (ROADMAP item 11a); until then the benchmark's ``witness6_7`` gate
+    and a test pin the count 1,749.
     """
     (lmax,) = as_ints((lmax,), "correlator lengths")
     if lmax < 5:

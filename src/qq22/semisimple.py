@@ -28,12 +28,12 @@ from .scalars import as_fraction, as_ints, rational_str, scaled_ints
 
 
 def _point(n, taus):
-    """Check n and the n+3 primitive coordinates; return them and s = sum tau_i^2."""
+    """Check n and the n+3 primitive coordinates and return them as Fractions."""
     check_dimension(n)
     taus = [as_fraction(v, "primitive coordinate") for v in taus]
     if len(taus) != n + 3:
         raise ValueError("need %d primitive coordinates" % (n + 3))
-    return taus, sum(v * v for v in taus)
+    return taus
 
 
 def cutoff_matrix(n, taus):
@@ -54,7 +54,8 @@ def cutoff_matrix(n, taus):
       m[n-1][j] = -4(n-1)tau_j;
     * the primitive block m[j][k] = tau_j tau_k off the diagonal and s/2 on it.
     """
-    taus, s = _point(n, taus)
+    taus = _point(n, taus)
+    s = sum(v * v for v in taus)
     size = 2 * n + 4
     m = [[Fraction(0)] * size for _ in range(size)]
     for k in range(1, n + 1):
@@ -104,7 +105,7 @@ def closed_form_charpoly(n, taus) -> UniPoly:
     result is P(u z) / u^{2n+4} for one integer polynomial P: the
     coefficient of z^k is P_k / u^{2n+4-k}, as in ``mat_charpoly``.
     """
-    t, d = scaled_ints([v * v for v in _point(n, taus)[0]])
+    t, d = scaled_ints([v * v for v in _point(n, taus)])
     u = 2 * d
     big_s = sum(t)
     g = [1]

@@ -22,15 +22,21 @@ out of descending order or repeated keys.
 
 Records repeat their texts (most polynomials are ``0``, and a few hundred
 key fields make up thousands of keys), so load and save do the real work
-once per distinct text: parsing, checking and rendering.  A load cuts the
-body into four columns with one split (``"\\n"`` is the only record break)
-and judges each distinct text of a column once: its value, and the first
-check of a record it fails.  A file with no faulty text and no repeated key
-becomes the memo through one ``dict(zip(...))``; any other file is refused
-by walking the same verdicts in record order to its first bad line.  Equal
-loaded values share one tuple.  A load asked for one key still judges the
-whole file, but when the file holds the key it builds no memo: the result
-is that one record.
+once per distinct text.  A load cuts the body once at '|': the first n
+field, then for each record its ambient field, its primitive field and a
+tail, the polynomial, ``"\\n"`` (the only record break) and the next n
+field.  The file is accepted when that layout holds, every n field is
+``str(n)``, no key repeats, and each distinct text of a column is the
+writer's: a compiled pattern of the writer's grammar accepts it (one match
+over a key column's distinct texts) or ``_verdict`` passes it.  The patterns
+do not grow with n, and are built only once the first ambient field holds
+n + 1 exponents, so a short file naming a huge n asks for no more memory
+than its text.  Values are parsed only when used.  A load asked for a key the
+file holds parses that one record and builds no memo.  Any other load parses
+each distinct text once and builds the memo through one ``dict(zip(...))``,
+so equal values share one tuple.  A file that is not accepted is cut into
+four columns, ``_verdict`` judges each distinct text, and the verdicts are
+walked in record order to the first bad line.
 
 Saving writes a temporary file next to the cache and renames it over the
 cache, so a reader sees either the old file or the new one, never a cut one.
@@ -39,9 +45,13 @@ cache, so a reader sees either the old file or the new one, never a cut one.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
+import re
 import threading
+from _sre import MAXREPEAT
 from fractions import Fraction
+from itertools import filterfalse
 from operator import itemgetter
 
 from .model import check_dimension
@@ -172,6 +182,12 @@ def _key_text(exponents):
 _SMALL_EXPONENTS = {str(v): v for v in range(100)}
 
 
+def _small(text):
+    """The exponents of a key field made only of ``_SMALL_EXPONENTS`` texts;
+    a KeyError for any other field."""
+    return tuple(map(_SMALL_EXPONENTS.__getitem__, text.split(",")))
+
+
 class CacheError(Exception):
     pass
 
@@ -226,15 +242,17 @@ def load_cache(path, n, key=None):
     newline), a negative exponent, a power of x above ``MAX_EXPONENT``,
     primitive exponents out of canonical (descending) order, a repeated key,
     or a key field or polynomial that does not render back to its own text.
-    Each distinct field or polynomial text is judged once, and the verdicts
-    either build the memo or name the first bad line and its first fault.
+    Each distinct field or polynomial text of an accepted file is judged
+    once, by a pattern of the writer's grammar or by ``_verdict``; a file
+    that is not accepted is named by its first bad line and that line's
+    first fault.
     An n that ``check_dimension`` refuses is its ValueError, raised before
     the file is opened.
 
     With key, a canonical memo key (ambient exponents, primitive exponents
     sorted descending), the file is checked the same way; when it holds
-    key the result is ``{key: value}`` and no memo is built, otherwise it is
-    the whole memo.
+    key the result is ``{key: value}``, and only that record's polynomial is
+    parsed; otherwise it is the whole memo.
     """
     return _read_cache(path, check_dimension(n), key)[1]
 
@@ -254,7 +272,7 @@ def _read_cache(path, n=None, key=None):
         raise CacheError(
             "line %d: byte 0x%02x is not ASCII" % (lineno, data[exc.start])
         ) from None
-    if not text.strip():
+    if not text or text.isspace():  # strip() would copy the text
         return None, {}
     if not text.endswith("\n"):
         raise CacheError("line %d: truncated record" % (text.count("\n") + 1))
@@ -295,7 +313,7 @@ def _verdict(n, column, text):
             return None, (3, str(exc))
         return poly, None if poly_to_str(poly) == text else (8, _NOT_WRITTEN % text)
     try:
-        values = tuple(map(_SMALL_EXPONENTS.__getitem__, text.split(",")))
+        values = _small(text)
         written = True  # so nonnegative and canonical
     except KeyError:
         try:
@@ -322,33 +340,99 @@ def _verdict(n, column, text):
     return values, (8, _NOT_WRITTEN % text)
 
 
+@functools.lru_cache(maxsize=4)
+def _grammar(n):
+    """Compiled patterns of texts that ``_verdict`` passes for dimension n.
+
+    The first two match the texts of a key column, each followed by '|':
+    ambient fields of n + 1 exponents below 100, and primitive fields of
+    n + 3 one-digit exponents in descending order.  Counted repeats keep
+    each pattern's size independent of n; an n beyond re's repeat count
+    gets None, and ``_verdict`` judges those columns.  Each text is matched
+    in a lookahead, which the regex engine does not backtrack into, so a
+    match that fails takes linear time.  The third matches one record's
+    tail: an int constant of at most 100 digits, a newline and the next n
+    field.
+    """
+    tail = re.compile("(?:0|-?[1-9][0-9]{0,99})\n%d" % n)
+    if n + 2 >= MAXREPEAT:
+        return None, None, tail
+    amb = "(?:[0-9]|[1-9][0-9])(?:,(?:[0-9]|[1-9][0-9])){%d}" % n
+    prim = "(?=[0-9](?:,[0-9]){%d}\\|)" % (n + 2)
+    prim += "".join("(?:%d,?)*" % d for d in range(9, -1, -1))
+    columns = [re.compile("(?:(?=((?:%s)\\|))\\1)*" % item) for item in (amb, prim)]
+    return columns + [tail]
+
+
+def _judged(n, column, texts, pattern):
+    """The verdicts of a key column's texts, or none when pattern accepts
+    them all."""
+    if pattern is not None and pattern.fullmatch("|".join(texts) + "|"):
+        return {}
+    return {t: _verdict(n, column, t) for t in texts}
+
+
 def _records(body, n, key):
-    """The memo of the records in body, or ``CacheError`` naming the first
-    bad line.  One split cuts the records into four columns, and
-    ``_verdict`` judges each distinct text of a column once.  When a sound
-    body holds a record for key, the result is that one record."""
+    """The memo of the records in body, or only key's record when a sound
+    body holds it; a body that is not sound (see the module docstring) is
+    named by ``_first_fault``."""
+    if not body:
+        return {}
+    sn = str(n)
+    cells = body.split("|")
+    cells[-1] += sn  # so the last tail has the layout of the others
+    # three cells a record after the first n field, and a first ambient
+    # field of n + 1 exponents, so no pattern is built for an n the file
+    # cannot hold; each tail's one newline is checked below
+    if len(cells) % 3 == 1 and cells[0] == sn and cells[1].count(",") == n:
+        amb, prim, tails = cells[1::3], cells[2::3], cells[3::3]
+        del cells
+        texts = [set(amb), set(prim), set(tails)]
+        amb_p, prim_p, const_p = _grammar(n)
+        judged = [_judged(n, 1, texts[0], amb_p), _judged(n, 2, texts[1], prim_p), {}]
+        for tail in filterfalse(const_p.fullmatch, texts[2]):
+            poly, _, rest = tail.partition("\n")
+            # a tail other than one newline and str(n) after the polynomial
+            # breaks the layout
+            judged[2][tail] = _verdict(n, 3, poly) if rest == sn else (None, True)
+        cut = -1 - len(sn)
+        if not any(fault for table in judged for _, fault in table.values()):
+            if key is not None:
+                # every text is now the writer's text of its value, so equal
+                # keys are equal texts
+                records = dict(zip(zip(amb, prim), tails))
+                tail = records.get((_key_text(key[0]), _key_text(key[1])))
+                if tail and len(records) == len(tails):
+                    verdict = judged[2].get(tail)
+                    return {key: verdict[0] if verdict else poly_from_str(tail[:cut])}
+                del records
+            parses = (_small, _small, lambda tail: poly_from_str(tail[:cut]))
+            a, p, v = (
+                {t: table[t][0] if t in table else parse(t) for t in column}
+                for column, table, parse in zip(texts, judged, parses)
+            )
+            # keys and values are listed first so that the cells are freed
+            # before the memo is built, which lowers the load's peak memory
+            keys = list(zip(map(a.__getitem__, amb), map(p.__getitem__, prim)))
+            values = list(map(v.__getitem__, tails))
+            del texts, amb, prim, tails
+            memo = dict(zip(keys, values))
+            if len(memo) == len(values):
+                return memo
+    raise _first_fault(body, n)
+
+
+def _first_fault(body, n):
+    """``CacheError`` naming the first bad line of a body ``_records``
+    refused, by walking the verdicts of its four columns in record order."""
     count = body.count("\n")
     cells = body.replace("\n", "|\n|").split("|")
-    aligned = len(cells) == 5 * count + 1 and cells[4::5].count("\n") == count
-    if not aligned:  # judge only the records before the first without three '|'
+    if len(cells) != 5 * count + 1 or cells[4::5].count("\n") != count:
+        # judge only the records before the first without three '|'
         count = next(k for k, line in enumerate(body.split("\n")) if line.count("|") != 3)
         del cells[5 * count :]
     columns = [cells[k:-1:5] for k in range(4)]
     verdicts = [{t: _verdict(n, k, t) for t in set(column)} for k, column in enumerate(columns)]
-    if aligned and not any(fault for table in verdicts for _, fault in table.values()):
-        if key is not None:
-            # every text is now the writer's text of its value, so key's record
-            # starts with head (a record's three '|' and its n field str(n)
-            # leave head no other place to match), and equal keys are equal texts
-            head = "%d|%s|%s|" % (n, _key_text(key[0]), _key_text(key[1]))
-            at = body.find(head)
-            if at >= 0 and len(set(zip(columns[1], columns[2]))) == count:
-                return {key: verdicts[3][body[at + len(head) : body.index("\n", at)]][0]}
-        _, amb, prim, poly = ({t: value for t, (value, _) in table.items()} for table in verdicts)
-        keys = zip(map(amb.__getitem__, columns[1]), map(prim.__getitem__, columns[2]))
-        memo = dict(zip(keys, map(poly.__getitem__, columns[3])))
-        if len(memo) == count:
-            return memo
     seen = set()
     for lineno, texts in enumerate(zip(*columns), start=2):
         record = [table[text] for table, text in zip(verdicts, texts)]
@@ -359,5 +443,5 @@ def _records(body, n, key):
                 fault = (7, "duplicate key")
             seen.add(pair)
         if fault:
-            raise CacheError("line %d: %s" % (lineno, fault[1]))
-    raise CacheError("line %d: expected 4 fields" % (count + 2))
+            return CacheError("line %d: %s" % (lineno, fault[1]))
+    return CacheError("line %d: expected 4 fields" % (count + 2))

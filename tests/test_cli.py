@@ -596,7 +596,12 @@ def test_cache_error_precedence_with_reused_texts(tmp_path, capsys, records, mes
     assert rc == 1 and out == "" and err == "error: %s\n" % message
 
 
-def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypatch):
+def test_cache_io_judges_each_distinct_text_at_most_once(tmp_path, monkeypatch):
+    # a load judges each distinct text of a column once: a pattern of the
+    # writer's grammar accepts it (one match over the column's distinct
+    # texts counts once for each) or _verdict judges it.  poly_from_str runs
+    # at most once per distinct polynomial text, key values are parsed only
+    # when a memo is built, and a save renders each distinct text once
     from collections import Counter
 
     from qq22 import serial
@@ -611,7 +616,7 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
     polys = {record[3] for record in records}
     assert len(records) > 4 * len(fields) > 20 * len(polys)
     calls = Counter()
-    for name in ("_verdict", "_exponents", "_key_text", "poly_from_str", "poly_to_str"):
+    for name in ("_verdict", "_exponents", "_key_text", "_small", "poly_from_str", "poly_to_str"):
 
         def counted(*args, _real=getattr(serial, name), _name=name, **kwargs):
             # _verdict(n, column, text) is counted by its column and text
@@ -620,13 +625,45 @@ def test_cache_io_parses_and_renders_each_distinct_text_once(tmp_path, monkeypat
 
         monkeypatch.setattr(serial, name, counted)
 
-    def made(name):
-        return {arg: k for (called, arg), k in calls.items() if called == name}
+    class Counted:
+        """A compiled pattern whose accepting matches are counted by text."""
 
+        def __init__(self, column, pattern):
+            self.column, self.pattern = column, pattern
+
+        def fullmatch(self, text):
+            match = self.pattern.fullmatch(text)
+            # key columns are matched joined by '|'; a tail is its polynomial,
+            # a newline and the next n field
+            texts = text[:-1].split("|") if self.column < 3 else [text.partition("\n")[0]]
+            for t in texts if match else ():
+                calls["match", (self.column, t)] += 1
+            return match
+
+    grammar = serial._grammar
+    monkeypatch.setattr(serial, "_grammar", lambda n: list(map(Counted, (1, 2, 3), grammar(n))))
+
+    def made(*names):
+        out = Counter()
+        for (called, arg), k in calls.items():
+            if called in names:
+                out[arg] += k
+        return dict(out)
+
+    texts = {(k, text) for record in records for k, text in enumerate(record) if k}
+    key = max(eng.memo)
+    for asked in (None, key):
+        calls.clear()
+        loaded = load_cache(path, 6, asked)
+        assert made("match", "_verdict") == dict.fromkeys(texts, 1)
+        assert set(made("poly_from_str").values()) == {1} and set(made("poly_from_str")) <= polys
+    # a hit parses its own polynomial and no key field
+    assert loaded == {key: eng.memo[key]}
+    assert made("_small") == {} and serial.poly_to_str(eng.memo[key]) in made("poly_from_str")
+    calls.clear()
     loaded = load_cache(path, 6)
     assert loaded == eng.memo
-    texts = {(k, text) for record in records for k, text in enumerate(record)}
-    assert made("_verdict") == dict.fromkeys(texts, 1)
+    assert made("_small") == dict.fromkeys(fields - {"6"}, 1)
     assert set(made("_exponents").values()) <= {1} and set(made("_exponents")) <= fields
     assert made("poly_from_str") == dict.fromkeys(polys, 1)
     assert len({id(poly) for poly in loaded.values()}) == len(polys)
@@ -996,6 +1033,54 @@ def test_stacked_faults_are_reported_as_line_by_line(saved_caches, tmp_path):
             load, line_by_line = _keyed_loads(_draw_key(lines[:size], rng))
             assert _load_outcome(load, path, n) == _load_outcome(line_by_line, path, n)
     assert len(messages) >= 60
+
+
+# The characters small edits draw from: the writer's own, a space and a letter.
+EDIT_CHARS = "0123456789|,\n-+x/*^ a"
+
+
+def _newline_only_outcome(load, path, n):
+    """What load_cache makes of a file, by the line-by-line loader: its
+    outcome, except that a blank or whitespace-only record line, which that
+    loader skipped, is refused as a line without four fields unless an
+    earlier line is bad."""
+    text = path.read_text()
+    lines = text.split("\n")
+    blank = next((k for k, line in enumerate(lines[1:-1], 1) if not line.strip()), None)
+    if blank is None or not text.endswith("\n"):
+        return _load_outcome(load, path, n)
+    prefix = path.with_name("prefix.cache")
+    prefix.write_text(_text(lines[:blank]))
+    outcome = _load_outcome(load, prefix, n)
+    return outcome if outcome[0] == "error" else ("error", "line %d: expected 4 fields" % (blank + 1))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_small_edits_load_as_line_by_line(saved_caches, tmp_path, n):
+    # one or two characters replaced, inserted or deleted anywhere in a saved
+    # cache (or in a prefix of it): load_cache, asked for a key or not, names
+    # the same first bad line, or loads the same memo, as line by line
+    path = tmp_path / "memo.cache"
+    lines = saved_caches[n].split("\n")[:-1]
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random("edits %d %d" % (n, seed))
+        size = rng.choice((2, 3, 10, 40, len(lines)))
+        chars = list(_text(lines[:size]))
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(chars) + 1)
+            edit = rng.choice(("replace", "insert", "delete") if k < len(chars) else ("insert",))
+            if edit == "delete":
+                del chars[k]
+            else:
+                chars[k : k + (edit == "replace")] = [rng.choice(EDIT_CHARS)]
+        path.write_text("".join(chars))
+        loads = [(load_cache, _line_by_line_read), _keyed_loads(_draw_key(lines[:size], rng))]
+        for load, line_by_line in loads:
+            outcome = _load_outcome(load, path, n)
+            assert outcome == _newline_only_outcome(line_by_line, path, n)
+            outcomes.add(outcome[0] if outcome[0] == "memo" else outcome[1].partition(": ")[2][:12])
+    assert len(outcomes) >= 8
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -1400,7 +1485,30 @@ def test_cache_header_dimension_passes_the_dimension_gate(tmp_path, capsys, n):
         assert run_capture(capsys, info + ["--format", fmt]) == (1, "", "error: %s\n" % message)
 
 
-HIT4 = "4|0,0,7,0,0|0,0,0,0,0,0,0|3\n"  # the record of TAU4's key
+@pytest.mark.parametrize("n", [10**8, 2**40], ids=["1e8", "2^40"])
+def test_huge_header_dimension_asks_for_no_pattern_of_its_size(tmp_path, capsys, monkeypatch, n):
+    # a short file may name any even header n.  Its one record has the
+    # matching n field and short keys, and is refused by its first ambient
+    # field before any pattern is built; the patterns' size does not grow
+    # with n, and beyond re's repeat count there are no key patterns
+    from qq22 import serial
+
+    assert max(len(p.pattern) for p in serial._grammar(10**8)) < 200
+    assert serial._grammar(serial.MAXREPEAT)[:2] == (None, None)
+    path = tmp_path / "memo.cache"
+    path.write_text("qq22-cache 1 n=%d\n" % n)
+    assert load_cache(path, n) == {}
+    path.write_text("qq22-cache 1 n=%d\n%d|0|0|0\n" % (n, n))
+    monkeypatch.setattr(serial, "_grammar", None)
+    message = "line 2: record does not match n=%d" % n
+    for load in (load_cache, _line_by_line_read):
+        with pytest.raises(CacheError, match="^%s$" % message):
+            load(path, n)
+    info = ["cache-info", "--cache", str(path)]
+    assert run_capture(capsys, info) == (1, "", "error: %s\n" % message)
+
+
+HIT4 ="4|0,0,7,0,0|0,0,0,0,0,0,0|3\n"  # the record of TAU4's key
 CORRUPT_CACHES = [
     ("qq22-cache 1\n" + HIT4, "line 1: not a cache file header"),
     # faults after the queried key's record, which a query still reports
