@@ -166,16 +166,22 @@ def plucker_relations():
     sum sign * v[pos1] * v[pos2] vanishes for every relation.  Built once
     per process: the tuples are shared by every caller.  For a pair i < j,
     the term of the l at position t of a quad, l not in the pair, has sign
-    (-1)^(t + (i > l) + (j > l)): sorting (i, j, l) is that many swaps.
+    (-1)^(t + (i > l) + (j > l)): sorting (i, j, l) is that many swaps,
+    so the sign is (-1)^t, negated when i < l < j.
     """
+    # each quad's (l, (-1)^t, position of the quad without l)
+    faces = [
+        tuple(zip(quad, (1, -1, 1, -1), [TRIPLE_POS[quad[:t] + quad[t + 1 :]] for t in range(4)]))
+        for quad in itertools.combinations(range(7), 4)
+    ]
     return tuple(
         tuple(
-            ((-1) ** (t + (i > l) + (j > l)), TRIPLE_POS[tuple(sorted((i, j, l)))], TRIPLE_POS[quad[:t] + quad[t + 1 :]])
-            for t, l in enumerate(quad)
-            if l not in (i, j)
+            (-s, TRIPLE_POS[i, l, j], pos) if i < l < j else (s, TRIPLE_POS[(l, i, j) if l < i else (i, j, l)], pos)
+            for l, s, pos in quad
+            if l != i and l != j
         )
         for i, j in itertools.combinations(range(7), 2)
-        for quad in itertools.combinations(range(7), 4)
+        for quad in faces
     )
 
 

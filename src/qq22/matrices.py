@@ -6,12 +6,14 @@ shared gate in ``scalars`` makes anything else a TypeError.  All routines
 run on Python ints, scaled by ``scalars.scaled_ints``.  Rank and nullspace
 scale each row, which leaves the row space unchanged, and share one integer
 Gauss-Jordan reduction that keeps every row primitive; a ``Fraction`` is
-formed only for a nullspace entry.  The characteristic polynomial scales
-the whole matrix at once, which scales the eigenvalues, and runs
-Berkowitz's division-free recurrence (Inf. Process. Lett. 18 (1984)
-147-150): O(N^4) integer operations, fewer on sparse input, as its products
-skip zero entries.  Its coefficients become ``Fraction`` only at the end.
-The determinant is (-1)^N times its constant term.  No float appears.
+formed only for a nullspace entry.  Rank skips the reduction when one
+forward elimination modulo a prime below 2^15 proves a full rank.  The
+characteristic polynomial scales the whole matrix at once, which scales
+the eigenvalues, and runs Berkowitz's division-free recurrence (Inf.
+Process. Lett. 18 (1984) 147-150): O(N^4) integer operations, fewer on
+sparse input, as its products skip zero entries.  Its coefficients become
+``Fraction`` only at the end.  The determinant is (-1)^N times its constant
+term.  No float appears.
 """
 
 from __future__ import annotations
@@ -78,10 +80,34 @@ def _rref(rows, cols):
     return pivots
 
 
+# the largest prime below 2^15, so each x + f * y of ``_rank_mod`` stays
+# below 2^30, one digit of a Python int
+_RANK_PRIME = 32749
+
+
+def _rank_mod(rows, cols):
+    """Rank over F_P, P = ``_RANK_PRIME``, of integer rows (left unchanged)."""
+    p, rank = _RANK_PRIME, 0
+    rest = [[v % p for v in row] for row in rows]
+    for c in range(cols):
+        k = next((k for k, row in enumerate(rest) if row[c]), None)
+        if k is not None:
+            prow, rank = rest.pop(k), rank + 1
+            inv = p - pow(prow[c], -1, p)  # row + row[c] inv prow is 0 at c
+            rest = [[(x + f * y) % p for x, y in zip(row, prow)] if (f := row[c] * inv % p) else row for row in rest]
+    return rank
+
+
 def mat_rank(a) -> int:
-    """Rank: the number of pivots of the reduced row echelon form."""
+    """Rank: the number of pivots of the reduced row echelon form.
+
+    A rank r over F_P of the scaled rows is an r x r minor that P does not
+    divide, so nonzero: the rank over Q is at least r.  A full rank mod P is
+    therefore the rank, and only a smaller one runs ``_rref``.
+    """
     rows, cols = _int_rows(a)
-    return len(_rref(rows, cols))
+    rank = _rank_mod(rows, cols)
+    return rank if rank == min(len(rows), cols) else len(_rref(rows, cols))
 
 
 def mat_nullspace(a):

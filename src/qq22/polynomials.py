@@ -1,10 +1,11 @@
 """Dense univariate polynomials over Q.
 
-Coefficients are ``int`` or ``Fraction`` (``squarefree`` checks them through
-the shared gate in ``scalars``); division reads an ``int`` leading
-coefficient as a ``Fraction``, so no float appears.  Trailing zeros are
-stripped, so ``degree`` is the index of the last nonzero coefficient and the
-zero polynomial has degree -1.
+Coefficients are ``int`` or ``Fraction`` (``poly_gcd`` and ``squarefree``
+check them through the shared gate in ``scalars``); division reads an
+``int`` leading coefficient as a ``Fraction``, so no float appears.
+Trailing zeros are stripped, so ``degree`` is the index of the last nonzero
+coefficient and the zero polynomial has degree -1.  ``poly_gcd`` and
+``squarefree`` try a proof modulo the prime 2^61 - 1 before Euclid over Q.
 
 The arithmetic itself is done by ``padd``, ``pscale``, ``pmul`` and ``peval``
 on plain coefficient tuples; ``UniPoly`` wraps them.  The correlator engine
@@ -194,7 +195,20 @@ class UniPoly:
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over a field."""
+    """Monic gcd over Q of int or Fraction coefficients (else a TypeError).
+
+    A certificate comes first: with f, g the operands scaled to ints by
+    ``scalars.scaled_ints``, deg f >= deg g and g mod P nonzero, if the
+    prime P = 2^61 - 1 does not divide lead(f) and gcd(f mod P, g mod P) is
+    a constant, the gcd is 1.  Proof: a common factor h, primitive in Z[x]
+    and not constant, divides f and g in Z[x] (Gauss's lemma), so lead(h)
+    divides lead(f), and h mod P keeps its degree and divides both
+    residues.  Every other pair, a zero operand too, runs Euclid over Q.
+    """
+    check_rational(p.coeffs + q.coeffs, "coefficient")
+    f, g = (p.coeffs, q.coeffs) if p.degree >= q.degree else (q.coeffs, p.coeffs)
+    if _certified_coprime(f, g):
+        return UniPoly((Fraction(1),))
     a, b = p, q
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
@@ -228,6 +242,15 @@ def _gcd_mod_is_constant(a, b, p):
             k += 1
         a, b = b, r[k:]
     return len(a) == 1
+
+
+def _certified_coprime(f, g) -> bool:
+    """The mod-p certificate of ``poly_gcd`` for len(f) >= len(g); False
+    means "not proved"."""
+    a, b = ([c % _PRIME for c in reversed(scaled_ints(h)[0])] for h in (f, g))
+    while b and not b[0]:
+        del b[0]
+    return bool(b and a[0]) and _gcd_mod_is_constant(a, b, _PRIME)
 
 
 def _certified_squarefree(coeffs) -> bool:

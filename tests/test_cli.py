@@ -1083,6 +1083,46 @@ def test_small_edits_load_as_line_by_line(saved_caches, tmp_path, n):
     assert len(outcomes) >= 8
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_key_patterns_accept_what_verdict_passes(saved_caches, n):
+    # a load judges a key column by one _grammar pattern match, and a column
+    # that fails the match text by text with _verdict, so the two must not
+    # drift apart.  On every key text of a saved cache and on seeded
+    # one-character edits of them, a pattern accepts a text exactly when
+    # _verdict passes it with exponents in the pattern's range: below 100
+    # in an ambient field, one digit in a primitive field.  Texts with a
+    # leading exponent at the bound and just below it test the range
+    from qq22 import serial
+
+    records = [line.split("|") for line in saved_caches[n].split("\n")[1:-1]]
+    rng = random.Random("grammar %d" % n)
+    reached = set()
+    for column, pattern in enumerate(serial._grammar(n)[:2], start=1):
+        texts = {record[column] for record in records}
+        bound = 100 if column == 1 else 10
+        for text in sorted(texts)[:5]:
+            rest = text.partition(",")[2]
+            texts.update("%d,%s" % (v, rest) for v in (bound - 1, bound))
+        for text in sorted(texts):
+            for _ in range(4):
+                # at k, drop zero or one character and put in zero or one
+                k = rng.randrange(len(text) + 1)
+                cut = k + rng.choice((0, 1) if k < len(text) else (0,))
+                texts.add(text[:k] + rng.choice(("", *"0123456789,- +x")) + text[cut:])
+        accepted = []
+        for text in sorted(texts):
+            values, fault = serial._verdict(n, column, text)
+            in_range = fault is None and max(values) < bound
+            matched = pattern.fullmatch(text + "|") is not None
+            assert matched == in_range, (column, text, fault)
+            reached.add((column, matched, fault is None))
+            accepted += [text] * matched
+        # the accepted texts pass together, as a load matches them
+        assert pattern.fullmatch("|".join(accepted) + "|")
+    # accepted, refused by both, and passed only by _verdict, in both columns
+    assert reached == {(c, m, p) for c in (1, 2) for m, p in ((True, True), (False, False), (False, True))}
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_bulk_load_of_saved_cache_matches_line_by_line_load(saved_caches, tmp_path, n):
     path = tmp_path / "memo.cache"

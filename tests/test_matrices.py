@@ -1,11 +1,13 @@
 import collections
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from qq22 import geometry as geo
+from qq22 import matrices
 from qq22.matrices import mat_charpoly, mat_det, mat_nullspace, mat_rank
 from qq22.polynomials import UniPoly, padd, pmul, pscale
 from qq22.scalars import GaussianRational
@@ -333,6 +335,60 @@ def test_large_entries_match_field_route():
     for rows, cols in ((3, 3), (4, 6), (6, 4), (5, 5), (8, 8)):
         for _ in range(3):
             assert_matches_field_route(sparse_rational_matrix(rng, rows, cols, big=True))
+
+
+# the prime of the full-rank certificate in ``mat_rank``
+RANK_PRIME = 32749
+
+
+def _rank_cases(rng):
+    """Seeded int and Fraction matrices, full rank and rank deficient (a
+    product through fewer columns than either side), and matrices of full
+    rank over Q whose rank drops mod RANK_PRIME."""
+    p = RANK_PRIME
+    cases = [
+        [[p]],
+        [[1, 1], [1, 1 + p]],
+        [[Fraction(1, 3), Fraction(1, 3)], [Fraction(2, 5), Fraction(2 + 2 * p, 5)]],
+        [[1, 0, 2], [0, p, 3 * p], [0, 0, 7]],
+        [[Fraction(1, p), 1]],
+        geo._integer_meeting_system(geo.CASE_LAMS)[0],
+    ]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entry = rng.choice((lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+        cases.append([[entry() for _ in range(cols)] for _ in range(rows)])
+        inner = rng.randint(0, min(rows, cols) - 1)
+        left = [[entry() for _ in range(inner)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(inner)]
+        cases.append([[sum(map(operator.mul, row, col), 0) for col in zip(*right)] if inner else [0] * cols for row in left])
+    return cases
+
+
+def test_rank_certificate_agrees_with_field_route(monkeypatch):
+    # mat_rank returns a full rank mod RANK_PRIME without _rref; any other
+    # matrix, full rank over Q or not, runs _rref
+    calls = 0
+    exact_rref = matrices._rref
+
+    def counted(rows, cols):
+        nonlocal calls
+        calls += 1
+        return exact_rref(rows, cols)
+
+    monkeypatch.setattr(matrices, "_rref", counted)
+    reached = collections.Counter()
+    for m in _rank_cases(random.Random(37)):
+        calls = 0
+        rank = mat_rank(m)
+        assert rank == len(field_rref(m)[1]), m
+        full = rank == min(len(m), len(m[0]))
+        assert calls == 0 or calls == 1
+        assert full or calls == 1, m
+        reached["exact" if calls else "certified", full] += 1
+    # the crafted matrices are the only full-rank ones the certificate misses
+    assert reached["exact", True] == 4
+    assert reached["certified", True] >= 30 and reached["exact", False] >= 30
 
 
 def test_meeting_system_matches_field_route():

@@ -191,3 +191,79 @@ def test_certificate_agrees_with_exact_route(monkeypatch):
     for n, a in ((3, 2), (4, Fraction(-5, 3)), (7, Fraction(1, 9))):
         calls = 0
         assert zn_minus_az_plus_1_squarefree(n, a) and calls == 0
+
+
+def euclid_gcd(p, q):
+    """Monic gcd by Euclid over Q alone: the second route to ``poly_gcd``."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.monic()
+
+
+def _gcd_cases(rng):
+    """(p, q, whether the certificate must prove the pair coprime)."""
+    x = UniPoly.x()
+    p = CERT_PRIME
+
+    def rand_poly(deg, fractions):
+        cs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+        return UniPoly(Fraction(c, rng.randint(1, 9)) for c in cs) if fractions else UniPoly(cs)
+
+    cases = []
+    for k in range(60):
+        f, g = rand_poly(rng.randint(0, 5), k % 2), rand_poly(rng.randint(0, 5), k % 3 == 0)
+        coprime = euclid_gcd(f, g).degree == 0
+        cases.append((f, g, coprime))
+        h = rand_poly(rng.randint(1, 2), k % 2)
+        cases.append((f * h, g * h, False))
+    cases += [
+        # a zero operand
+        (x + 1, UniPoly.zero(), False),
+        (UniPoly.zero(), UniPoly((3,)), False),
+        (UniPoly.zero(), UniPoly.zero(), False),
+        # P divides the cleared leading coefficient of the longer operand
+        (UniPoly((1, 0, p)), x + 1, False),
+        (UniPoly((Fraction(1, 2), 3, Fraction(p, 7))), x - 2, False),
+        # roots shared only mod P: 0 and P
+        (x * (x + 1), (x - p) * (x + 2), False),
+        (UniPoly((Fraction(-p, 3), Fraction(1, 3))), x * x + x, False),
+        # P divides only the shorter operand's leading coefficient, which
+        # drops a degree mod P and still proves the pair coprime
+        (x * x + 1, UniPoly((1, p)), True),
+        (UniPoly((2,)), UniPoly((3,)), True),
+    ]
+    return cases
+
+
+def test_gcd_certificate_gives_euclids_result(monkeypatch):
+    verdicts = []
+    certificate = polynomials._certified_coprime
+
+    def recorded(f, g):
+        verdicts.append(certificate(f, g))
+        return verdicts[-1]
+
+    monkeypatch.setattr(polynomials, "_certified_coprime", recorded)
+    certified = 0
+    for p, q, proved in _gcd_cases(random.Random(44)):
+        for a, b in ((p, q), (q, p)):
+            verdicts.clear()
+            g = poly_gcd(a, b)
+            expected = euclid_gcd(a, b)
+            assert repr(g) == repr(expected), (a, b)
+            assert list(map(type, g.coeffs)) == list(map(type, expected.coeffs))
+            assert verdicts == [proved], (a, b)
+            certified += verdicts == [True]
+    assert certified >= 40
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [GaussianRational(0, 1), 0.5],
+    ids=["gaussian", "float"],
+)
+def test_gcd_coefficient_type_is_checked(coeff):
+    for p, q in ((UniPoly((coeff, 1)), UniPoly((1, 1))), (UniPoly((2, 1)), UniPoly((coeff,)))):
+        with pytest.raises(TypeError, match="coefficient must be"):
+            poly_gcd(p, q)
