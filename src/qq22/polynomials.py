@@ -5,7 +5,9 @@ check them through the shared gate in ``scalars``); division reads an
 ``int`` leading coefficient as a ``Fraction``, so no float appears.
 Trailing zeros are stripped, so ``degree`` is the index of the last nonzero
 coefficient and the zero polynomial has degree -1.  ``poly_gcd`` and
-``squarefree`` try a proof modulo the prime 2^61 - 1 before Euclid over Q.
+``squarefree`` share one proof modulo the prime 2^61 - 1,
+``_certified_coprime``, and one exact fallback, Euclid over Q in
+``_euclid``.
 
 The arithmetic itself is done by ``padd``, ``pscale``, ``pmul`` and ``peval``
 on plain coefficient tuples; ``UniPoly`` wraps them.  The correlator engine
@@ -203,18 +205,21 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     a constant, the gcd is 1.  Proof: a common factor h, primitive in Z[x]
     and not constant, divides f and g in Z[x] (Gauss's lemma), so lead(h)
     divides lead(f), and h mod P keeps its degree and divides both
-    residues.  Every other pair, a zero operand too, runs Euclid over Q.
+    residues.  Every other pair, a zero operand too, runs ``_euclid``.
     """
     check_rational(p.coeffs + q.coeffs, "coefficient")
     f, g = (p.coeffs, q.coeffs) if p.degree >= q.degree else (q.coeffs, p.coeffs)
     if _certified_coprime(f, g):
         return UniPoly((Fraction(1),))
-    a, b = p, q
+    return _euclid(p, q)
+
+
+def _euclid(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd over Q by Euclid's remainder loop: the exact fallback of
+    ``poly_gcd`` and ``squarefree`` when their certificate proves nothing."""
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+    return a if a.is_zero() else a.monic()
 
 
 _PRIME = (1 << 61) - 1
@@ -253,41 +258,22 @@ def _certified_coprime(f, g) -> bool:
     return bool(b and a[0]) and _gcd_mod_is_constant(a, b, _PRIME)
 
 
-def _certified_squarefree(coeffs) -> bool:
-    """The mod-p certificate of ``squarefree``; False means "not proved"."""
-    f = [c % _PRIME for c in reversed(scaled_ints(coeffs)[0])]
-    if not f[0]:
-        return False
-    deg = len(f) - 1
-    df = [(deg - k) * c % _PRIME for k, c in enumerate(f[:-1])]
-    return _gcd_mod_is_constant(f, df, _PRIME)
-
-
 def squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant, i.e. p has only simple roots.
 
     Coefficients must be ``int`` or ``Fraction``; any other is a TypeError.
-    A modular certificate comes first: ``scalars.scaled_ints`` makes p an
-    integer polynomial f.  If the prime P = 2^61 - 1 does not divide
-    lead(f) and gcd(f mod P, f' mod P) over F_P is a constant, p is
-    squarefree over Q (von zur Gathen-Gerhard, Modern Computer Algebra,
-    ch. 14).  Proof: suppose f = g^2 h with g primitive in Z[x] and
-    deg g >= 1.  By Gauss's lemma h lies in Z[x], so lead(g) divides
-    lead(f); then P does not divide lead(g), and g mod P keeps its degree.
-    Now (g mod P)^2 divides f mod P, so g mod P divides
-    f' mod P = 2gg'h + g^2h' mod P in any characteristic, and the gcd mod P
-    is not a constant.
-
-    Every other case -- a nonconstant gcd mod P, or P dividing lead(f) --
-    runs Euclid over Q, ``poly_gcd(p, p')``.  So every False is proved over
-    Q, and every True by the certificate or by Euclid.
+    ``scalars.scaled_ints`` makes p an integer polynomial f, and f is
+    squarefree iff f and f' are coprime, which ``poly_gcd``'s certificate
+    proves mod P (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14).
+    A pair it does not prove runs ``_euclid(p, p')``, so every False is
+    proved over Q, and every True by the certificate or by Euclid.
     """
     if p.is_zero():
         raise ValueError("squarefree test of the zero polynomial")
     check_rational(p.coeffs, "coefficient")
     if p.degree == 0:
         return True
-    if _certified_squarefree(p.coeffs):
+    f = scaled_ints(p.coeffs)[0]
+    if _certified_coprime(f, [k * c for k, c in enumerate(f)][1:]):
         return True
-    g = poly_gcd(p, p.derivative())
-    return g.degree == 0
+    return _euclid(p, p.derivative()).degree == 0

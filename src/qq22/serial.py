@@ -34,9 +34,10 @@ n + 1 exponents, so a short file naming a huge n asks for no more memory
 than its text.  Values are parsed only when used.  A load asked for a key the
 file holds parses that one record and builds no memo.  Any other load parses
 each distinct text once and builds the memo through one ``dict(zip(...))``,
-so equal values share one tuple.  A file that is not accepted is cut into
-four columns, ``_verdict`` judges each distinct text, and the verdicts are
-walked in record order to the first bad line.
+so equal values share one tuple.  A file that is not accepted is walked
+line by line to its first bad line: a line is cut at '|', and ``_verdict``
+judges each distinct text of a column when a line first holds it, so no
+text after the bad line is judged.
 
 Saving writes a temporary file next to the cache and renames it over the
 cache, so a reader sees either the old file or the new one, never a cut one.
@@ -392,9 +393,9 @@ def _records(body, n, key):
         judged = [_judged(n, 1, texts[0], amb_p), _judged(n, 2, texts[1], prim_p), {}]
         for tail in filterfalse(const_p.fullmatch, texts[2]):
             poly, _, rest = tail.partition("\n")
-            # a tail other than one newline and str(n) after the polynomial
-            # breaks the layout
-            judged[2][tail] = _verdict(n, 3, poly) if rest == sn else (None, True)
+            if rest != sn:  # not one newline and str(n) after the polynomial
+                raise _first_fault(body, n)
+            judged[2][tail] = _verdict(n, 3, poly)
         cut = -1 - len(sn)
         if not any(fault for table in judged for _, fault in table.values()):
             if key is not None:
@@ -424,18 +425,20 @@ def _records(body, n, key):
 
 def _first_fault(body, n):
     """``CacheError`` naming the first bad line of a body ``_records``
-    refused, by walking the verdicts of its four columns in record order."""
-    count = body.count("\n")
-    cells = body.replace("\n", "|\n|").split("|")
-    if len(cells) != 5 * count + 1 or cells[4::5].count("\n") != count:
-        # judge only the records before the first without three '|'
-        count = next(k for k, line in enumerate(body.split("\n")) if line.count("|") != 3)
-        del cells[5 * count :]
-    columns = [cells[k:-1:5] for k in range(4)]
-    verdicts = [{t: _verdict(n, k, t) for t in set(column)} for k, column in enumerate(columns)]
+    refused, by one walk over its lines that judges each distinct text of a
+    column with ``_verdict`` when a line first holds it."""
+    tables = ({}, {}, {}, {})
     seen = set()
-    for lineno, texts in enumerate(zip(*columns), start=2):
-        record = [table[text] for table, text in zip(verdicts, texts)]
+    # a body ends in a newline, so the walk ends at the empty text after it
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        texts = line.split("|")
+        if len(texts) != 4:
+            return CacheError("line %d: expected 4 fields" % lineno)
+        record = []
+        for column, (table, text) in enumerate(zip(tables, texts)):
+            if text not in table:
+                table[text] = _verdict(n, column, text)
+            record.append(table[text])
         fault = min((f for _, f in record if f), key=itemgetter(0), default=None)
         if fault is None or fault[0] > 7:  # a repeated key outranks only rank 8
             pair = (record[1][0], record[2][0])
@@ -444,4 +447,3 @@ def _first_fault(body, n):
             seen.add(pair)
         if fault:
             return CacheError("line %d: %s" % (lineno, fault[1]))
-    return CacheError("line %d: expected 4 fields" % (count + 2))

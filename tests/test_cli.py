@@ -1083,26 +1083,96 @@ def test_small_edits_load_as_line_by_line(saved_caches, tmp_path, n):
     assert len(outcomes) >= 8
 
 
+# Edits that make line k of a saved cache's lines bad.  A copy of the line
+# before is a repeated key, or for the first record a copy of the header.
+BAD_LINE_EDITS = {
+    "extra-field": lambda lines, k: lines[k] + "|0",
+    "record-n": lambda lines, k: "0" + lines[k],
+    "poly-negative-power": lambda lines, k: lines[k].rpartition("|")[0] + "|x^-1",
+    "poly-not-canonical": lambda lines, k: lines[k] + "+0*x",
+    "duplicate": lambda lines, k: lines[k - 1],
+}
+
+
+@pytest.mark.parametrize("n", [6])
+def test_refused_cache_is_judged_up_to_its_first_bad_line(saved_caches, tmp_path, monkeypatch, n):
+    # a refused body is diagnosed by one walk over its lines: _first_fault
+    # names the line and fault that line by line does, runs _verdict at most
+    # once per (column, text), and judges no text that first appears after
+    # the bad line
+    from collections import Counter
+
+    from qq22 import serial
+
+    lines = saved_caches[n].split("\n")[:-1]
+    path = tmp_path / "memo.cache"
+    judged = Counter()
+    verdict = serial._verdict
+
+    def counted(n, column, text):
+        judged[column, text] += 1
+        return verdict(n, column, text)
+
+    monkeypatch.setattr(serial, "_verdict", counted)
+    messages = set()
+    for k in (1, len(lines) // 2, len(lines) - 1):  # line 2, a middle line, the last
+        for edit in BAD_LINE_EDITS.values():
+            edited = list(lines)
+            edited[k] = edit(lines, k)
+            path.write_text(_text(edited))
+            outcome = _load_outcome(_line_by_line_read, path, n)
+            assert outcome[0] == "error" and outcome[1].startswith("line %d: " % (k + 1))
+            judged.clear()
+            assert str(serial._first_fault(_text(edited[1:]), n)) == outcome[1]
+            assert set(judged.values()) <= {1}
+            first = {}  # the line number where each (column, text) first appears
+            for lineno, line in enumerate(edited[1:], start=2):
+                for column, text in enumerate(line.split("|")):
+                    first.setdefault((column, text), lineno)
+            assert all(first[key] <= k + 1 for key in judged)
+            messages.add(re.sub("'[^']*'", "%r", outcome[1].partition(": ")[2]))
+    assert messages == {
+        "expected 4 fields",
+        "%r is not the text save_cache writes",
+        "negative exponent in %r",
+        "duplicate key",
+    }
+
+
+def _in_pattern_range(column, values):
+    """Whether values that ``_verdict`` passes lie in the range of the
+    column's ``_grammar`` pattern: exponents below 100 in an ambient field,
+    one digit in a primitive field, and an int constant of at most 100
+    digits in a polynomial."""
+    if column == 3:
+        return len(values) <= 1 and all(type(v) is int and len(str(abs(v))) <= 100 for v in values)
+    return max(values) < (100 if column == 1 else 10)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_key_patterns_accept_what_verdict_passes(saved_caches, n):
     # a load judges a key column by one _grammar pattern match, and a column
-    # that fails the match text by text with _verdict, so the two must not
-    # drift apart.  On every key text of a saved cache and on seeded
-    # one-character edits of them, a pattern accepts a text exactly when
-    # _verdict passes it with exponents in the pattern's range: below 100
-    # in an ambient field, one digit in a primitive field.  Texts with a
-    # leading exponent at the bound and just below it test the range
+    # that fails the match text by text with _verdict; a polynomial it judges
+    # by the third pattern, matched on the polynomial, a newline and the next
+    # n field, or else by _verdict.  So the two must not drift apart: on
+    # every text of a saved cache and on seeded one-character edits of them,
+    # a pattern accepts a text exactly when _verdict passes it with values in
+    # the pattern's range.  Texts at the range's bounds and just inside test
+    # the range
     from qq22 import serial
 
     records = [line.split("|") for line in saved_caches[n].split("\n")[1:-1]]
     rng = random.Random("grammar %d" % n)
     reached = set()
-    for column, pattern in enumerate(serial._grammar(n)[:2], start=1):
+    for column, pattern in enumerate(serial._grammar(n), start=1):
         texts = {record[column] for record in records}
-        bound = 100 if column == 1 else 10
-        for text in sorted(texts)[:5]:
-            rest = text.partition(",")[2]
-            texts.update("%d,%s" % (v, rest) for v in (bound - 1, bound))
+        if column < 3:
+            bound = 100 if column == 1 else 10
+            for text in sorted(texts)[:5]:
+                rest = text.partition(",")[2]
+                texts.update("%d,%s" % (v, rest) for v in (bound - 1, bound))
+        else:
+            texts.update(("-0", "00", "+5", "9" * 100, "-" + "9" * 100, "1" + "0" * 100))
         for text in sorted(texts):
             for _ in range(4):
                 # at k, drop zero or one character and put in zero or one
@@ -1112,15 +1182,15 @@ def test_key_patterns_accept_what_verdict_passes(saved_caches, n):
         accepted = []
         for text in sorted(texts):
             values, fault = serial._verdict(n, column, text)
-            in_range = fault is None and max(values) < bound
-            matched = pattern.fullmatch(text + "|") is not None
+            in_range = fault is None and _in_pattern_range(column, values)
+            matched = pattern.fullmatch(text + ("|" if column < 3 else "\n%d" % n)) is not None
             assert matched == in_range, (column, text, fault)
             reached.add((column, matched, fault is None))
             accepted += [text] * matched
-        # the accepted texts pass together, as a load matches them
-        assert pattern.fullmatch("|".join(accepted) + "|")
-    # accepted, refused by both, and passed only by _verdict, in both columns
-    assert reached == {(c, m, p) for c in (1, 2) for m, p in ((True, True), (False, False), (False, True))}
+        # the accepted key texts pass together, as a load matches them
+        assert column == 3 or pattern.fullmatch("|".join(accepted) + "|")
+    # accepted, refused by both, and passed only by _verdict, in every column
+    assert reached == {(c, m, p) for c in (1, 2, 3) for m, p in ((True, True), (False, False), (False, True))}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -112,23 +112,36 @@ def _names_lcm(node):
     return getattr(node, "id", None) == "lcm" or getattr(node, "attr", None) == "lcm"
 
 
+def _function(tree, name):
+    (node,) = [n for n in _nodes(tree, lambda n: isinstance(n, ast.FunctionDef)) if n.name == name]
+    return node
+
+
+def _calls(kind, name):
+    """A test for calls of name, read off the called node's ``kind``: "id"
+    for a bare name, "attr" for a method."""
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, kind, None) == name
+
+
 def test_each_rule_has_one_home():
     # the int-or-Fraction test lives in qq22.scalars (RATIONAL, check_rational,
     # as_fraction), clearing denominators in scalars.scaled_ints, the --format
-    # choice in cli._report and the dimension rule in model.check_dimension; a
-    # second copy of any fails here
+    # choice in cli._report, the dimension rule in model.check_dimension,
+    # Euclid's remainder loop in polynomials._euclid and the gcd mod p in
+    # polynomials._certified_coprime; a second copy of any fails here
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     tuples = [name for name, tree in trees.items() for _ in _nodes(tree, _is_rational_tuple)]
     assert tuples == ["scalars.py"]
     lcms = sorted({name for name, tree in trees.items() if _nodes(tree, _names_lcm)})
     assert lcms == ["scalars.py"]
-    reads = sum(len(_nodes(tree, _is_format_read)) for tree in trees.values())
-    (report,) = [
-        node
-        for node in _nodes(trees["cli.py"], lambda n: isinstance(n, ast.FunctionDef))
-        if node.name == "_report"
-    ]
-    assert reads == len(_nodes(report, _is_format_read)) == 1
+    homes = {
+        _is_format_read: _function(trees["cli.py"], "_report"),
+        _calls("attr", "divmod"): _function(trees["polynomials.py"], "_euclid"),
+        _calls("id", "_gcd_mod_is_constant"): _function(trees["polynomials.py"], "_certified_coprime"),
+    }
+    for test, home in homes.items():
+        uses = sum(len(_nodes(tree, test)) for tree in trees.values())
+        assert uses == len(_nodes(home, test)) == 1, home.name
     imports = [
         name
         for name, tree in trees.items()

@@ -113,7 +113,7 @@ def test_int_coefficients_divide_exactly():
     assert all(type(c) is Fraction for c in m.coeffs)
 
 
-# the prime of the modular certificate in ``squarefree``
+# the prime of the modular certificate of ``poly_gcd`` and ``squarefree``
 CERT_PRIME = 2**61 - 1
 
 
@@ -160,26 +160,34 @@ def _certificate_cases():
 
 
 def test_certificate_agrees_with_exact_route(monkeypatch):
-    calls = 0
-    exact_gcd = polynomials.poly_gcd
+    # squarefree runs the certificate once, and Euclid (polynomials._euclid)
+    # once only when the certificate proves nothing
+    verdicts, euclids = [], 0
+    certificate, euclid = polynomials._certified_coprime, polynomials._euclid
 
-    def counted(p, q):
-        nonlocal calls
-        calls += 1
-        return exact_gcd(p, q)
+    def recorded(f, g):
+        verdicts.append(certificate(f, g))
+        return verdicts[-1]
 
-    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    def counted(a, b):
+        nonlocal euclids
+        euclids += 1
+        return euclid(a, b)
+
+    monkeypatch.setattr(polynomials, "_certified_coprime", recorded)
+    monkeypatch.setattr(polynomials, "_euclid", counted)
     reached = set()
     for p in _certificate_cases():
-        expected = exact_gcd(p, p.derivative()).degree == 0
-        calls = 0
+        expected = euclid_gcd(p, p.derivative()).degree == 0
+        verdicts.clear()
+        euclids = 0
         assert squarefree(p) == expected, p
+        assert (verdicts, euclids) in (([True], 0), ([False], 1)), p
         branch = _certificate_branch(p)
         if branch == "mod-p":
-            # no Euclid means the certificate proved p squarefree
-            branch = "certified" if calls == 0 else "gcd mod p"
+            branch = "certified" if verdicts == [True] else "gcd mod p"
         else:
-            assert calls == 1, (branch, p)
+            assert verdicts == [False], (branch, p)
         reached.add((branch, expected))
     assert reached >= {
         ("certified", True),
@@ -188,9 +196,18 @@ def test_certificate_agrees_with_exact_route(monkeypatch):
         ("lead", True),
         ("lead", False),
     }
+    # squarefree over Q, but the roots 0 and P meet mod P, and a square:
+    # one certificate that proves nothing, then one Euclid
+    x = UniPoly.x()
+    fallbacks = [(x * (x - CERT_PRIME) * (x + Fraction(1, 2)), True), ((x - 1) ** 2 * (x + 2), False)]
+    for p, simple in fallbacks:
+        verdicts.clear()
+        euclids = 0
+        assert squarefree(p) == simple and verdicts == [False] and euclids == 1
     for n, a in ((3, 2), (4, Fraction(-5, 3)), (7, Fraction(1, 9))):
-        calls = 0
-        assert zn_minus_az_plus_1_squarefree(n, a) and calls == 0
+        verdicts.clear()
+        euclids = 0
+        assert zn_minus_az_plus_1_squarefree(n, a) and verdicts == [True] and euclids == 0
 
 
 def euclid_gcd(p, q):

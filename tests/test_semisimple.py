@@ -258,20 +258,25 @@ def test_simple_roots_family():
 
 def test_squarefree_scan_runs_no_euclid(monkeypatch):
     # the mod-p certificate proves every squarefree row; Euclid over Q
-    # (poly_gcd) is left for rows it cannot prove
-    calls = 0
-    exact_gcd = polynomials.poly_gcd
+    # (polynomials._euclid) is left for rows it cannot prove
+    verdicts, euclids = [], 0
+    certificate, euclid = polynomials._certified_coprime, polynomials._euclid
 
-    def counted(p, q):
-        nonlocal calls
-        calls += 1
-        return exact_gcd(p, q)
+    def recorded(f, g):
+        verdicts.append(certificate(f, g))
+        return verdicts[-1]
 
-    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    def counted(a, b):
+        nonlocal euclids
+        euclids += 1
+        return euclid(a, b)
+
+    monkeypatch.setattr(polynomials, "_certified_coprime", recorded)
+    monkeypatch.setattr(polynomials, "_euclid", counted)
     rows = [r for r in semisimple_scan(6, 3, 4) if not r.rejected]
     assert len(rows) == 3
     assert all(r.agrees and r.squarefree for r in rows)
-    assert calls == 0
+    assert verdicts == [True] * len(rows) and euclids == 0
 
 
 @pytest.mark.parametrize("value", [0.5, "1/2", 1j], ids=["float", "str", "complex"])
